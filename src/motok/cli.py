@@ -255,6 +255,8 @@ def _cmd_populate(args) -> int:
             "collision": result.collision,
             "feasible": result.feasible,
             "candidates_evaluated": result.candidates_evaluated,
+            "candidates_scored": result.candidates_scored,
+            "candidates_pruned": result.candidates_pruned,
         })
     if not result.feasible:
         print(f"infeasible placement: collision {result.collision:.6f} m "

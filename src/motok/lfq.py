@@ -179,4 +179,4 @@ def codebook_utilization(indices: np.ndarray, codebook: LfqCodebook) -> tuple[fl
     fraction = float(np.count_nonzero(counts)) / codebook.vocab_size
     freqs = counts[counts > 0] / indices.size
     usage_entropy = float(-(freqs * np.log(freqs)).sum()) + 0.0  # avoid -0.0
-    return fraction, usage_entropy / np.log(codebook.vocab_size)
+    return fraction, float(usage_entropy / np.log(codebook.vocab_size))

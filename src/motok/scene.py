@@ -80,7 +80,13 @@ class SignedDistanceField:
         d = np.asarray(self.distances, dtype=np.float64).copy()
         if d.ndim != 3:
             raise SceneError(f"distances must be 3-D, got shape {d.shape}")
+        if not np.all(np.isfinite(d)):
+            # a NaN distance fails every comparison, which would let
+            # placement prune candidates that can still win
+            raise SceneError("distances contain non-finite values")
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
+        if not self.cell_size > 0:
+            raise SceneError(f"cell_size must be > 0, got {self.cell_size}")
         d.setflags(write=False)
         origin.setflags(write=False)
         object.__setattr__(self, "distances", d)

@@ -222,6 +222,8 @@ class TestPopulate:
         assert payload["collision"] == 0.0
         assert set(payload["offset"]) == {"x", "z", "yaw"}
         assert payload["candidates_evaluated"] > 16 * 16
+        # the seed already scores 0, so the search stops after scoring it
+        assert (payload["candidates_scored"], payload["candidates_pruned"]) == (1, 0)
         placed = fileio.read_mseq(out)
         assert not placed.is_canonical
 

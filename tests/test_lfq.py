@@ -174,6 +174,7 @@ class TestUtilization:
         frac, ent = codebook_utilization(np.arange(8192), CB8192)
         assert frac == 1.0
         assert ent == pytest.approx(1.0)
+        assert type(frac) is float and type(ent) is float
 
     def test_uniform_sampling_fraction(self, rng):
         draws = rng.integers(0, 8192, size=8192)

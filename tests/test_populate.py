@@ -1,10 +1,18 @@
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from motok import populate
+from motok.motion import to_global
 from motok.populate import (
     PlacementConfig,
     PlacementOffset,
     SceneLessError,
+    _candidate_keypoints,
     find_seed_position,
     optimize_placement,
     placement_lattice,
@@ -35,6 +43,105 @@ def corridor(nx=18, nz=24, ny=16):
     occ[0, :, :] = occ[-1, :, :] = 1
     occ[:, 0, :] = occ[:, -1, :] = 1
     return SceneVoxelGrid(occ, np.zeros(3), CELL)
+
+
+def too_small_pocket():
+    """A 0.5 x 1.0 m free pocket: the walk's 1.1 x 1.4 m footprint cannot fit."""
+    occ = np.zeros((21, 20, 16), dtype=np.uint8)
+    occ[:8, :, :] = occ[-8:, :, :] = 1
+    occ[:, :5, :] = occ[:, -5:, :] = 1
+    return SceneVoxelGrid(occ, np.zeros(3), CELL)
+
+
+def demo_room():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "demo_scene_pipeline.py"
+    spec = importlib.util.spec_from_file_location("demo_scene_pipeline", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_room()
+
+
+def _brute_force_placement(seq, grid, config=PlacementConfig()):
+    """Reference search: score every lattice candidate at every yaw in full.
+
+    This is the exhaustive scan optimize_placement must match bit for bit:
+    the first minimum in the order seed, yaw, lattice index, then the same
+    coordinate-descent refinement.
+    """
+    sdf = build_sdf(grid)
+    seed = find_seed_position(grid, config.footprint_radius, config.standing_height, sdf)
+    kp = _candidate_keypoints(seq, config.include_object)
+
+    def score_offsets(xz, yaw):
+        cos, sin = np.cos(yaw), np.sin(yaw)
+        rot = np.array([[cos, 0.0, sin], [0.0, 1.0, 0.0], [-sin, 0.0, cos]])
+        rotated = kp.reshape(-1, 3) @ rot.T
+        offsets = np.zeros((xz.shape[0], 1, 3))
+        offsets[:, 0, 0] = xz[:, 0]
+        offsets[:, 0, 2] = xz[:, 1]
+        values = sample_sdf(sdf, rotated[None, :, :] + offsets)
+        return np.maximum(0.0, -values).mean(axis=1)
+
+    lattice_xz = placement_lattice(grid, config.standing_height)
+    best_xz = np.array([seed[0], seed[2]])
+    best_yaw = 0.0
+    best_score = float(score_offsets(best_xz[None, :], best_yaw)[0])
+    evaluated = 1
+    for k in range(config.yaw_count):
+        yaw = wrap_angle(-np.pi + 2.0 * np.pi * k / config.yaw_count)
+        scores = score_offsets(lattice_xz, yaw)
+        evaluated += scores.size
+        idx = int(np.argmin(scores))
+        if scores[idx] < best_score:
+            best_score = float(scores[idx])
+            best_xz = lattice_xz[idx].copy()
+            best_yaw = yaw
+
+    step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / config.yaw_count
+    for _ in range(config.refine_rounds):
+        improved = True
+        while improved:
+            improved = False
+            moves = [(step_xz, 0.0, 0.0), (-step_xz, 0.0, 0.0),
+                     (0.0, step_xz, 0.0), (0.0, -step_xz, 0.0),
+                     (0.0, 0.0, step_yaw), (0.0, 0.0, -step_yaw)]
+            for dx, dz, dyaw in moves:
+                cand_xz = best_xz + np.array([dx, dz])
+                cand_yaw = wrap_angle(best_yaw + dyaw)
+                score = float(score_offsets(cand_xz[None, :], cand_yaw)[0])
+                evaluated += 1
+                if score < best_score:
+                    best_score, best_xz, best_yaw = score, cand_xz, cand_yaw
+                    improved = True
+        step_xz *= 0.5
+        step_yaw *= 0.5
+
+    offset = PlacementOffset(xz_translation=best_xz, yaw=best_yaw)
+    return SimpleNamespace(offset=offset, collision=best_score, candidates_evaluated=evaluated,
+                           placed=to_global(seq, offset.to_six_dof()))
+
+
+def assert_matches_brute_force(seq, grid, config=PlacementConfig()):
+    result = optimize_placement(seq, grid, config)
+    expected = _brute_force_placement(seq, grid, config)
+    np.testing.assert_array_equal(result.offset.xz_translation,
+                                  expected.offset.xz_translation)
+    assert result.offset.yaw == expected.offset.yaw
+    assert result.collision == expected.collision
+    assert result.candidates_evaluated == expected.candidates_evaluated
+    np.testing.assert_array_equal(result.placed.frames, expected.placed.frames)
+    assert result.candidates_scored + result.candidates_pruned <= result.candidates_evaluated
+    return result
+
+
+def assert_counters(result, seed_scores_zero):
+    if seed_scores_zero:
+        # the zero exit: only the seed is scored, nothing is pruned
+        assert result.collision == 0.0
+        assert (result.candidates_scored, result.candidates_pruned) == (1, 0)
+    else:
+        assert result.collision > 0.0
+        assert result.candidates_pruned > 0
 
 
 class TestSeedPosition:
@@ -140,14 +247,10 @@ class TestOptimizePlacement:
         assert more_rounds.collision <= coarse_only.collision + 1e-15
 
     def test_infeasible_for_too_small_pocket(self):
-        # a 0.5 x 1.0 m free pocket cannot hold the walk's 1.1 x 1.4 m
-        # footprint in any orientation, so something always sinks into a wall
-        occ = np.zeros((21, 20, 16), dtype=np.uint8)
-        occ[:8, :, :] = occ[-8:, :, :] = 1
-        occ[:, :5, :] = occ[:, -5:, :] = 1
-        grid = SceneVoxelGrid(occ, np.zeros(3), CELL)
+        # the pocket cannot hold the walk in any orientation, so something
+        # always sinks into a wall
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        result = optimize_placement(seq, grid)
+        result = optimize_placement(seq, too_small_pocket())
         assert not result.feasible
         assert result.collision > PlacementConfig().feasibility_threshold
 
@@ -163,6 +266,66 @@ class TestOptimizePlacement:
         grid = SceneVoxelGrid(np.ones((4, 4, 4), dtype=np.uint8), np.zeros(3), CELL)
         with pytest.raises(SceneLessError):
             optimize_placement(make_walk_sequence(num_frames=9), grid)
+
+
+@st.composite
+def pillared_rooms(draw):
+    """Small rooms, walls two cells thick, with up to three pillars of random size and height."""
+    nx, nz, ny = draw(st.integers(10, 16)), draw(st.integers(10, 16)), 20
+    occ = np.zeros((nx, nz, ny), dtype=np.uint8)
+    occ[:2, :, :] = occ[-2:, :, :] = 1
+    occ[:, :2, :] = occ[:, -2:, :] = 1
+    for _ in range(draw(st.integers(1, 3))):
+        x, z = draw(st.integers(2, nx - 3)), draw(st.integers(2, nz - 3))
+        w, d, h = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(3, ny))
+        occ[x:x + w, z:z + d, :h] = 1
+    return SceneVoxelGrid(occ, np.zeros(3), CELL)
+
+
+class TestBranchAndBound:
+    """optimize_placement against the exhaustive scan it replaces."""
+
+    # the 2- and 31-frame walks fit the demo room, so the seed scores 0 and
+    # the search returns at once; the 11-frame walk covers 3.3 m and no
+    # candidate scores 0, so the bound prunes
+    @pytest.mark.parametrize("frames, speed, seed_scores_zero",
+                             [(2, 1.0, True), (31, 1.0, True), (11, 9.0, False)])
+    def test_demo_room_matches_brute_force(self, frames, speed, seed_scores_zero):
+        seq = make_walk_sequence(num_frames=frames, speed=speed, arm_swing=0.2,
+                                 with_object=True)
+        result = assert_matches_brute_force(seq, demo_room())
+        assert_counters(result, seed_scores_zero)
+
+    @pytest.mark.parametrize("grid, seed_scores_zero",
+                             [(corridor(), True), (too_small_pocket(), False)],
+                             ids=["corridor", "too_small_pocket"])
+    def test_fixtures_match_brute_force(self, grid, seed_scores_zero):
+        seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
+        result = assert_matches_brute_force(seq, grid)
+        assert_counters(result, seed_scores_zero)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=pillared_rooms(), frames=st.integers(2, 12),
+           speed=st.sampled_from([0.5, 1.5, 4.0]), with_object=st.booleans(),
+           yaw_count=st.sampled_from([1, 5, 16]))
+    def test_random_rooms_match_brute_force(self, grid, frames, speed, with_object, yaw_count):
+        seq = make_walk_sequence(num_frames=frames, speed=speed, with_object=with_object)
+        assert_matches_brute_force(seq, grid, PlacementConfig(yaw_count=yaw_count))
+
+    def test_scan_samples_through_scene_sample_sdf(self, monkeypatch):
+        # perfbench's per-layer trace counts SDF points at populate.sample_sdf
+        points = []
+
+        def counting(sdf, pts):
+            values = sample_sdf(sdf, pts)
+            points.append(values.size)
+            return values
+
+        monkeypatch.setattr(populate, "sample_sdf", counting)
+        seq = make_walk_sequence(num_frames=11, speed=9.0, arm_swing=0.2, with_object=True)
+        result = optimize_placement(seq, demo_room())
+        frames, joints = _candidate_keypoints(seq, include_object=True).shape[:2]
+        assert 0 < sum(points) < result.candidates_evaluated * frames * joints
 
 
 class TestPlacementOffset:

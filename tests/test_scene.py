@@ -112,6 +112,20 @@ class TestBuildSdf:
         assert np.all(sdf.distances[occ == 0] > 0.0)
 
 
+class TestSignedDistanceFieldValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        distances = np.zeros((3, 3, 3))
+        distances[1, 2, 0] = bad
+        with pytest.raises(SceneError, match="non-finite"):
+            SignedDistanceField(distances, np.zeros(3), 0.1)
+
+    @pytest.mark.parametrize("cell", [0.0, -0.1, np.nan])
+    def test_non_positive_cell_size_rejected(self, cell):
+        with pytest.raises(SceneError, match="cell_size"):
+            SignedDistanceField(np.zeros((2, 2, 2)), np.zeros(3), cell)
+
+
 class TestSampleSdf:
     def test_cell_center_exact(self, rng):
         occ = (rng.random((6, 5, 4)) < 0.2).astype(np.uint8)
