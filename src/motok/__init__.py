@@ -10,15 +10,13 @@ from .ddim import (
 )
 from .lfq import (
     LfqCodebook,
-    QuantizedCode,
+    bits_to_indices,
     codebook_utilization,
-    commitment_loss,
     entropy_loss,
-    index_to_bits,
-    quantize,
+    indices_to_bits,
+    sign_bits,
 )
 from .metrics import (
-    FeatureSet,
     GaussianStats,
     diversity,
     fit_gaussian,
@@ -55,7 +53,7 @@ from .scene import (
     contact_score,
     sample_sdf,
 )
-from .tokens import TokenStream, cross_entropy_loss, mask_tokens
+from .tokens import TokenStream
 from .vae import ToyVaeConfig, ToyVaeParams, decode, encode, train
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,30 +17,11 @@ import numpy as np
 
 from . import ddim, fileio, lfq, metrics, motion, populate, scene, synth, tokens, vae
 
-DENOISER_REGISTRY = {"toy-walk": synth.toy_walk_denoiser}
-
 _DOMAIN_ERRORS = (ValueError, RuntimeError)
 
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (missing files, bad values)."""
-
-
-def thread_cap() -> int:
-    """Parallelism cap from MOTOK_THREADS (0 = auto).
-
-    The current implementation is single-threaded vectorized code, so any
-    cap is respected trivially; the variable is validated so misconfigured
-    environments fail loudly.
-    """
-    raw = os.environ.get("MOTOK_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"MOTOK_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise UsageError(f"MOTOK_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -122,7 +102,7 @@ def _load_dataset(data_dir: Path) -> list[motion.MotionSequence]:
 
 
 _CONFIG_COERCERS = {
-    "vocab_size": int, "hidden_width": int, "downsample_layers": int,
+    "vocab_size": int, "hidden_width": int,
     "lambda_recon": float, "lambda_commit": float, "lambda_entropy": float,
     "entropy_temperature": float, "learning_rate": float,
     "epochs": int, "seed": int,
@@ -210,9 +190,7 @@ def _waypoints_to_frames(track: np.ndarray) -> np.ndarray:
 
 def _cmd_sample(args) -> int:
     schedule = ddim.NoiseSchedule()
-    if args.denoiser not in DENOISER_REGISTRY:
-        raise UsageError(f"unknown denoiser {args.denoiser!r}; have {sorted(DENOISER_REGISTRY)}")
-    denoiser = DENOISER_REGISTRY[args.denoiser](schedule, args.waypoints)
+    denoiser = synth.toy_walk_denoiser(schedule)
     guidance = None
     if args.heading is not None:
         guidance = ddim.GuidanceConfig(scale=args.cfg_scale,
@@ -396,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--waypoints", type=int, default=10)
     p.add_argument("--heading", type=float, default=None,
                    help="condition the toy denoiser on this heading (radians)")
-    p.add_argument("--denoiser", default="toy-walk", choices=sorted(DENOISER_REGISTRY))
     p.add_argument("--two-pass", action="store_true", dest="two_pass",
                    help="coarse-to-fine: strided first pass conditions the second")
     p.add_argument("--out", required=True)
@@ -441,7 +418,6 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        thread_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,6 +15,9 @@ import numpy as np
 
 DenoiserFn = Callable[[np.ndarray, int, Any], np.ndarray]
 
+# Row stride of the coarse first pass of two_pass_sample.
+COARSE_STRIDE = 2
+
 
 class SamplerError(ValueError):
     """Raised for schedule misuse or ill-shaped denoiser output."""
@@ -186,24 +189,21 @@ def two_pass_sample(
     num_infer_steps: int = 20,
     guidance: Optional[GuidanceConfig] = None,
     seed: int = 0,
-    stride: int = 2,
 ) -> np.ndarray:
     """Optional coarse-to-fine sampling: a strided first pass conditions a full pass.
 
-    The first pass samples every ``stride``-th row; the result is
-    nearest-neighbor upsampled and attached to the condition's ``coarse``
-    slot for the second pass.  Denoisers that ignore ``coarse`` reduce this
-    to plain sampling with a different seed path.
+    The first pass samples every ``COARSE_STRIDE``-th row with ``seed``; the
+    result is nearest-neighbor upsampled and attached to the condition's
+    ``coarse`` slot (of both guidance branches, or of a bare condition when
+    unguided) for a full pass with ``seed + 1``.  Denoisers that ignore
+    ``coarse`` reduce this to plain sampling with a different seed path.
     """
-    if stride < 1:
-        raise SamplerError(f"stride must be >= 1, got {stride}")
     rows = shape[0]
-    coarse_rows = (rows + stride - 1) // stride
+    coarse_rows = (rows + COARSE_STRIDE - 1) // COARSE_STRIDE
     coarse = ddim_sample(denoiser, (coarse_rows,) + tuple(shape[1:]), schedule,
                          num_infer_steps, guidance, seed)
-    upsampled = np.repeat(coarse, stride, axis=0)[:rows]
+    upsampled = np.repeat(coarse, COARSE_STRIDE, axis=0)[:rows]
     if guidance is None:
-        fine_guidance = None
         base = Condition(coarse=upsampled)
         fine_denoiser = lambda w, t, c: denoiser(w, t, base)  # noqa: E731
         return ddim_sample(fine_denoiser, shape, schedule, num_infer_steps, None, seed + 1)

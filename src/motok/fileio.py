@@ -1,6 +1,8 @@
 """Binary file formats and atomic writes.
 
-All integers are little-endian.  Formats:
+All integers are little-endian.  Every reader raises
+:class:`FileFormatError` on a bad magic or version, a truncated payload, or
+bytes after the payload.  Formats:
 
 * ``.mseq``  magic "MSEQ", u32 version, u32 T, u32 fps, u8 is_canonical,
   then T x 75 float32 row-major.
@@ -12,7 +14,8 @@ All integers are little-endian.  Formats:
 * ``.pts``   u32 n, then n x 3 float32.
 * ``.feat``  u32 N, u32 F, then N x F float32.
 * ``.vae``   magic "MVAE", u32 version, u32 vocab_size, u32 hidden_width,
-  u32 downsample_layers, u32 num_tensors, then per tensor: u16 name length,
+  u32 downsample_layers (always 3, ``vae.DOWNSAMPLE_LAYERS``; any other
+  value is rejected), u32 num_tensors, then per tensor: u16 name length,
   name bytes, u8 ndim, u32 dims, float32 data.
 """
 
@@ -29,7 +32,7 @@ import numpy as np
 from .motion import FRAME_DIM, MotionSequence
 from .scene import SceneVoxelGrid
 from .tokens import TokenStream
-from .vae import ToyVaeParams
+from .vae import DOWNSAMPLE_LAYERS, ToyVaeParams
 
 FORMAT_VERSION = 1
 
@@ -60,6 +63,11 @@ def _read_exact(handle, count: int, what: str) -> bytes:
     return data
 
 
+def _expect_end(handle):
+    if handle.read(1):
+        raise FileFormatError("trailing bytes after the payload")
+
+
 def _expect_magic(handle, magic: bytes):
     if _read_exact(handle, 4, "magic") != magic:
         raise FileFormatError(f"bad magic, expected {magic!r}")
@@ -81,6 +89,7 @@ def read_mseq(path) -> MotionSequence:
         _expect_magic(handle, b"MSEQ")
         num, fps, canonical = struct.unpack("<IIB", _read_exact(handle, 9, "header"))
         data = _read_exact(handle, num * FRAME_DIM * 4, "frames")
+        _expect_end(handle)
         frames = np.frombuffer(data, dtype="<f4").reshape(num, FRAME_DIM).astype(np.float64)
     return MotionSequence(frames, fps=fps, is_canonical=bool(canonical))
 
@@ -100,6 +109,7 @@ def read_mtok(path) -> TokenStream:
         _expect_magic(handle, b"MTOK")
         vocab, num, segment = struct.unpack("<III", _read_exact(handle, 12, "header"))
         data = _read_exact(handle, num * 2, "tokens")
+        _expect_end(handle)
         indices = np.frombuffer(data, dtype="<u2").astype(np.int64)
     return TokenStream(indices=indices, vocab_size=vocab, segment_len=segment)
 
@@ -123,6 +133,7 @@ def read_vox(path) -> SceneVoxelGrid:
         (cell_size,) = struct.unpack("<f", _read_exact(handle, 4, "cell size"))
         total = nx * nz * ny
         packed = _read_exact(handle, (total + 7) // 8, "occupancy")
+        _expect_end(handle)
         flat = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=total)
     occupancy = flat.reshape(ny, nz, nx).transpose(2, 1, 0)
     return SceneVoxelGrid(occupancy=occupancy, origin=origin, cell_size=cell_size)
@@ -141,6 +152,7 @@ def read_pts(path) -> np.ndarray:
     with open(path, "rb") as handle:
         (count,) = struct.unpack("<I", _read_exact(handle, 4, "count"))
         data = _read_exact(handle, count * 12, "points")
+        _expect_end(handle)
     return np.frombuffer(data, dtype="<f4").reshape(count, 3).astype(np.float64)
 
 
@@ -157,6 +169,7 @@ def read_feat(path) -> np.ndarray:
     with open(path, "rb") as handle:
         rows, cols = struct.unpack("<II", _read_exact(handle, 8, "shape"))
         data = _read_exact(handle, rows * cols * 4, "features")
+        _expect_end(handle)
     return np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float64)
 
 
@@ -165,7 +178,7 @@ def write_vae(path, params: ToyVaeParams):
     with atomic_write(path) as out:
         out.write(b"MVAE")
         out.write(struct.pack("<IIIII", FORMAT_VERSION, params.vocab_size,
-                              params.hidden_width, 3, len(names)))
+                              params.hidden_width, DOWNSAMPLE_LAYERS, len(names)))
         for name in names:
             tensor = params.tensors[name]
             encoded = name.encode("utf-8")
@@ -180,7 +193,7 @@ def read_vae(path) -> ToyVaeParams:
     with open(path, "rb") as handle:
         _expect_magic(handle, b"MVAE")
         vocab, hidden, layers, count = struct.unpack("<IIII", _read_exact(handle, 16, "header"))
-        if layers != 3:
+        if layers != DOWNSAMPLE_LAYERS:
             raise FileFormatError(f"unsupported downsample layer count {layers}")
         tensors = {}
         for _ in range(count):
@@ -191,6 +204,7 @@ def read_vae(path) -> ToyVaeParams:
             total = int(np.prod(shape)) if ndim else 1
             data = _read_exact(handle, total * 4, f"tensor {name}")
             tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+        _expect_end(handle)
     return ToyVaeParams(tensors=tensors, vocab_size=vocab, hidden_width=hidden)
 
 

@@ -2,7 +2,8 @@
 
 The codebook is implicit: each latent dimension quantizes independently to
 the nearer of +1/-1, and the token index is the little-endian bit pattern of
-the signs.  No code vectors are stored anywhere.
+the signs.  No code vectors are stored anywhere.  Every function takes a
+batch of latents, sign patterns or token indices.
 """
 
 from __future__ import annotations
@@ -40,22 +41,6 @@ class LfqCodebook:
         return cls(num_dims=vocab_size.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class QuantizedCode:
-    """Sign pattern over {-1, +1}^d with its integer token index."""
-
-    bits: np.ndarray
-    index: int
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8).copy()
-        if bits.ndim != 1 or not np.all(np.abs(bits) == 1):
-            raise QuantizerError("bits must be a 1-D array over {-1, +1}")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "index", int(self.index))
-
-
 def sign_bits(latents: np.ndarray) -> np.ndarray:
     """Per-dimension binary quantization: +1 where the latent is > 0, else -1.
 
@@ -82,26 +67,6 @@ def indices_to_bits(indices: np.ndarray, num_dims: int) -> np.ndarray:
         raise QuantizerError(f"token index out of range for vocab 2**{num_dims}")
     shifts = np.arange(num_dims, dtype=np.int64)
     return np.where((indices[..., None] >> shifts) & 1, 1, -1).astype(np.int8)
-
-
-def quantize(latent: np.ndarray, codebook: LfqCodebook) -> QuantizedCode:
-    """Quantize one latent vector to its nearest binary code and token index."""
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.shape != (codebook.num_dims,):
-        raise QuantizerError(
-            f"latent has shape {latent.shape}, codebook expects ({codebook.num_dims},)"
-        )
-    bits = sign_bits(latent)
-    return QuantizedCode(bits=bits, index=int(bits_to_indices(bits)))
-
-
-def index_to_bits(index: int, codebook: LfqCodebook) -> QuantizedCode:
-    """Expand a token index back into its sign pattern."""
-    index = int(index)
-    if not 0 <= index < codebook.vocab_size:
-        raise QuantizerError(f"index {index} out of range [0, {codebook.vocab_size})")
-    bits = indices_to_bits(np.int64(index), codebook.num_dims)
-    return QuantizedCode(bits=bits, index=index)
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
@@ -145,22 +110,6 @@ def entropy_loss_grad(batch_logits: np.ndarray, temperature: float = 1.0) -> np.
     dterm1 = -2.0 * z / temperature
     dterm2 = np.log((1.0 - p_bar) / p_bar)
     return (dterm1 - dterm2) * (2.0 / temperature) * p * (1.0 - p) / n
-
-
-def commitment_loss(latent: np.ndarray, code: QuantizedCode) -> float:
-    """Squared L2 distance between a latent and its binary code.
-
-    The code is a constant target: in training, this term's gradient pulls
-    the pre-quantization latent toward the code and never differentiates
-    through the sign pattern itself.
-    """
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.shape != code.bits.shape:
-        raise QuantizerError(
-            f"latent shape {latent.shape} does not match code shape {code.bits.shape}"
-        )
-    diff = latent - code.bits.astype(np.float64)
-    return float(diff @ diff)
 
 
 def codebook_utilization(indices: np.ndarray, codebook: LfqCodebook) -> tuple[float, float]:

@@ -14,32 +14,12 @@ import numpy as np
 
 from .motion import MotionSequence, ROOT_POS
 
-FEATURE_VERSION = 1
 #: per-channel mean, std, mean |velocity| (75 each) + root path length + mean root speed
 FEATURE_DIM = 3 * 75 + 2
 
 
 class MetricError(ValueError):
     """Raised for shape mismatches or degenerate statistics."""
-
-
-@dataclass(frozen=True)
-class FeatureSet:
-    """An (N, F) feature matrix tagged with its modality."""
-
-    features: np.ndarray
-    kind: str = "motion"
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64).copy()
-        if feats.ndim != 2:
-            raise MetricError(f"features must be (N, F), got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise MetricError("features contain non-finite values")
-        if self.kind not in ("motion", "text"):
-            raise MetricError(f"kind must be 'motion' or 'text', got {self.kind!r}")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ JOINT_ROT = slice(6, 69)
 OBJ_POS = slice(69, 72)
 OBJ_ROT = slice(72, 75)
 
-NUM_BODY_JOINTS = 22  # root orientation counts as joint 0
-
 # Dataset cap (300 frames at 30 fps) rounded up to a whole 8-frame segment,
 # so a tokenize/detokenize round trip of a maximum-length sequence stays
 # representable.
@@ -41,14 +39,6 @@ def axis_angle_to_matrix(rotvec: np.ndarray) -> np.ndarray:
     flat = rotvec.reshape(-1, 3)
     mats = Rotation.from_rotvec(flat).as_matrix()
     return mats.reshape(rotvec.shape[:-1] + (3, 3))
-
-
-def matrix_to_axis_angle(matrix: np.ndarray) -> np.ndarray:
-    """Convert rotation matrices (..., 3, 3) to axis-angle vectors (..., 3)."""
-    matrix = np.array(matrix, dtype=np.float64, copy=True)
-    flat = matrix.reshape(-1, 3, 3)
-    vecs = Rotation.from_matrix(flat).as_rotvec()
-    return vecs.reshape(matrix.shape[:-2] + (3,))
 
 
 def _check_rotvec(vec: np.ndarray, what: str) -> None:

@@ -76,14 +76,16 @@ class PlacementOffset:
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Knobs for seeding, the coarse lattice, and refinement."""
+    """Knobs for the coarse lattice, refinement, and the feasibility verdict.
+
+    The search always stands at 0.9 m, seeds from the free cell with the
+    most clearance (no footprint radius), and scores the object position
+    with the body whenever the clip carries one.
+    """
 
     yaw_count: int = 16
     refine_rounds: int = 3
     feasibility_threshold: float = 1e-3
-    standing_height: float = 0.9
-    footprint_radius: float = 0.0
-    include_object: bool = True
 
     def __post_init__(self):
         if self.yaw_count < 1:
@@ -173,11 +175,11 @@ def find_seed_position(
     return grid.cell_center(int(best[0]), int(best[1]), iy)
 
 
-def _candidate_keypoints(seq: MotionSequence, include_object: bool) -> np.ndarray:
-    """Canonical keypoints (T, J, 3); the object position joins as an extra point."""
+def _candidate_keypoints(seq: MotionSequence) -> np.ndarray:
+    """Canonical keypoints (T, J, 3); a nonzero object position joins as an extra point."""
     kp = body_keypoints(seq)
     obj = seq.frames[:, 69:72]
-    if include_object and np.any(obj != 0.0):
+    if np.any(obj != 0.0):
         kp = np.concatenate([kp, obj[:, None, :]], axis=1)
     return kp
 
@@ -274,10 +276,10 @@ def optimize_placement(
         raise ValueError("optimize_placement expects a canonical sequence")
     if sdf is None:
         sdf = build_sdf(grid)
-    seed = find_seed_position(grid, config.footprint_radius, config.standing_height, sdf)
-    kp = _candidate_keypoints(seq, config.include_object)
+    seed = find_seed_position(grid, sdf=sdf)
+    kp = _candidate_keypoints(seq)
 
-    lattice_xz = placement_lattice(grid, config.standing_height)
+    lattice_xz = placement_lattice(grid)
     yaws = [wrap_angle(-np.pi + 2.0 * np.pi * k / config.yaw_count)
             for k in range(config.yaw_count)]
 

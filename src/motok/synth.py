@@ -4,29 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ddim import NoiseSchedule
+from .ddim import NoiseSchedule, gaussian_posterior_denoiser
 from .motion import FRAME_DIM, MotionSequence
+from .vae import SEGMENT_LEN
 
 
 _BASE_POSE = np.zeros(FRAME_DIM)
 _BASE_POSE[1] = 0.9   # pelvis height
 _BASE_POSE[70] = 0.7  # object height
 
-SEGMENT_FRAMES = 8
 PATTERN_DECAY = 0.85
 
 
 def _segment_patterns(rng: np.random.Generator, num_patterns: int) -> np.ndarray:
     """Orthonormal 8-frame sinusoid patterns, (num_patterns, 8, 75)."""
-    t = np.arange(SEGMENT_FRAMES) / 30.0
-    raw = np.empty((num_patterns, SEGMENT_FRAMES, FRAME_DIM))
+    t = np.arange(SEGMENT_LEN) / 30.0
+    raw = np.empty((num_patterns, SEGMENT_LEN, FRAME_DIM))
     for i in range(num_patterns):
         freq = rng.uniform(0.5, 3.5, size=FRAME_DIM)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=FRAME_DIM)
         amp = rng.uniform(0.3, 1.0, size=FRAME_DIM)
         raw[i] = amp * np.sin(2.0 * np.pi * freq * t[:, None] + phase)
     flat, _ = np.linalg.qr(raw.reshape(num_patterns, -1).T)
-    return flat.T.reshape(num_patterns, SEGMENT_FRAMES, FRAME_DIM)
+    return flat.T.reshape(num_patterns, SEGMENT_LEN, FRAME_DIM)
 
 
 def make_corpus(num_sequences: int = 16, num_frames: int = 96, seed: int = 0,
@@ -50,9 +50,9 @@ def make_corpus(num_sequences: int = 16, num_frames: int = 96, seed: int = 0,
     if reach > 1.8:
         weighted *= 1.8 / reach
 
-    if num_frames % SEGMENT_FRAMES:
-        raise ValueError(f"num_frames must be a multiple of {SEGMENT_FRAMES}")
-    per_seq = num_frames // SEGMENT_FRAMES
+    if num_frames % SEGMENT_LEN:
+        raise ValueError(f"num_frames must be a multiple of {SEGMENT_LEN}")
+    per_seq = num_frames // SEGMENT_LEN
     corpus = []
     for _ in range(num_sequences):
         bits = rng.choice([-1.0, 1.0], size=(per_seq, num_patterns))
@@ -103,15 +103,14 @@ def toy_walk_track(num_waypoints: int, heading: float = 0.0, speed: float = 1.0)
     return track
 
 
-def toy_walk_denoiser(schedule: NoiseSchedule, num_waypoints: int,
-                      sigma: float = 0.15, speed: float = 1.0):
+def toy_walk_denoiser(schedule: NoiseSchedule, sigma: float = 0.15, speed: float = 1.0):
     """Clean-sample predictor pulling noisy waypoint tracks toward a walk.
 
     The condition's ``text`` slot, when present, is read as a heading in
     radians; a ``coarse`` track from a first sampling pass is blended into
-    the walk mean.  Analytically this is the Gaussian posterior mean around
-    the heading-dependent track, so sampling stays deterministic per seed
-    while varying smoothly with the guidance scale.
+    the walk mean.  Each call is :func:`ddim.gaussian_posterior_denoiser`
+    around the heading-dependent track, so sampling stays deterministic per
+    seed while varying smoothly with the guidance scale.
     """
 
     def denoiser(w_t: np.ndarray, t: int, condition) -> np.ndarray:
@@ -125,9 +124,7 @@ def toy_walk_denoiser(schedule: NoiseSchedule, num_waypoints: int,
         mean = toy_walk_track(w_t.shape[0], heading, speed)
         if coarse is not None:
             mean = 0.5 * (mean + np.asarray(coarse, dtype=np.float64))
-        ab = schedule.alpha_bars[int(t)]
-        denom = ab * sigma * sigma + (1.0 - ab)
-        return (np.sqrt(ab) * sigma * sigma * w_t + (1.0 - ab) * mean) / denom
+        return gaussian_posterior_denoiser(mean, sigma, schedule)(w_t, t, condition)
 
     return denoiser
 

@@ -1,13 +1,12 @@
-"""Token-stream utilities for the composition layer.
+"""Token streams: the token indices of fixed-length motion segments.
 
-Masking is a training-data augmentation, and the cross-entropy here scores a
-next-token head; neither belongs to the quantizer itself.
+A stream is what ``motok tokenize`` writes to a ``.mtok`` file and
+``motok detokenize`` reads back; the indices come from the LFQ tokenizer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,11 @@ class TokenError(ValueError):
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Token indices covering fixed-length motion segments.
-
-    ``sixdof`` optionally carries the per-segment root/object 6-DoF block
-    aligned with the tokens (one 12-vector per token); it is a runtime
-    pairing only and is not serialized with the tokens.
-    """
+    """Token indices covering fixed-length motion segments."""
 
     indices: np.ndarray
     vocab_size: int
     segment_len: int = 8
-    sixdof: Optional[np.ndarray] = None
 
     def __post_init__(self):
         codebook = LfqCodebook.from_vocab_size(self.vocab_size)
@@ -45,64 +38,7 @@ class TokenStream:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "vocab_size", codebook.vocab_size)
         object.__setattr__(self, "segment_len", int(self.segment_len))
-        if self.sixdof is not None:
-            blocks = np.asarray(self.sixdof, dtype=np.float64).copy()
-            if blocks.shape != (idx.size, 12):
-                raise TokenError(f"sixdof must be ({idx.size}, 12), got {blocks.shape}")
-            blocks.setflags(write=False)
-            object.__setattr__(self, "sixdof", blocks)
 
     @property
     def num_tokens(self) -> int:
         return self.indices.size
-
-
-def mask_tokens(stream: TokenStream, fraction: float = 0.2, seed: int = 0) -> TokenStream:
-    """Replace round(fraction * N) seeded-random positions with random tokens.
-
-    Replacement values are uniform over the vocabulary, so a position can
-    draw its original token back by chance.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise TokenError(f"fraction must be in [0, 1], got {fraction}")
-    count = int(round(fraction * stream.num_tokens))
-    if count == 0:
-        return stream
-    rng = np.random.default_rng(seed)
-    positions = rng.choice(stream.num_tokens, size=count, replace=False)
-    indices = stream.indices.copy()
-    indices[positions] = rng.integers(0, stream.vocab_size, size=count)
-    return replace(stream, indices=indices)
-
-
-def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean negative log-softmax of the target token at each position.
-
-    Normalized by the number of positions (a mean, not a sum) so values are
-    comparable across sequence lengths.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if logits.ndim != 2 or logits.shape[0] != targets.size:
-        raise TokenError(f"logits must be (N, K) aligned with targets, got {logits.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise TokenError("logits contain non-finite values")
-    if np.any(targets < 0) or np.any(targets >= logits.shape[1]):
-        raise TokenError("target index out of range")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(targets.size), targets]
-    return float((log_norm - picked).mean())
-
-
-def combined_loss(
-    token_loss: float,
-    sixdof_loss: float,
-    lambda_token: float = 1.0,
-    lambda_sixdof: float = 1.0,
-) -> float:
-    """Reporting formula for the joint token/6-DoF objective.
-
-    Both weights default to 1.0; tune per application.
-    """
-    return lambda_token * token_loss + lambda_sixdof * sixdof_loss

@@ -15,10 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lfq import LfqCodebook, entropy_loss, entropy_loss_grad, sign_bits
+from .lfq import LfqCodebook, bits_to_indices, entropy_loss, entropy_loss_grad, sign_bits
 from .motion import FRAME_DIM, MotionSequence
 
-SEGMENT_LEN = 8
+# three halving layers give the fixed 8-frame segment the rest of the
+# pipeline (token files, waypoint repetition) is built around
+DOWNSAMPLE_LAYERS = 3
+SEGMENT_LEN = 2 ** DOWNSAMPLE_LAYERS
+
+# starting the latent projection bias off-center makes initial code usage
+# imbalanced, which is the failure mode the entropy term exists to fix
+LATENT_BIAS_INIT = 0.4
 
 _PARAM_NAMES = (
     "enc1_w", "enc1_b", "enc2_w", "enc2_b", "enc3_w", "enc3_b",
@@ -44,7 +51,6 @@ class ToyVaeConfig:
 
     vocab_size: int = 8192
     hidden_width: int = 32
-    downsample_layers: int = 3
     lambda_recon: float = 1.0
     lambda_commit: float = 1e-2
     lambda_entropy: float = 1e-4  # flips no code under the fixed-step trainer (ROADMAP item 1)
@@ -52,16 +58,9 @@ class ToyVaeConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
     seed: int = 0
-    # starting the latent projection bias off-center makes initial code usage
-    # imbalanced, which is the failure mode the entropy term exists to fix
-    latent_bias_init: float = 0.4
 
     def __post_init__(self):
         LfqCodebook.from_vocab_size(self.vocab_size)
-        if self.downsample_layers != 3:
-            # three halving layers give the fixed 8-frame segment the rest of
-            # the pipeline (token files, waypoint repetition) is built around
-            raise VaeError(f"downsample_layers must be 3, got {self.downsample_layers}")
         if self.hidden_width < 1:
             raise VaeError(f"hidden_width must be >= 1, got {self.hidden_width}")
         if self.lambda_recon <= 0 or self.lambda_commit < 0 or self.lambda_entropy < 0:
@@ -82,9 +81,11 @@ class ToyVaeConfig:
 class ToyVaeParams:
     """Named weight tensors plus the sizes needed to interpret them.
 
-    ``in_shift``/``in_scale`` standardize each of the 75 channels before the
-    encoder (and undo it after the decoder); they are dataset statistics, not
-    trainable weights.
+    ``tensors`` holds exactly the 16 trainable tensors and the two fixed
+    ones; any other name raises :class:`VaeError`.  ``in_shift``/``in_scale``
+    default to the identity when omitted.  They standardize each of the 75
+    channels before the encoder (and undo it after the decoder); they are
+    dataset statistics, not trainable weights.
     """
 
     tensors: dict[str, np.ndarray]
@@ -98,6 +99,9 @@ class ToyVaeParams:
         missing = [n for n in _PARAM_NAMES if n not in tensors]
         if missing:
             raise VaeError(f"missing parameter tensors: {missing}")
+        unknown = sorted(set(tensors) - set(_PARAM_NAMES + _FIXED_NAMES))
+        if unknown:
+            raise VaeError(f"unknown parameter tensors: {unknown}")
         expected = _shapes(self.hidden_width, LfqCodebook.from_vocab_size(self.vocab_size).num_dims)
         clean = {}
         for name in _PARAM_NAMES + _FIXED_NAMES:
@@ -158,7 +162,7 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray | None = None) -> Toy
             tensors[name] = np.zeros(shape)
         else:
             tensors[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
-    tensors["lat_b"] = tensors["lat_b"] + config.latent_bias_init
+    tensors["lat_b"] = tensors["lat_b"] + LATENT_BIAS_INIT
     if segments is not None:
         tensors["in_shift"], tensors["in_scale"] = channel_stats(segments)
     return ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
@@ -217,11 +221,9 @@ def encode(params: ToyVaeParams, seq) -> np.ndarray:
 def decode(params: ToyVaeParams, codes) -> np.ndarray:
     """Frames reconstructed from codes: shape (8 * num_codes, 75).
 
-    ``codes`` is an (S, log2 K) array over {-1, +1} (or a list of
-    QuantizedCode objects).
+    ``codes`` is an (S, log2 K) array, normally the sign patterns of
+    :func:`motok.lfq.sign_bits` or :func:`motok.lfq.indices_to_bits`.
     """
-    if isinstance(codes, (list, tuple)):
-        codes = np.stack([c.bits for c in codes])
     q = np.asarray(codes, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != params.num_dims:
         raise VaeError(f"codes must be (S, {params.num_dims}), got {q.shape}")
@@ -359,8 +361,6 @@ def train(
 
 def tokenize_frames(params: ToyVaeParams, frames: np.ndarray) -> np.ndarray:
     """Token indices for each 8-frame segment of a (possibly padded) sequence."""
-    from .lfq import bits_to_indices
-
     z = encode(params, frames)
     return bits_to_indices(sign_bits(z))
 
@@ -370,8 +370,6 @@ def reconstruct(params: ToyVaeParams, frames: np.ndarray) -> tuple[np.ndarray, n
 
     The output covers 8 * ceil(T/8) frames; compare against the padded input.
     """
-    from .lfq import bits_to_indices
-
     z = encode(params, frames)
     bits = sign_bits(z)
     recon = decode(params, bits.astype(np.float64))

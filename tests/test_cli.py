@@ -46,12 +46,6 @@ class TestUsageErrors:
         assert dispatch(["--help"]) == 0
         capsys.readouterr()
 
-    def test_bad_thread_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MOTOK_THREADS", "many")
-        code = dispatch(["score", "--motion", str(tmp_path / "x.mseq")])
-        assert code == 2
-        capsys.readouterr()
-
 
 class TestConvert:
     def test_round_trip_through_files(self, tmp_path, rng):

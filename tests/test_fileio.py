@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from motok.cli import dispatch
 from motok.fileio import (
     FileFormatError,
     atomic_write,
@@ -117,6 +118,51 @@ class TestVae:
         for name, tensor in params.tensors.items():
             np.testing.assert_array_equal(back.tensors[name],
                                           tensor.astype(np.float32))
+
+    def test_two_layer_header_rejected(self, tmp_path, rng, capsys):
+        # the header's downsample layer count (bytes 16:20) must be 3
+        path = tmp_path / "p.vae"
+        write_vae(path, init_params(ToyVaeConfig(vocab_size=64, hidden_width=6)))
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack("<I", blob[16:20]) == (3,)
+        blob[16:20] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError):
+            read_vae(path)
+
+        motion = tmp_path / "m.mseq"
+        write_mseq(motion, MotionSequence(rng.uniform(-1, 1, (16, FRAME_DIM))))
+        code = dispatch(["tokenize", "--vae", str(path), "--in", str(motion),
+                         "--out", str(tmp_path / "m.mtok")])
+        assert code == 1
+        assert "downsample layer count 2" in capsys.readouterr().err
+        assert not (tmp_path / "m.mtok").exists()
+
+
+_VALID_FILES = {
+    ".mseq": (write_mseq, read_mseq,
+              lambda rng: MotionSequence(rng.uniform(-1, 1, (3, FRAME_DIM)))),
+    ".mtok": (write_mtok, read_mtok,
+              lambda rng: TokenStream(indices=rng.integers(0, 64, 5), vocab_size=64)),
+    ".vox": (write_vox, read_vox,
+             lambda rng: SceneVoxelGrid((rng.random((3, 2, 2)) < 0.5).astype(np.uint8),
+                                        np.zeros(3), 0.1)),
+    ".pts": (write_pts, read_pts, lambda rng: rng.normal(size=(4, 3))),
+    ".feat": (write_feat, read_feat, lambda rng: rng.normal(size=(2, 5))),
+    ".vae": (write_vae, read_vae,
+             lambda rng: init_params(ToyVaeConfig(vocab_size=16, hidden_width=2))),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
+def test_trailing_bytes_rejected(tmp_path, rng, suffix):
+    write, read, make = _VALID_FILES[suffix]
+    path = tmp_path / f"a{suffix}"
+    write(path, make(rng))
+    read(path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FileFormatError, match="trailing bytes"):
+        read(path)
 
 
 class TestAtomicWrite:

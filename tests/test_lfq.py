@@ -9,12 +9,9 @@ from motok.lfq import (
     QuantizerError,
     bits_to_indices,
     codebook_utilization,
-    commitment_loss,
     entropy_loss,
     entropy_loss_grad,
-    index_to_bits,
     indices_to_bits,
-    quantize,
     sign_bits,
 )
 
@@ -35,33 +32,28 @@ class TestCodebook:
 
 class TestQuantize:
     def test_mixed_signs(self):
-        code = quantize(np.array([-0.3, 0.7, 1.2]), CB8)
-        np.testing.assert_array_equal(code.bits, [-1, 1, 1])
-        assert code.index == 6  # 2^1 + 2^2
+        bits = sign_bits(np.array([-0.3, 0.7, 1.2]))
+        np.testing.assert_array_equal(bits, [-1, 1, 1])
+        assert bits_to_indices(bits) == 6  # 2^1 + 2^2
 
     def test_all_negative_is_zero(self):
-        assert quantize(np.array([-0.5, -2.0, -0.1]), CB8).index == 0
+        assert bits_to_indices(sign_bits(np.array([-0.5, -2.0, -0.1]))) == 0
 
     def test_all_positive_is_max(self):
-        code = quantize(np.full(13, 0.5), CB8192)
-        assert code.index == 8191
+        assert bits_to_indices(sign_bits(np.full(13, 0.5))) == 8191
 
     def test_tie_at_zero_maps_to_minus_one(self):
-        code = quantize(np.zeros(3), CB8)
-        np.testing.assert_array_equal(code.bits, [-1, -1, -1])
-        assert code.index == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(QuantizerError):
-            quantize(np.zeros(4), CB8)
+        bits = sign_bits(np.zeros(3))
+        np.testing.assert_array_equal(bits, [-1, -1, -1])
+        assert bits_to_indices(bits) == 0
 
     def test_index_to_bits_examples(self):
-        np.testing.assert_array_equal(index_to_bits(6, CB8).bits, [-1, 1, 1])
-        np.testing.assert_array_equal(index_to_bits(0, CB8).bits, [-1, -1, -1])
+        np.testing.assert_array_equal(indices_to_bits(np.array([6, 0]), CB8.num_dims),
+                                      [[-1, 1, 1], [-1, -1, -1]])
         with pytest.raises(QuantizerError):
-            index_to_bits(8, CB8)
+            indices_to_bits(np.array([8]), CB8.num_dims)
         with pytest.raises(QuantizerError):
-            index_to_bits(-1, CB8)
+            indices_to_bits(np.array([-1]), CB8.num_dims)
 
     def test_exhaustive_bijection(self):
         indices = np.arange(CB8192.vocab_size)
@@ -71,10 +63,10 @@ class TestQuantize:
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, 13, elements=st.floats(-100, 100)))
     def test_idempotent(self, z):
-        code = quantize(z, CB8192)
-        again = quantize(code.bits.astype(np.float64), CB8192)
-        np.testing.assert_array_equal(again.bits, code.bits)
-        assert again.index == code.index
+        bits = sign_bits(z)
+        again = sign_bits(bits.astype(np.float64))
+        np.testing.assert_array_equal(again, bits)
+        assert bits_to_indices(again) == bits_to_indices(bits)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -132,36 +124,6 @@ class TestEntropyLoss:
     def test_grad_finite_at_saturation(self):
         z = np.array([[40.0, -40.0, 0.0]])
         assert np.all(np.isfinite(entropy_loss_grad(z)))
-
-
-class TestCommitmentLoss:
-    def test_fixed_point_zero(self):
-        code = quantize(np.array([1.0, -1.0, 1.0]), CB8)
-        assert commitment_loss(np.array([1.0, -1.0, 1.0]), code) == 0.0
-
-    def test_half_distance(self):
-        code = index_to_bits(1, LfqCodebook(1))
-        assert commitment_loss(np.array([0.5]), code) == pytest.approx(0.25)
-
-    def test_matches_loop_oracle(self, rng):
-        z = rng.normal(size=13)
-        code = quantize(z, CB8192)
-        expected = 0.0
-        for i in range(13):
-            target = 1.0 if z[i] > 0 else -1.0
-            expected += (z[i] - target) ** 2
-        assert commitment_loss(z, code) == pytest.approx(expected, abs=1e-12)
-
-    def test_nonnegative_with_equality_on_codes(self, rng):
-        for _ in range(50):
-            z = rng.normal(size=13)
-            assert commitment_loss(z, quantize(z, CB8192)) >= 0.0
-        bits = indices_to_bits(np.int64(137), 13).astype(np.float64)
-        assert commitment_loss(bits, quantize(bits, CB8192)) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(QuantizerError):
-            commitment_loss(np.zeros(4), quantize(np.zeros(3), CB8))
 
 
 class TestUtilization:

@@ -3,7 +3,6 @@ import pytest
 
 from motok.metrics import (
     FEATURE_DIM,
-    FeatureSet,
     GaussianStats,
     MetricError,
     diversity,
@@ -210,15 +209,3 @@ class TestHandcraftedFeatures:
         seq = MotionSequence(np.zeros((4, FRAME_DIM)), is_canonical=True)
         with pytest.raises(MetricError):
             handcrafted_motion_features(seq)
-
-
-class TestFeatureSet:
-    def test_validates_kind(self, rng):
-        with pytest.raises(MetricError):
-            FeatureSet(rng.normal(size=(3, 2)), kind="audio")
-
-    def test_rejects_nonfinite(self):
-        feats = np.zeros((2, 2))
-        feats[0, 0] = np.inf
-        with pytest.raises(MetricError):
-            FeatureSet(feats)

@@ -69,8 +69,8 @@ def _brute_force_placement(seq, grid, config=PlacementConfig()):
     coordinate-descent refinement.
     """
     sdf = build_sdf(grid)
-    seed = find_seed_position(grid, config.footprint_radius, config.standing_height, sdf)
-    kp = _candidate_keypoints(seq, config.include_object)
+    seed = find_seed_position(grid, sdf=sdf)
+    kp = _candidate_keypoints(seq)
 
     def score_offsets(xz, yaw):
         cos, sin = np.cos(yaw), np.sin(yaw)
@@ -82,7 +82,7 @@ def _brute_force_placement(seq, grid, config=PlacementConfig()):
         values = sample_sdf(sdf, rotated[None, :, :] + offsets)
         return np.maximum(0.0, -values).mean(axis=1)
 
-    lattice_xz = placement_lattice(grid, config.standing_height)
+    lattice_xz = placement_lattice(grid)
     best_xz = np.array([seed[0], seed[2]])
     best_yaw = 0.0
     best_score = float(score_offsets(best_xz[None, :], best_yaw)[0])
@@ -234,7 +234,7 @@ class TestOptimizePlacement:
             cos, sin = np.cos(yaw), np.sin(yaw)
             rot = np.array([[cos, 0.0, sin], [0.0, 1.0, 0.0], [-sin, 0.0, cos]])
             rotated = kp.reshape(-1, 3) @ rot.T
-            for x, z in placement_lattice(grid, config.standing_height):
+            for x, z in placement_lattice(grid):
                 values = sample_sdf(sdf, rotated + [x, 0.0, z])
                 best = min(best, float(np.maximum(0.0, -values).mean()))
         assert result.collision <= best + 1e-12
@@ -324,7 +324,7 @@ class TestBranchAndBound:
         monkeypatch.setattr(populate, "sample_sdf", counting)
         seq = make_walk_sequence(num_frames=11, speed=9.0, arm_swing=0.2, with_object=True)
         result = optimize_placement(seq, demo_room())
-        frames, joints = _candidate_keypoints(seq, include_object=True).shape[:2]
+        frames, joints = _candidate_keypoints(seq).shape[:2]
         assert 0 < sum(points) < result.candidates_evaluated * frames * joints
 
 

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from motok.tokens import (
-    TokenError,
-    TokenStream,
-    combined_loss,
-    cross_entropy_loss,
-    mask_tokens,
-)
-
-
-def stream(n=100, k=8192, seed=0):
-    rng = np.random.default_rng(seed)
-    return TokenStream(indices=rng.integers(0, k, size=n), vocab_size=k)
+from motok.tokens import TokenError, TokenStream
 
 
 class TestTokenStream:
@@ -23,77 +12,3 @@ class TestTokenStream:
     def test_rejects_empty(self):
         with pytest.raises(TokenError):
             TokenStream(indices=np.array([], dtype=np.int64), vocab_size=64)
-
-    def test_sixdof_pairing_shape(self):
-        with pytest.raises(TokenError):
-            TokenStream(indices=np.arange(4), vocab_size=64, sixdof=np.zeros((3, 12)))
-        ok = TokenStream(indices=np.arange(4), vocab_size=64, sixdof=np.zeros((4, 12)))
-        assert ok.sixdof.shape == (4, 12)
-
-
-class TestMaskTokens:
-    def test_zero_fraction_identity(self):
-        s = stream()
-        masked = mask_tokens(s, fraction=0.0, seed=1)
-        np.testing.assert_array_equal(masked.indices, s.indices)
-
-    def test_full_fraction_touches_every_position(self):
-        s = stream(n=50, k=4)
-        masked = mask_tokens(s, fraction=1.0, seed=1)
-        # all positions redrawn; small vocab means many coincide by chance
-        assert masked.num_tokens == 50
-        assert np.any(masked.indices != s.indices)
-
-    def test_exact_count_deterministic(self):
-        s = stream(n=100, k=8192, seed=3)
-        masked_a = mask_tokens(s, fraction=0.2, seed=11)
-        masked_b = mask_tokens(s, fraction=0.2, seed=11)
-        np.testing.assert_array_equal(masked_a.indices, masked_b.indices)
-        changed = (masked_a.indices != s.indices).sum()
-        assert changed == 20  # seed 11 draws no coinciding replacements
-
-    def test_fraction_bounds(self):
-        with pytest.raises(TokenError):
-            mask_tokens(stream(), fraction=1.5)
-
-    def test_replacements_stay_in_vocab(self):
-        s = stream(n=200, k=16)
-        masked = mask_tokens(s, fraction=0.5, seed=2)
-        assert np.all((masked.indices >= 0) & (masked.indices < 16))
-
-
-class TestCrossEntropy:
-    def test_confident_correct_is_near_zero(self):
-        logits = np.full((5, 10), -30.0)
-        targets = np.arange(5)
-        logits[np.arange(5), targets] = 30.0
-        assert cross_entropy_loss(logits, targets) == pytest.approx(0.0, abs=1e-10)
-
-    def test_uniform_logits_give_log_vocab(self):
-        logits = np.zeros((3, 8192))
-        loss = cross_entropy_loss(logits, np.array([0, 5, 8191]))
-        assert loss == pytest.approx(np.log(8192), abs=1e-9)
-
-    def test_matches_loop_oracle(self, rng):
-        logits = rng.normal(size=(12, 7))
-        targets = rng.integers(0, 7, size=12)
-        got = cross_entropy_loss(logits, targets)
-        total = 0.0
-        for i in range(12):
-            row = logits[i]
-            probs = np.exp(row) / np.exp(row).sum()
-            total += -np.log(probs[targets[i]])
-        assert got == pytest.approx(total / 12, abs=1e-8)
-
-    def test_out_of_range_target(self):
-        with pytest.raises(TokenError):
-            cross_entropy_loss(np.zeros((2, 4)), np.array([0, 4]))
-
-    def test_extreme_logits_stay_finite(self):
-        logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
-        assert np.isfinite(cross_entropy_loss(logits, np.array([0, 0])))
-
-
-def test_combined_loss_defaults():
-    assert combined_loss(2.0, 3.0) == 5.0
-    assert combined_loss(2.0, 3.0, lambda_token=0.5, lambda_sixdof=2.0) == 7.0

@@ -63,10 +63,6 @@ def max_relative_error(analytic, numeric):
 
 
 class TestConfig:
-    def test_downsample_factor_pinned(self):
-        with pytest.raises(VaeError):
-            ToyVaeConfig(downsample_layers=2)
-
     def test_zero_entropy_weight_allowed(self):
         ToyVaeConfig(lambda_entropy=0.0)
 
@@ -98,6 +94,12 @@ class TestShapes:
         params = init_params(SMALL)
         frames = decode(params, np.ones((1, SMALL.num_dims)))
         assert frames.shape == (8, FRAME_DIM)
+
+    def test_unknown_tensor_rejected(self):
+        params = init_params(SMALL)
+        tensors = dict(params.tensors, enc4_w=np.zeros((2, 2)))
+        with pytest.raises(VaeError, match="enc4_w"):
+            ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
 
     def test_zero_decoder_gives_zero_frames(self):
         params = init_params(SMALL)
@@ -227,6 +229,18 @@ class TestTraining:
                     total += (segments[s, t, c] - recon[s, t, c]) ** 2
                     count += 1
         assert abs(parts["recon"] - total / count) < 1e-10
+
+    def test_commit_loss_matches_loop_oracle(self, rng):
+        segments = small_batch(rng, segments=3)
+        params = init_params(SMALL)
+        _, parts, _ = loss_and_grads(params, segments, SMALL, quantize=True)
+        z = encode(params, segments.reshape(-1, FRAME_DIM))
+        total = 0.0
+        for s in range(z.shape[0]):
+            for i in range(z.shape[1]):
+                target = 1.0 if z[s, i] > 0 else -1.0
+                total += (z[s, i] - target) ** 2
+        assert abs(parts["commit"] - total / z.shape[0]) < 1e-10
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_raises(self):
