@@ -87,6 +87,10 @@ def _cmd_detokenize(args) -> int:
         raise UsageError(
             f"token vocab {stream.vocab_size} does not match VAE vocab {params.vocab_size}"
         )
+    if stream.segment_len != vae.SEGMENT_LEN:
+        raise UsageError(
+            f"token segment length {stream.segment_len} does not match the VAE's {vae.SEGMENT_LEN}"
+        )
     bits = lfq.indices_to_bits(stream.indices, params.num_dims)
     frames = motion.normalize_rotations(vae.decode(params, bits.astype(np.float64)))
     seq = motion.MotionSequence(frames, fps=args.fps, is_canonical=args.canonical)
@@ -289,6 +293,7 @@ def _cmd_eval(args) -> int:
                                         metrics.fit_gaussian(gen)),
         "mmd": metrics.multimodal_distance(gen, text),
         "diversity": metrics.diversity(gen, seed=args.seed),
+        "diversity_with_replacement": metrics.diversity_with_replacement(gen.shape[0]),
     }
     for k in (1, 2, 3):
         report[f"r{k}"] = metrics.r_precision(gen, text, pool_size=args.pool_size,

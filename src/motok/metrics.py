@@ -16,6 +16,8 @@ from .motion import MotionSequence, ROOT_POS
 
 #: per-channel mean, std, mean |velocity| (75 each) + root path length + mean root speed
 FEATURE_DIM = 3 * 75 + 2
+#: random pairs :func:`diversity` averages over by default
+DIVERSITY_PAIRS = 300
 
 
 class MetricError(ValueError):
@@ -130,7 +132,12 @@ def multimodal_distance(motion_feats: np.ndarray, text_feats: np.ndarray) -> flo
     return float(np.linalg.norm(m - t, axis=1).mean())
 
 
-def diversity(feats: np.ndarray, num_pairs: int = 300, seed: int = 0) -> float:
+def diversity_with_replacement(num_rows: int, num_pairs: int = DIVERSITY_PAIRS) -> bool:
+    """Whether :func:`diversity` over ``num_rows`` rows samples pairs with replacement."""
+    return num_rows < 2 * num_pairs
+
+
+def diversity(feats: np.ndarray, num_pairs: int = DIVERSITY_PAIRS, seed: int = 0) -> float:
     """Mean distance over seeded random pairs of distinct feature rows.
 
     With at least 2 * num_pairs rows the pairs are disjoint; smaller sets
@@ -141,7 +148,7 @@ def diversity(feats: np.ndarray, num_pairs: int = 300, seed: int = 0) -> float:
         raise MetricError(f"need at least 2 feature rows, got {f.shape}")
     n = f.shape[0]
     rng = np.random.default_rng(seed)
-    if n >= 2 * num_pairs:
+    if not diversity_with_replacement(n, num_pairs):
         chosen = rng.permutation(n)[: 2 * num_pairs]
         first, second = chosen[:num_pairs], chosen[num_pairs:]
     else:

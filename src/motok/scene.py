@@ -117,46 +117,80 @@ def build_sdf(grid: SceneVoxelGrid) -> SignedDistanceField:
     return SignedDistanceField(distances=distances, origin=grid.origin, cell_size=c)
 
 
-def _fractional_indices(sdf: SignedDistanceField, points: np.ndarray) -> np.ndarray:
-    """Continuous (x, z, y) cell-index coordinates; 0 is the first cell center."""
-    rel = (points - sdf.origin) / sdf.cell_size - 0.5
-    return rel[..., [0, 2, 1]]  # world (x, y, z) -> index (x, z, y)
-
-
 def sample_sdf(sdf: SignedDistanceField, points: np.ndarray) -> np.ndarray:
     """Trilinear SDF lookup at world points of shape (..., 3).
 
     Points beyond the cell-center bounding box are clamped onto it and the
     Euclidean distance from the clamp is added, so queries far outside the
-    grid keep growing (and stay non-negative once outside).
+    grid keep growing (and stay non-negative once outside).  A single point
+    of shape (3,) gives a scalar; any other last axis raises SceneError.
+
+    Each point gets one flat index into ``distances`` and its eight corners
+    are eight gathers at fixed offsets from it (offset 0 along an axis with
+    one cell).  The arithmetic is the per-axis trilinear formula, lerping x,
+    then z, then y, in the same order of operations, so values are
+    bit-identical to indexing the 3-D grid corner by corner.
     """
     points = np.asarray(points, dtype=np.float64)
-    squeeze = points.ndim == 1
-    pts = np.atleast_2d(points)
-    frac = _fractional_indices(sdf, pts)
-    dims = np.array(sdf.distances.shape, dtype=np.float64)
-    clamped = np.clip(frac, 0.0, dims - 1.0)
-    overshoot = (frac - clamped) * sdf.cell_size
-    increment = np.linalg.norm(overshoot, axis=-1)
-
-    lo = np.floor(clamped).astype(np.int64)
-    lo = np.minimum(lo, (dims - 2).clip(min=0).astype(np.int64))
-    hi = np.minimum(lo + 1, (dims - 1).astype(np.int64))
-    f = clamped - lo
-
+    if points.ndim == 0 or points.shape[-1] != 3:
+        raise SceneError(f"points must have shape (..., 3), got {points.shape}")
+    pts = points.reshape(-1, 3)
     d = sdf.distances
-    ix0, iz0, iy0 = lo[..., 0], lo[..., 1], lo[..., 2]
-    ix1, iz1, iy1 = hi[..., 0], hi[..., 1], hi[..., 2]
-    fx, fz, fy = f[..., 0], f[..., 1], f[..., 2]
+    cell = sdf.cell_size
+    index = overshoot_sq = None
+    weights = []
+    # index axes (x, z, y) are world columns 0, 2, 1
+    for column, n in zip((0, 2, 1), d.shape):
+        frac = np.subtract(pts[:, column], sdf.origin[column])
+        frac /= cell
+        frac -= 0.5  # 0 is the first cell center
+        clamped = np.clip(frac, 0.0, n - 1.0)
+        frac -= clamped
+        frac *= cell
+        frac *= frac
+        if overshoot_sq is None:
+            overshoot_sq = frac
+        else:
+            overshoot_sq += frac  # (x^2 + z^2) + y^2, as np.linalg.norm sums
+        lo = np.floor(clamped)
+        np.minimum(lo, max(n - 2, 0), out=lo)
+        clamped -= lo  # now the weight of the upper corner
+        weights.append(clamped)
+        if index is None:
+            index = lo
+        else:
+            index *= n
+            index += lo
+    index = index.astype(np.intp)
 
-    c00 = d[ix0, iz0, iy0] * (1 - fx) + d[ix1, iz0, iy0] * fx
-    c01 = d[ix0, iz0, iy1] * (1 - fx) + d[ix1, iz0, iy1] * fx
-    c10 = d[ix0, iz1, iy0] * (1 - fx) + d[ix1, iz1, iy0] * fx
-    c11 = d[ix0, iz1, iy1] * (1 - fx) + d[ix1, iz1, iy1] * fx
-    c0 = c00 * (1 - fz) + c10 * fz
-    c1 = c01 * (1 - fz) + c11 * fz
-    values = c0 * (1 - fy) + c1 * fy + increment
-    return values[0] if squeeze else values.reshape(points.shape[:-1])
+    nx, nz, ny = d.shape
+    step_x = nz * ny if nx > 1 else 0
+    step_z = ny if nz > 1 else 0
+    step_y = 1 if ny > 1 else 0
+    flat = d.reshape(-1)
+
+    def corner(offset: int) -> np.ndarray:
+        # a view starting at ``offset`` gathers flat[index + offset] without
+        # building the shifted index
+        return flat[offset:].take(index)
+
+    def lerp(a: np.ndarray, b: np.ndarray, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """a * g + b * f, in place in ``a``."""
+        a *= g
+        b *= f
+        a += b
+        return a
+
+    fx, fz, fy = weights
+    gx = 1 - fx
+    c00 = lerp(corner(0), corner(step_x), gx, fx)
+    c01 = lerp(corner(step_y), corner(step_x + step_y), gx, fx)
+    c10 = lerp(corner(step_z), corner(step_x + step_z), gx, fx)
+    c11 = lerp(corner(step_z + step_y), corner(step_x + step_z + step_y), gx, fx)
+    gz = 1 - fz
+    values = lerp(lerp(c00, c10, gz, fz), lerp(c01, c11, gz, fz), 1 - fy, fy)
+    values += np.sqrt(overshoot_sq, out=overshoot_sq)
+    return values[0] if points.ndim == 1 else values.reshape(points.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ class TestTokenizeRoundTrip:
         assert dispatch(["detokenize", "--vae", str(vae_path), "--in",
                          str(stream_path), "--out", str(tmp_path / "o.mseq")]) == 2
         capsys.readouterr()
+
+    def test_segment_len_mismatch_rejected(self, tmp_path, capsys):
+        data_dir = write_corpus(tmp_path)
+        vae_path = train_small_vae(tmp_path, data_dir)
+        stream_path = tmp_path / "s.mtok"
+        from motok.tokens import TokenStream
+        fileio.write_mtok(stream_path, TokenStream(indices=np.array([0, 1, 2]),
+                                                   vocab_size=64, segment_len=4))
+        out = tmp_path / "o.mseq"
+        assert dispatch(["detokenize", "--vae", str(vae_path), "--in",
+                         str(stream_path), "--out", str(out)]) == 2
+        assert "segment length 4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainVae:
@@ -262,10 +276,11 @@ class TestScoreAndEval:
         assert dispatch(["score", "--motion", str(motion_path)]) == 2
         capsys.readouterr()
 
-    def test_eval_report_keys(self, tmp_path, rng):
-        real = rng.normal(size=(64, 12))
-        gen = rng.normal(size=(64, 12)) * 1.2 + 0.1
-        text = gen + rng.normal(0, 0.5, size=(64, 12))
+    @staticmethod
+    def run_eval(tmp_path, rng, rows):
+        real = rng.normal(size=(rows, 12))
+        gen = rng.normal(size=(rows, 12)) * 1.2 + 0.1
+        text = gen + rng.normal(0, 0.5, size=(rows, 12))
         for name, feats in (("real", real), ("gen", gen), ("text", text)):
             fileio.write_feat(tmp_path / f"{name}.feat", feats)
         report = tmp_path / "report.json"
@@ -274,13 +289,25 @@ class TestScoreAndEval:
                          "--text", str(tmp_path / "text.feat"),
                          "--report", str(report)])
         assert code == 0
-        payload = json.loads(report.read_text())
-        assert set(payload) == {"fid", "r1", "r2", "r3", "mmd", "diversity"}
+        return real, gen, json.loads(report.read_text())
+
+    def test_eval_report_keys(self, tmp_path, rng):
+        with pytest.warns(UserWarning, match="with replacement"):
+            real, gen, payload = self.run_eval(tmp_path, rng, 64)
+        assert set(payload) == {"fid", "r1", "r2", "r3", "mmd", "diversity",
+                                "diversity_with_replacement"}
+        assert payload["diversity_with_replacement"] is True
         assert payload["r1"] <= payload["r2"] <= payload["r3"]
         stats_real = metrics.fit_gaussian(real)
         stats_gen = metrics.fit_gaussian(gen)
         assert payload["fid"] == pytest.approx(
             metrics.frechet_distance(stats_real, stats_gen), rel=1e-4)
+
+    def test_eval_report_disjoint_diversity_pairs(self, tmp_path, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, payload = self.run_eval(tmp_path, rng, 2 * metrics.DIVERSITY_PAIRS)
+        assert payload["diversity_with_replacement"] is False
 
 
 class TestSweepVocab:

@@ -165,6 +165,18 @@ def test_trailing_bytes_rejected(tmp_path, rng, suffix):
         read(path)
 
 
+@pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
+def test_every_truncation_rejected(tmp_path, rng, suffix):
+    write, read, make = _VALID_FILES[suffix]
+    path = tmp_path / f"a{suffix}"
+    write(path, make(rng))
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(FileFormatError):
+            read(path)
+
+
 class TestAtomicWrite:
     def test_failure_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.bin"

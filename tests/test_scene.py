@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motok.motion import FRAME_DIM, MotionSequence, SixDof, to_global
 from motok.scene import (
@@ -126,7 +127,79 @@ class TestSignedDistanceFieldValidation:
             SignedDistanceField(np.zeros((2, 2, 2)), np.zeros(3), cell)
 
 
+def _reference_sample_sdf(sdf, points):
+    """Trilinear lookup with one 3-D fancy index per corner: the oracle the
+    flat-index kernel of ``sample_sdf`` must match bit for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    squeeze = points.ndim == 1
+    pts = np.atleast_2d(points)
+    rel = (pts - sdf.origin) / sdf.cell_size - 0.5
+    frac = rel[..., [0, 2, 1]]  # world (x, y, z) -> index (x, z, y)
+    dims = np.array(sdf.distances.shape, dtype=np.float64)
+    clamped = np.clip(frac, 0.0, dims - 1.0)
+    overshoot = (frac - clamped) * sdf.cell_size
+    increment = np.linalg.norm(overshoot, axis=-1)
+
+    lo = np.floor(clamped).astype(np.int64)
+    lo = np.minimum(lo, (dims - 2).clip(min=0).astype(np.int64))
+    hi = np.minimum(lo + 1, (dims - 1).astype(np.int64))
+    f = clamped - lo
+
+    d = sdf.distances
+    ix0, iz0, iy0 = lo[..., 0], lo[..., 1], lo[..., 2]
+    ix1, iz1, iy1 = hi[..., 0], hi[..., 1], hi[..., 2]
+    fx, fz, fy = f[..., 0], f[..., 1], f[..., 2]
+
+    c00 = d[ix0, iz0, iy0] * (1 - fx) + d[ix1, iz0, iy0] * fx
+    c01 = d[ix0, iz0, iy1] * (1 - fx) + d[ix1, iz0, iy1] * fx
+    c10 = d[ix0, iz1, iy0] * (1 - fx) + d[ix1, iz1, iy0] * fx
+    c11 = d[ix0, iz1, iy1] * (1 - fx) + d[ix1, iz1, iy1] * fx
+    c0 = c00 * (1 - fz) + c10 * fz
+    c1 = c01 * (1 - fz) + c11 * fz
+    values = c0 * (1 - fy) + c1 * fy + increment
+    return values[0] if squeeze else values.reshape(points.shape[:-1])
+
+
+@st.composite
+def sdf_queries(draw):
+    """A random grid with 1-6 cells per axis and 28 query points, inside and far outside."""
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occ = (rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))).astype(np.uint8)
+    origin = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(3)])
+    cell = draw(st.floats(0.01, 2.0))
+    sdf = build_sdf(SceneVoxelGrid(occ, origin, cell))
+    extent = cell * np.array([shape[0], shape[2], shape[1]])
+    scale = draw(st.sampled_from([1.0, 3.0, 100.0]))
+    lo, hi = origin - (scale - 1.0) * extent, origin + scale * extent
+    points = rng.uniform(lo, hi, size=(28, 3))
+    # cell centers and grid corners land on integer and boundary indices
+    points[0] = origin + cell * 0.5
+    points[1] = origin + extent - cell * 0.5
+    points[2] = origin
+    return sdf, points
+
+
 class TestSampleSdf:
+    @settings(max_examples=200, deadline=None)
+    @given(query=sdf_queries())
+    def test_bit_identical_to_reference(self, query):
+        sdf, points = query
+        for batch in (points, points.reshape(4, 7, 3)):
+            got, want = sample_sdf(sdf, batch), _reference_sample_sdf(sdf, batch)
+            assert got.shape == want.shape == batch.shape[:-1]
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signs of zero too
+        single = sample_sdf(sdf, points[5])
+        assert np.ndim(single) == 0
+        assert single == _reference_sample_sdf(sdf, points[5])
+
+    @pytest.mark.parametrize("shape", [(), (2,), (5, 2), (5, 4), (4, 7, 1)])
+    def test_malformed_points_rejected(self, shape):
+        sdf = plane_sdf()
+        with pytest.raises(SceneError, match="points must have shape"):
+            sample_sdf(sdf, np.zeros(shape))
+
     def test_cell_center_exact(self, rng):
         occ = (rng.random((6, 5, 4)) < 0.2).astype(np.uint8)
         occ[2, 2, 2] = 1
