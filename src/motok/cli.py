@@ -295,9 +295,9 @@ def _cmd_eval(args) -> int:
         "diversity": metrics.diversity(gen, seed=args.seed),
         "diversity_with_replacement": metrics.diversity_with_replacement(gen.shape[0]),
     }
-    for k in (1, 2, 3):
-        report[f"r{k}"] = metrics.r_precision(gen, text, pool_size=args.pool_size,
-                                              k=k, seed=args.seed)
+    top = metrics.r_precision(gen, text, pool_size=args.pool_size, top_k=3, seed=args.seed)
+    for k, acc in enumerate(top, start=1):
+        report[f"r{k}"] = acc
     if args.motion:
         seq = fileio.read_mseq(_require_file(args.motion, "input motion"))
         grid = fileio.read_vox(_require_file(args.scene, "scene voxels")) if args.scene else None

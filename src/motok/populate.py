@@ -248,6 +248,8 @@ def _scan_yaw(
             probe = live[np.argmin(partial[live])]
             bound = min(bound, float(_penetration(rotated, sdf, xz[probe:probe + 1]).mean()))
         live = live[partial[live] <= bound * n * (1.0 + PRUNE_SLACK)]
+        if not live.size:
+            break
     return live, pen[live].mean(axis=1)
 
 

@@ -9,6 +9,7 @@ from motok.cli import dispatch
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.vae import pad_frames, reconstruction_mse
+from test_metrics import _reference_r_precision
 
 
 def write_corpus(tmp_path, num=3, frames=48, seed=0):
@@ -277,19 +278,22 @@ class TestScoreAndEval:
         capsys.readouterr()
 
     @staticmethod
-    def run_eval(tmp_path, rng, rows):
+    def write_eval_inputs(tmp_path, rng, rows):
         real = rng.normal(size=(rows, 12))
         gen = rng.normal(size=(rows, 12)) * 1.2 + 0.1
         text = gen + rng.normal(0, 0.5, size=(rows, 12))
         for name, feats in (("real", real), ("gen", gen), ("text", text)):
             fileio.write_feat(tmp_path / f"{name}.feat", feats)
-        report = tmp_path / "report.json"
-        code = dispatch(["eval", "--real", str(tmp_path / "real.feat"),
-                         "--gen", str(tmp_path / "gen.feat"),
-                         "--text", str(tmp_path / "text.feat"),
-                         "--report", str(report)])
-        assert code == 0
-        return real, gen, json.loads(report.read_text())
+        return real, gen, text, ["eval", "--real", str(tmp_path / "real.feat"),
+                                 "--gen", str(tmp_path / "gen.feat"),
+                                 "--text", str(tmp_path / "text.feat"),
+                                 "--report", str(tmp_path / "report.json")]
+
+    @classmethod
+    def run_eval(cls, tmp_path, rng, rows):
+        real, gen, _, argv = cls.write_eval_inputs(tmp_path, rng, rows)
+        assert dispatch(argv) == 0
+        return real, gen, json.loads((tmp_path / "report.json").read_text())
 
     def test_eval_report_keys(self, tmp_path, rng):
         with pytest.warns(UserWarning, match="with replacement"):
@@ -308,6 +312,20 @@ class TestScoreAndEval:
             warnings.simplefilter("error")
             _, _, payload = self.run_eval(tmp_path, rng, 2 * metrics.DIVERSITY_PAIRS)
         assert payload["diversity_with_replacement"] is False
+
+    def test_eval_r_precision_matches_per_k_reference(self, tmp_path, rng):
+        _, gen, text, argv = self.write_eval_inputs(tmp_path, rng, 600)
+        assert dispatch(argv + ["--seed", "4"]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        for k in (1, 2, 3):
+            assert payload[f"r{k}"] == _reference_r_precision(gen, text, pool_size=32,
+                                                              k=k, seed=4)
+
+    def test_eval_pool_smaller_than_top3_is_domain_error(self, tmp_path, rng, capsys):
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 600)
+        assert dispatch(argv + ["--pool-size", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestSweepVocab:

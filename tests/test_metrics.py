@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motok.metrics import (
     FEATURE_DIM,
@@ -72,16 +73,53 @@ class TestFrechetDistance:
                              GaussianStats(np.zeros(3), np.eye(3)))
 
 
+def _reference_r_precision(motion_feats, text_feats, pool_size=32, k=1, seed=0):
+    """The per-k loop ``r_precision`` replaced: redraws every pool for one k."""
+    m = np.asarray(motion_feats, dtype=np.float64)
+    t = np.asarray(text_feats, dtype=np.float64)
+    if m.ndim != 2 or t.ndim != 2 or m.shape != t.shape:
+        raise MetricError(f"aligned (N, F) matrices required, got {m.shape} and {t.shape}")
+    n = m.shape[0]
+    if n < pool_size:
+        raise MetricError(f"need at least pool_size={pool_size} rows, got {n}")
+    if not 1 <= k <= pool_size:
+        raise MetricError(f"k must be in [1, {pool_size}], got {k}")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for i in range(n):
+        others = rng.permutation(n - 1)[: pool_size - 1]
+        others = np.where(others >= i, others + 1, others)
+        true_dist = np.linalg.norm(m[i] - t[i])
+        distractor_dist = np.linalg.norm(t[others] - m[i], axis=1)
+        if (distractor_dist < true_dist).sum() < k:
+            hits += 1
+    return hits / n
+
+
+@st.composite
+def retrieval_sets(draw):
+    """Integer-valued features with repeated rows, so that exact distance ties occur."""
+    pool_size = draw(st.integers(1, 32))
+    n = draw(st.one_of(st.just(pool_size), st.integers(pool_size, 80)))
+    dim = draw(st.integers(1, 6))
+    source = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, 6))
+    values = source.integers(-2, 3, size=(distinct, dim)).astype(np.float64)
+    motion = values[source.integers(0, distinct, size=n)]
+    text = values[source.integers(0, distinct, size=n)]
+    return motion, text, pool_size, draw(st.integers(0, 2**32 - 1))
+
+
 class TestRPrecision:
     def test_identical_features_perfect_top1(self, rng):
         feats = rng.normal(size=(64, 8))
-        assert r_precision(feats, feats, pool_size=32, k=1) == 1.0
+        assert r_precision(feats, feats, pool_size=32, top_k=1)[0] == 1.0
 
     def test_chance_level_on_independent_features(self, rng):
         n = 1024
         motion = rng.normal(size=(n, 6))
         text = rng.normal(size=(n, 6))
-        top1 = r_precision(motion, text, pool_size=32, k=1, seed=0)
+        top1 = r_precision(motion, text, pool_size=32, top_k=1, seed=0)[0]
         p = 1.0 / 32
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(top1 - p) < 3 * sigma
@@ -89,7 +127,7 @@ class TestRPrecision:
     def test_monotone_in_k(self, rng):
         motion = rng.normal(size=(100, 4))
         text = motion + rng.normal(0, 0.8, size=(100, 4))
-        acc = [r_precision(motion, text, pool_size=32, k=k, seed=3) for k in (1, 2, 3)]
+        acc = r_precision(motion, text, pool_size=32, top_k=3, seed=3)
         assert acc[0] <= acc[1] <= acc[2]
 
     def test_requires_pool_size_rows(self, rng):
@@ -103,6 +141,29 @@ class TestRPrecision:
         a = r_precision(motion, text, seed=7)
         b = r_precision(motion, text, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("top_k", [0, -1, 5])
+    def test_top_k_outside_pool_rejected(self, rng, top_k):
+        feats = rng.normal(size=(10, 3))
+        with pytest.raises(MetricError):
+            r_precision(feats, feats, pool_size=4, top_k=top_k)
+
+    def test_matches_reference_on_eval_sized_features(self, rng):
+        motion = rng.normal(size=(300, 227))
+        text = motion + rng.normal(0, 1.0, size=(300, 227))
+        expected = [_reference_r_precision(motion, text, pool_size=32, k=k, seed=5)
+                    for k in (1, 2, 3)]
+        assert r_precision(motion, text, pool_size=32, top_k=3, seed=5) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(retrieval_sets())
+    def test_matches_reference_for_every_k(self, case):
+        motion, text, pool_size, seed = case
+        got = r_precision(motion, text, pool_size=pool_size, top_k=pool_size, seed=seed)
+        expected = [_reference_r_precision(motion, text, pool_size=pool_size, k=k, seed=seed)
+                    for k in range(1, pool_size + 1)]
+        assert got == expected
+        assert all(type(value) is float for value in got)
 
 
 class TestMultimodalDistance:
