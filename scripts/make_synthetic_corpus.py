@@ -5,7 +5,9 @@ import argparse
 from pathlib import Path
 
 from motok.fileio import write_mseq
+from motok.motion import MAX_FRAMES
 from motok.synth import make_corpus
+from motok.vae import SEGMENT_LEN
 
 
 def main():
@@ -15,6 +17,9 @@ def main():
     parser.add_argument("--frames", type=int, default=96)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if not 1 <= args.frames <= MAX_FRAMES or args.frames % SEGMENT_LEN:
+        parser.error(f"--frames must be a multiple of {SEGMENT_LEN} in [1, {MAX_FRAMES}], "
+                     f"got {args.frames}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

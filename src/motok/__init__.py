@@ -6,7 +6,6 @@ from .ddim import (
     NoiseSchedule,
     apply_cfg,
     ddim_sample,
-    forward_noise,
 )
 from .lfq import (
     LfqCodebook,
@@ -21,7 +20,6 @@ from .metrics import (
     diversity,
     fit_gaussian,
     frechet_distance,
-    handcrafted_motion_features,
     multimodal_distance,
     r_precision,
 )
@@ -49,7 +47,6 @@ from .scene import (
     body_keypoints,
     build_sdf,
     collision_score,
-    contact_loss,
     contact_score,
     sample_sdf,
 )

@@ -107,7 +107,7 @@ def _load_dataset(data_dir: Path) -> list[motion.MotionSequence]:
 
 _CONFIG_COERCERS = {
     "vocab_size": int, "hidden_width": int,
-    "lambda_recon": float, "lambda_commit": float, "lambda_entropy": float,
+    "lambda_commit": float, "lambda_entropy": float,
     "entropy_temperature": float, "learning_rate": float,
     "epochs": int, "seed": int,
 }
@@ -285,6 +285,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if bool(args.motion) != bool(args.scene or args.object):
+        raise UsageError("geometry scores need --motion with --scene and/or --object")
     real = fileio.read_feat(_require_file(args.real, "real features"))
     gen = fileio.read_feat(_require_file(args.gen, "generated features"))
     text = fileio.read_feat(_require_file(args.text, "text features"))
@@ -303,8 +305,7 @@ def _cmd_eval(args) -> int:
         grid = fileio.read_vox(_require_file(args.scene, "scene voxels")) if args.scene else None
         points = (fileio.read_pts(_require_file(args.object, "object points"))
                   if args.object else None)
-        if grid is not None or points is not None:
-            report.update(_geometry_scores(seq, grid, points))
+        report.update(_geometry_scores(seq, grid, points))
     _write_json(args.report, report)
     return 0
 
@@ -408,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--pool-size", dest="pool_size", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--motion", help="optional motion for geometry scores")
+    p.add_argument("--motion", help="optional motion for geometry scores "
+                                    "(needs --scene and/or --object)")
     p.add_argument("--scene", help="optional scene voxels for geometry scores")
     p.add_argument("--object", help="optional object points for geometry scores")
     p.set_defaults(func=_cmd_eval)

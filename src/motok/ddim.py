@@ -58,52 +58,33 @@ class NoiseSchedule:
 class Condition:
     """Conditioning payload handed to the denoiser.
 
-    ``text`` is the only slot the guidance path is allowed to blank out;
-    ``scene`` and ``obj`` always reach both the conditional and the
+    ``text`` is the slot classifier-free guidance blanks out for the
     unconditional branch.  ``coarse`` optionally carries a first-pass track
-    for coarse-to-fine sampling.
+    for coarse-to-fine sampling and reaches both branches.
     """
 
     text: Any = None
-    scene: Any = None
-    obj: Any = None
     coarse: Any = None
-
-
-def drop_text(condition: Condition) -> Condition:
-    """Null-text variant of a condition; scene and object are kept."""
-    return replace(condition, text=None)
 
 
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Classifier-free guidance settings.
 
-    When ``null_condition`` is omitted it defaults to the condition with its
-    text slot cleared.
+    The unconditional branch always sees ``condition`` with its text slot
+    cleared (:attr:`null_condition`).
     """
 
     scale: float
     condition: Condition
-    null_condition: Optional[Condition] = None
 
     def __post_init__(self):
         if not np.isfinite(self.scale):
             raise SamplerError(f"guidance scale must be finite, got {self.scale}")
-        if self.null_condition is None:
-            object.__setattr__(self, "null_condition", drop_text(self.condition))
 
-
-def forward_noise(w0: np.ndarray, t: int, schedule: NoiseSchedule, noise: np.ndarray) -> np.ndarray:
-    """Diffuse a clean sample to step t: sqrt(ab_t)*w0 + sqrt(1-ab_t)*noise."""
-    w0 = np.asarray(w0, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != w0.shape:
-        raise SamplerError(f"noise shape {noise.shape} does not match sample {w0.shape}")
-    if not 0 <= int(t) < schedule.num_train_steps:
-        raise SamplerError(f"step {t} out of range [0, {schedule.num_train_steps})")
-    ab = schedule.alpha_bars[int(t)]
-    return np.sqrt(ab) * w0 + np.sqrt(1.0 - ab) * noise
+    @property
+    def null_condition(self) -> Condition:
+        return replace(self.condition, text=None)
 
 
 def apply_cfg(w_uncond: np.ndarray, w_cond: np.ndarray, scale: float) -> np.ndarray:
@@ -194,8 +175,8 @@ def two_pass_sample(
 
     The first pass samples every ``COARSE_STRIDE``-th row with ``seed``; the
     result is nearest-neighbor upsampled and attached to the condition's
-    ``coarse`` slot (of both guidance branches, or of a bare condition when
-    unguided) for a full pass with ``seed + 1``.  Denoisers that ignore
+    ``coarse`` slot (which both guidance branches see, or of a bare condition
+    when unguided) for a full pass with ``seed + 1``.  Denoisers that ignore
     ``coarse`` reduce this to plain sampling with a different seed path.
     """
     rows = shape[0]
@@ -207,11 +188,8 @@ def two_pass_sample(
         base = Condition(coarse=upsampled)
         fine_denoiser = lambda w, t, c: denoiser(w, t, base)  # noqa: E731
         return ddim_sample(fine_denoiser, shape, schedule, num_infer_steps, None, seed + 1)
-    fine_guidance = GuidanceConfig(
-        scale=guidance.scale,
-        condition=replace(guidance.condition, coarse=upsampled),
-        null_condition=replace(guidance.null_condition, coarse=upsampled),
-    )
+    fine_guidance = GuidanceConfig(scale=guidance.scale,
+                                   condition=replace(guidance.condition, coarse=upsampled))
     return ddim_sample(denoiser, shape, schedule, num_infer_steps, fine_guidance, seed + 1)
 
 

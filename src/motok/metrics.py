@@ -3,8 +3,7 @@
 All metrics operate on caller-supplied feature matrices; nothing here knows
 about text or learned encoders.  R-precision is one pass: each query row
 gets one seeded retrieval pool, scored once, and the call returns the
-accuracy for every k up to ``top_k``.  A deterministic handcrafted motion
-feature extractor is included so the metrics can be exercised end to end.
+accuracy for every k up to ``top_k``.
 """
 
 from __future__ import annotations
@@ -14,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .motion import MotionSequence, ROOT_POS
-
-#: per-channel mean, std, mean |velocity| (75 each) + root path length + mean root speed
-FEATURE_DIM = 3 * 75 + 2
-#: random pairs :func:`diversity` averages over by default
+#: random pairs :func:`diversity` averages over
 DIVERSITY_PAIRS = 300
 #: query rows :func:`r_precision` scores per block
 _R_PRECISION_BLOCK = 16
@@ -146,55 +141,31 @@ def multimodal_distance(motion_feats: np.ndarray, text_feats: np.ndarray) -> flo
     return float(np.linalg.norm(m - t, axis=1).mean())
 
 
-def diversity_with_replacement(num_rows: int, num_pairs: int = DIVERSITY_PAIRS) -> bool:
+def diversity_with_replacement(num_rows: int) -> bool:
     """Whether :func:`diversity` over ``num_rows`` rows samples pairs with replacement."""
-    return num_rows < 2 * num_pairs
+    return num_rows < 2 * DIVERSITY_PAIRS
 
 
-def diversity(feats: np.ndarray, num_pairs: int = DIVERSITY_PAIRS, seed: int = 0) -> float:
-    """Mean distance over seeded random pairs of distinct feature rows.
+def diversity(feats: np.ndarray, seed: int = 0) -> float:
+    """Mean distance over ``DIVERSITY_PAIRS`` seeded random pairs of distinct feature rows.
 
-    With at least 2 * num_pairs rows the pairs are disjoint; smaller sets
-    fall back to sampling pairs with replacement (and warn).
+    With at least 2 * DIVERSITY_PAIRS rows the pairs are disjoint; smaller
+    sets fall back to sampling pairs with replacement (and warn).
     """
     f = np.asarray(feats, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise MetricError(f"need at least 2 feature rows, got {f.shape}")
     n = f.shape[0]
     rng = np.random.default_rng(seed)
-    if not diversity_with_replacement(n, num_pairs):
-        chosen = rng.permutation(n)[: 2 * num_pairs]
-        first, second = chosen[:num_pairs], chosen[num_pairs:]
+    if not diversity_with_replacement(n):
+        chosen = rng.permutation(n)[: 2 * DIVERSITY_PAIRS]
+        first, second = chosen[:DIVERSITY_PAIRS], chosen[DIVERSITY_PAIRS:]
     else:
         warnings.warn(
-            f"only {n} rows for {num_pairs} diversity pairs; sampling with replacement",
+            f"only {n} rows for {DIVERSITY_PAIRS} diversity pairs; sampling with replacement",
             stacklevel=2,
         )
-        pairs = np.array([rng.choice(n, size=2, replace=False) for _ in range(num_pairs)])
+        pairs = np.array([rng.choice(n, size=2, replace=False) for _ in range(DIVERSITY_PAIRS)])
         first, second = pairs[:, 0], pairs[:, 1]
     return float(np.linalg.norm(f[first] - f[second], axis=1).mean())
 
-
-def handcrafted_motion_features(seq: MotionSequence) -> np.ndarray:
-    """Deterministic summary statistics of a global motion sequence.
-
-    Layout (FEATURE_DIM = 227): per-channel mean (75), per-channel population
-    std (75), per-channel mean absolute velocity (75), root path length, and
-    mean root speed.  Velocity features divide total variation by the clip
-    duration T/fps, so duplicating every frame at doubled fps leaves the
-    vector unchanged.
-    """
-    if seq.is_canonical:
-        raise MetricError("handcrafted features expect a global sequence")
-    frames = seq.frames
-    duration = frames.shape[0] / seq.fps
-    mean = frames.mean(axis=0)
-    std = frames.std(axis=0)
-    if frames.shape[0] > 1:
-        steps = np.diff(frames, axis=0)
-        velocity = np.abs(steps).sum(axis=0) / duration
-        path_length = np.linalg.norm(steps[:, ROOT_POS], axis=1).sum()
-    else:
-        velocity = np.zeros(frames.shape[1])
-        path_length = 0.0
-    return np.concatenate([mean, std, velocity, [path_length, path_length / duration]])

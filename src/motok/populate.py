@@ -43,6 +43,8 @@ CHUNK_FRAMES = 8
 # same values in different orders, so a candidate that ties the best must not
 # be dropped over the last bits.
 PRUNE_SLACK = 1e-9
+# Coordinate-descent rounds after the coarse scan; each halves the step sizes.
+REFINE_ROUNDS = 3
 # Unit (dx, dz, dyaw) steps of one refinement pass, scaled by the round's steps.
 REFINE_MOVES = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                 (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
@@ -76,22 +78,19 @@ class PlacementOffset:
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Knobs for the coarse lattice, refinement, and the feasibility verdict.
+    """Yaws of the coarse lattice and the feasibility verdict.
 
     The search always stands at 0.9 m, seeds from the free cell with the
-    most clearance (no footprint radius), and scores the object position
-    with the body whenever the clip carries one.
+    most clearance, refines for ``REFINE_ROUNDS`` rounds, and scores the
+    object position with the body whenever the clip carries one.
     """
 
     yaw_count: int = 16
-    refine_rounds: int = 3
     feasibility_threshold: float = 1e-3
 
     def __post_init__(self):
         if self.yaw_count < 1:
             raise ValueError(f"yaw_count must be >= 1, got {self.yaw_count}")
-        if self.refine_rounds < 3:
-            raise ValueError(f"refine_rounds must be >= 3, got {self.refine_rounds}")
         if self.feasibility_threshold < 0:
             raise ValueError("feasibility_threshold must be >= 0")
 
@@ -151,14 +150,13 @@ def _clearance_map(grid: SceneVoxelGrid, sdf: SignedDistanceField, standing_heig
 
 def find_seed_position(
     grid: SceneVoxelGrid,
-    footprint_radius: float = 0.0,
     standing_height: float = 0.9,
     sdf: Optional[SignedDistanceField] = None,
 ) -> np.ndarray:
     """Free cell center with the most clearance at standing height.
 
     Ties break toward the lowest (x, then z) index.  Raises
-    :class:`SceneLessError` when no free cell clears ``footprint_radius``.
+    :class:`SceneLessError` when no cell is free at standing height.
     """
     if sdf is None:
         sdf = build_sdf(grid)
@@ -168,10 +166,6 @@ def find_seed_position(
         raise SceneLessError("no free cell at standing height")
     masked = np.where(free, clearance, -np.inf)
     best = np.unravel_index(np.argmax(masked), masked.shape)  # argmax is first max in C order
-    if masked[best] < footprint_radius:
-        raise SceneLessError(
-            f"best clearance {masked[best]:.3f} m is below footprint radius {footprint_radius:.3f} m"
-        )
     return grid.cell_center(int(best[0]), int(best[1]), iy)
 
 
@@ -257,7 +251,6 @@ def optimize_placement(
     seq: MotionSequence,
     grid: SceneVoxelGrid,
     config: PlacementConfig = PlacementConfig(),
-    sdf: Optional[SignedDistanceField] = None,
 ) -> PlacementResult:
     """Coarse lattice search plus coordinate-descent refinement.
 
@@ -276,8 +269,7 @@ def optimize_placement(
     """
     if not seq.is_canonical:
         raise ValueError("optimize_placement expects a canonical sequence")
-    if sdf is None:
-        sdf = build_sdf(grid)
+    sdf = build_sdf(grid)
     seed = find_seed_position(grid, sdf=sdf)
     kp = _candidate_keypoints(seq)
 
@@ -306,9 +298,9 @@ def optimize_placement(
     step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / config.yaw_count
     if best_score == 0.0:
         # no move can improve on 0, so each round is one pass of all moves
-        evaluated += config.refine_rounds * len(REFINE_MOVES)
+        evaluated += REFINE_ROUNDS * len(REFINE_MOVES)
     else:
-        for _ in range(config.refine_rounds):
+        for _ in range(REFINE_ROUNDS):
             improved = True
             while improved:
                 improved = False

@@ -26,6 +26,8 @@ from .motion import (
 # Distance stored when a grid has no occupied (or no free) cells; keeps
 # interpolation total while guaranteeing zero collision in empty scenes.
 FREE_SENTINEL = 1e9
+# Human-object distance (m) below which a frame counts as contact.
+CONTACT_THRESHOLD = 0.05
 
 
 class SceneError(ValueError):
@@ -296,12 +298,8 @@ def collision_score(keypoints: np.ndarray, sdf: SignedDistanceField) -> tuple[fl
     return penetration, colliding
 
 
-def contact_score(
-    keypoints: np.ndarray,
-    object_points: np.ndarray,
-    threshold: float = 0.05,
-) -> float:
-    """Fraction of frames whose closest human-object pair is under the threshold.
+def contact_score(keypoints: np.ndarray, object_points: np.ndarray) -> float:
+    """Fraction of frames whose closest human-object pair is under ``CONTACT_THRESHOLD``.
 
     The comparison is strict, so a pair at exactly the threshold distance does
     not count as contact.
@@ -314,37 +312,7 @@ def contact_score(
         raise SceneError(f"frame counts differ: {kp.shape[0]} vs {op.shape[0]}")
     hits = 0
     for frame_kp, frame_op in zip(kp, op):
-        if cdist(frame_kp, frame_op).min() < threshold:
+        if cdist(frame_kp, frame_op).min() < CONTACT_THRESHOLD:
             hits += 1
     return hits / kp.shape[0]
 
-
-def contact_loss(
-    gt_obj: np.ndarray,
-    gt_kp: np.ndarray,
-    pred_obj: np.ndarray,
-    pred_kp: np.ndarray,
-) -> float:
-    """Mean absolute difference of human-object pairwise distance patterns.
-
-    Inputs are (n, 3)/(m, 3) point sets, or (T, n, 3)/(T, m, 3) tracks which
-    are averaged over frames.  Invariant under any rigid transform applied
-    jointly to a (object, keypoints) pair.
-    """
-    gt_obj = np.asarray(gt_obj, dtype=np.float64)
-    gt_kp = np.asarray(gt_kp, dtype=np.float64)
-    pred_obj = np.asarray(pred_obj, dtype=np.float64)
-    pred_kp = np.asarray(pred_kp, dtype=np.float64)
-    if gt_obj.ndim == 3:
-        frames = gt_obj.shape[0]
-        if not (gt_kp.shape[0] == pred_obj.shape[0] == pred_kp.shape[0] == frames):
-            raise SceneError("per-frame inputs must share the frame count")
-        return float(np.mean([
-            contact_loss(gt_obj[t], gt_kp[t], pred_obj[t], pred_kp[t])
-            for t in range(frames)
-        ]))
-    if gt_obj.shape != pred_obj.shape or gt_kp.shape != pred_kp.shape:
-        raise SceneError("ground truth and prediction point counts must match")
-    gt_dist = cdist(gt_obj, gt_kp)
-    pred_dist = cdist(pred_obj, pred_kp)
-    return float(np.abs(gt_dist - pred_dist).mean())

@@ -14,6 +14,10 @@ _BASE_POSE[1] = 0.9   # pelvis height
 _BASE_POSE[70] = 0.7  # object height
 
 PATTERN_DECAY = 0.85
+# Walking speed (m/s) of the toy walk track and the spread the toy denoiser
+# assumes around it.
+WALK_SPEED = 1.0
+WALK_SIGMA = 0.15
 
 
 def _segment_patterns(rng: np.random.Generator, num_patterns: int) -> np.ndarray:
@@ -83,7 +87,7 @@ def make_walk_sequence(num_frames: int = 61, fps: int = 30, speed: float = 1.0,
     return MotionSequence(frames, fps=fps, is_canonical=True)
 
 
-def toy_walk_track(num_waypoints: int, heading: float = 0.0, speed: float = 1.0) -> np.ndarray:
+def toy_walk_track(num_waypoints: int, heading: float = 0.0) -> np.ndarray:
     """Per-second waypoint mean track of a straight walk: (W, 12).
 
     Columns are root translation, root orientation, object translation,
@@ -92,9 +96,9 @@ def toy_walk_track(num_waypoints: int, heading: float = 0.0, speed: float = 1.0)
     steps = np.arange(num_waypoints, dtype=np.float64)
     cos, sin = np.cos(heading), np.sin(heading)
     track = np.zeros((num_waypoints, 12))
-    track[:, 0] = speed * steps * sin
+    track[:, 0] = WALK_SPEED * steps * sin
     track[:, 1] = 0.9
-    track[:, 2] = speed * steps * cos
+    track[:, 2] = WALK_SPEED * steps * cos
     track[:, 4] = heading
     carry = np.array([0.3, -0.1, 0.4])
     track[:, 6] = track[:, 0] + carry[0] * cos + carry[2] * sin
@@ -103,7 +107,7 @@ def toy_walk_track(num_waypoints: int, heading: float = 0.0, speed: float = 1.0)
     return track
 
 
-def toy_walk_denoiser(schedule: NoiseSchedule, sigma: float = 0.15, speed: float = 1.0):
+def toy_walk_denoiser(schedule: NoiseSchedule):
     """Clean-sample predictor pulling noisy waypoint tracks toward a walk.
 
     The condition's ``text`` slot, when present, is read as a heading in
@@ -121,10 +125,10 @@ def toy_walk_denoiser(schedule: NoiseSchedule, sigma: float = 0.15, speed: float
                 heading = float(condition.text)
             coarse = condition.coarse
         # sized from the noisy input so strided coarse passes work too
-        mean = toy_walk_track(w_t.shape[0], heading, speed)
+        mean = toy_walk_track(w_t.shape[0], heading)
         if coarse is not None:
             mean = 0.5 * (mean + np.asarray(coarse, dtype=np.float64))
-        return gaussian_posterior_denoiser(mean, sigma, schedule)(w_t, t, condition)
+        return gaussian_posterior_denoiser(mean, WALK_SIGMA, schedule)(w_t, t, condition)
 
     return denoiser
 

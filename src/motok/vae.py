@@ -47,11 +47,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ToyVaeConfig:
-    """Hyperparameters for the toy autoencoder and its trainer."""
+    """Hyperparameters for the toy autoencoder and its trainer.
+
+    The reconstruction term has weight 1: scaling every loss weight by c
+    trains the same as scaling ``learning_rate`` by c.
+    """
 
     vocab_size: int = 8192
     hidden_width: int = 32
-    lambda_recon: float = 1.0
     lambda_commit: float = 1e-2
     lambda_entropy: float = 1e-4  # flips no code under the fixed-step trainer (ROADMAP item 1)
     entropy_temperature: float = 0.25
@@ -63,8 +66,8 @@ class ToyVaeConfig:
         LfqCodebook.from_vocab_size(self.vocab_size)
         if self.hidden_width < 1:
             raise VaeError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.lambda_recon <= 0 or self.lambda_commit < 0 or self.lambda_entropy < 0:
-            raise VaeError("loss weights must be positive (entropy/commit may be 0)")
+        if self.lambda_commit < 0 or self.lambda_entropy < 0:
+            raise VaeError("loss weights must be >= 0")
         if self.entropy_temperature <= 0:
             raise VaeError("entropy_temperature must be > 0")
         if self.learning_rate <= 0:
@@ -93,6 +96,8 @@ class ToyVaeParams:
     hidden_width: int
 
     def __post_init__(self):
+        if self.hidden_width < 1:
+            raise VaeError(f"hidden_width must be >= 1, got {self.hidden_width}")
         tensors = dict(self.tensors)
         tensors.setdefault("in_shift", np.zeros(FRAME_DIM))
         tensors.setdefault("in_scale", np.ones(FRAME_DIM))
@@ -265,14 +270,12 @@ def loss_and_grads(
     commit_diff = z - bits
     commit = float((commit_diff * commit_diff).sum() / s)
     entropy = entropy_loss(z, config.entropy_temperature)
-    total = (config.lambda_recon * recon
-             + config.lambda_commit * commit
-             + config.lambda_entropy * entropy)
+    total = recon + config.lambda_commit * commit + config.lambda_entropy * entropy
     parts = {"recon": recon, "commit": commit, "entropy": entropy, "total": total}
 
     grads = {}
     # decoder backward (the raw-space residual crosses the de-standardization)
-    dy = config.lambda_recon * 2.0 * resid / x.size
+    dy = 2.0 * resid / x.size
     da_u1 = (dy * t["in_scale"]).reshape(s, 4, 2 * FRAME_DIM)
     g2, g1, g0 = dec["g2"], dec["g1"], dec["g0"]
     grads["up1_w"] = np.einsum("sij,sik->jk", g2, da_u1)

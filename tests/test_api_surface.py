@@ -1,0 +1,71 @@
+"""Every public top-level function and class of motok has a caller outside tests.
+
+A name counts as used when it is read (as a name or an attribute) in a
+``src/motok`` module other than ``__init__.py``, outside its own definition,
+or anywhere in ``scripts/`` or ``perfbench/``.  Names are matched by spelling
+alone, which can only hide an unused name, never flag a used one.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "motok"
+
+# Waypoint helpers kept for the mixed waypoint/token representation
+# (ROADMAP item 3), which will give them a caller.
+ALLOWED_UNUSED = {"WaypointTrack", "extract_waypoints", "repeat_waypoints"}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _reads(node: ast.AST, skip: ast.AST = None) -> set[str]:
+    """Names and attribute names read under ``node``, leaving out the subtree ``skip``."""
+    found = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is skip:
+            continue
+        if isinstance(current, ast.Name):
+            found.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            found.add(current.attr)
+        stack.extend(ast.iter_child_nodes(current))
+    return found
+
+
+def _library() -> dict[Path, ast.Module]:
+    return {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _public_definitions(library: dict[Path, ast.Module]):
+    for path, tree in library.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield path, node
+
+
+def test_public_names_have_a_caller_outside_tests():
+    library = _library()
+    outside = set()
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("**/*.py")):
+            outside |= _reads(_parse(path))
+    unused = []
+    for path, node in _public_definitions(library):
+        used = set(outside)
+        for other, tree in library.items():
+            used |= _reads(tree, skip=node if other == path else None)
+        if node.name not in used and node.name not in ALLOWED_UNUSED:
+            unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"public names used only by tests: {unused}"
+
+
+def test_allowlist_names_still_exist():
+    defined = {node.name for _, node in _public_definitions(_library())}
+    assert ALLOWED_UNUSED <= defined

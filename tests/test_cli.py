@@ -1,10 +1,11 @@
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from motok import fileio, metrics, synth
+from motok import fileio, metrics, synth, vae
 from motok.cli import dispatch
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
@@ -129,6 +130,22 @@ class TestTokenizeRoundTrip:
         assert dispatch(["detokenize", "--vae", str(vae_path), "--in",
                          str(stream_path), "--out", str(out)]) == 2
         assert "segment length 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_hidden_width_rejected(self, tmp_path, capsys):
+        tensors = {name: np.ones(shape) if name == "in_scale" else np.zeros(shape)
+                   for name, shape in vae._shapes(0, 6).items()}
+        vae_path = tmp_path / "w0.vae"
+        # write_vae reads only these fields, so a namespace can carry a width
+        # that ToyVaeParams refuses
+        fileio.write_vae(vae_path, SimpleNamespace(tensors=tensors, vocab_size=64,
+                                                   hidden_width=0))
+        src = tmp_path / "m.mseq"
+        fileio.write_mseq(src, synth.make_corpus(1, 16, seed=1)[0])
+        out = tmp_path / "t.mtok"
+        assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(src),
+                         "--out", str(out)]) == 1
+        assert "hidden_width must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -325,6 +342,22 @@ class TestScoreAndEval:
         _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 600)
         assert dispatch(argv + ["--pool-size", "2"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--scene", "--object"])
+    def test_eval_geometry_input_without_motion_is_usage_error(self, tmp_path, rng, capsys,
+                                                               flag):
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
+        assert dispatch(argv + [flag, str(tmp_path / "missing.vox")]) == 2
+        assert "geometry scores need --motion" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_eval_motion_without_scene_or_object_is_usage_error(self, tmp_path, rng, capsys):
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
+        motion_path = tmp_path / "m.mseq"
+        fileio.write_mseq(motion_path, synth.make_corpus(1, 16, seed=1)[0])
+        assert dispatch(argv + ["--motion", str(motion_path)]) == 2
+        assert "geometry scores need --motion" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
 

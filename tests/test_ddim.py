@@ -10,8 +10,6 @@ from motok.ddim import (
     SamplerError,
     apply_cfg,
     ddim_sample,
-    drop_text,
-    forward_noise,
     gaussian_posterior_denoiser,
     inference_steps,
     two_pass_sample,
@@ -38,35 +36,6 @@ class TestSchedule:
             NoiseSchedule(beta_start=0.0)
         with pytest.raises(SamplerError):
             NoiseSchedule(beta_start=0.5, beta_end=0.1)
-
-
-class TestForwardNoise:
-    def test_early_step_barely_noises(self, rng):
-        w0 = rng.normal(size=(3, 5))
-        noise = rng.normal(size=(3, 5))
-        w_t = forward_noise(w0, 0, SCHED, noise)
-        np.testing.assert_allclose(w_t, w0, atol=0.05)
-
-    def test_zero_noise_scales_exactly(self, rng):
-        w0 = rng.normal(size=(2, 4))
-        w_t = forward_noise(w0, 700, SCHED, np.zeros((2, 4)))
-        np.testing.assert_array_equal(w_t, np.sqrt(SCHED.alpha_bars[700]) * w0)
-
-    def test_matches_loop_oracle(self, rng):
-        w0 = rng.normal(size=(3, 4))
-        noise = rng.normal(size=(3, 4))
-        t = 500
-        got = forward_noise(w0, t, SCHED, noise)
-        ab = SCHED.alpha_bars[t]
-        for i in range(3):
-            for j in range(4):
-                want = np.sqrt(ab) * w0[i, j] + np.sqrt(1 - ab) * noise[i, j]
-                assert got[i, j] == pytest.approx(want, abs=1e-15)
-
-    def test_step_out_of_range(self, rng):
-        w0 = rng.normal(size=(2,))
-        with pytest.raises(SamplerError):
-            forward_noise(w0, 1000, SCHED, w0)
 
 
 class TestSampler:
@@ -150,13 +119,22 @@ class TestGuidance:
         slope = (apply_cfg(u, c, s + h) - apply_cfg(u, c, s - h)) / (2 * h)
         np.testing.assert_allclose(slope, c - u, rtol=1e-12, atol=1e-12)
 
-    def test_null_condition_keeps_scene_and_object(self):
-        cond = Condition(text="walk", scene="voxels", obj="points")
-        cfg = GuidanceConfig(scale=2.0, condition=cond)
-        assert cfg.null_condition.text is None
-        assert cfg.null_condition.scene == "voxels"
-        assert cfg.null_condition.obj == "points"
-        assert drop_text(cond).scene == "voxels"
+    def test_two_pass_null_branch_keeps_coarse_and_clears_text(self):
+        seen = []
+
+        def denoiser(w, t, cond):
+            seen.append(cond)
+            return np.zeros_like(w)
+
+        g = GuidanceConfig(scale=2.0, condition=Condition(text="walk"))
+        two_pass_sample(denoiser, (5, 2), SCHED, 4, guidance=g, seed=0)
+        first, fine = seen[:8], seen[8:]
+        assert len(fine) == 8
+        assert [c.text for c in first + fine] == ["walk", None] * 8
+        assert all(c.coarse is None for c in first)
+        coarse = fine[0].coarse
+        assert coarse.shape == (5, 2)
+        assert all(c.coarse is coarse for c in fine)
 
     def test_guided_sampling_interpolates_denoisers(self):
         # a denoiser whose output depends affinely on the text payload makes

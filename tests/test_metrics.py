@@ -3,17 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motok.metrics import (
-    FEATURE_DIM,
     GaussianStats,
     MetricError,
     diversity,
     fit_gaussian,
     frechet_distance,
-    handcrafted_motion_features,
     multimodal_distance,
     r_precision,
 )
-from motok.motion import FRAME_DIM, MotionSequence
 from conftest import rodrigues
 
 
@@ -196,14 +193,14 @@ class TestMultimodalDistance:
 class TestDiversity:
     def test_identical_features_zero(self):
         feats = np.tile([1.0, 2.0], (900, 1))
-        assert diversity(feats, num_pairs=300, seed=0) == 0.0
+        assert diversity(feats, seed=0) == 0.0
 
     def test_two_balanced_clusters(self, rng):
         n = 2000
         feats = np.zeros((n, 3))
         feats[n // 2:, 0] = 10.0
         feats[:, 1:] = rng.normal(0, 1e-9, size=(n, 2))
-        value = diversity(feats, num_pairs=300, seed=1)
+        value = diversity(feats, seed=1)
         # cross-cluster pairs (probability 1/2) contribute 10, others 0
         assert abs(value - 5.0) < 1.0
 
@@ -214,59 +211,10 @@ class TestDiversity:
     def test_small_sets_warn_and_sample_with_replacement(self, rng):
         feats = rng.normal(size=(10, 3))
         with pytest.warns(UserWarning):
-            value = diversity(feats, num_pairs=300, seed=2)
+            value = diversity(feats, seed=2)
         assert value > 0.0
 
     def test_needs_two_rows(self):
         with pytest.raises(MetricError):
             diversity(np.zeros((1, 3)))
 
-
-class TestHandcraftedFeatures:
-    def test_feature_dimension(self, rng):
-        frames = rng.uniform(-0.5, 0.5, size=(12, FRAME_DIM))
-        seq = MotionSequence(frames, fps=30, is_canonical=False)
-        feats = handcrafted_motion_features(seq)
-        assert feats.shape == (FEATURE_DIM,)
-
-    def test_static_pose_has_zero_motion_features(self):
-        frames = np.tile(np.linspace(-0.4, 0.4, FRAME_DIM), (20, 1))
-        seq = MotionSequence(frames, fps=30, is_canonical=False)
-        feats = handcrafted_motion_features(seq)
-        np.testing.assert_array_equal(feats[150:225], 0.0)  # velocities
-        assert feats[225] == 0.0  # path length
-        assert feats[226] == 0.0  # mean speed
-
-    def test_straight_walk_path_length(self):
-        frames = np.zeros((61, FRAME_DIM))
-        frames[:, 0] = np.arange(61) / 30.0  # 1 m/s along x for 2 s inclusive
-        seq = MotionSequence(frames, fps=30, is_canonical=False)
-        feats = handcrafted_motion_features(seq)
-        assert feats[225] == pytest.approx(2.0, abs=1e-12)
-
-    def test_invariant_to_frame_duplication_at_matched_fps(self, rng):
-        frames = rng.uniform(-0.6, 0.6, size=(30, FRAME_DIM))
-        seq = MotionSequence(frames, fps=30, is_canonical=False)
-        doubled = MotionSequence(np.repeat(frames, 2, axis=0), fps=60,
-                                 is_canonical=False)
-        np.testing.assert_allclose(handcrafted_motion_features(doubled),
-                                   handcrafted_motion_features(seq), atol=1e-12)
-
-    def test_matches_loop_oracle(self, rng):
-        frames = rng.uniform(-0.5, 0.5, size=(9, FRAME_DIM))
-        seq = MotionSequence(frames, fps=30, is_canonical=False)
-        feats = handcrafted_motion_features(seq)
-        duration = 9 / 30.0
-        for c in [0, 10, 74]:
-            assert feats[c] == pytest.approx(np.mean(frames[:, c]), abs=1e-12)
-            assert feats[75 + c] == pytest.approx(np.std(frames[:, c]), abs=1e-12)
-            tv = sum(abs(frames[t + 1, c] - frames[t, c]) for t in range(8))
-            assert feats[150 + c] == pytest.approx(tv / duration, abs=1e-12)
-        path = sum(np.linalg.norm(frames[t + 1, 0:3] - frames[t, 0:3]) for t in range(8))
-        assert feats[225] == pytest.approx(path, abs=1e-12)
-        assert feats[226] == pytest.approx(path / duration, abs=1e-12)
-
-    def test_rejects_canonical(self, rng):
-        seq = MotionSequence(np.zeros((4, FRAME_DIM)), is_canonical=True)
-        with pytest.raises(MetricError):
-            handcrafted_motion_features(seq)

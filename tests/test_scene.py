@@ -13,7 +13,6 @@ from motok.scene import (
     body_keypoints,
     build_sdf,
     collision_score,
-    contact_loss,
     contact_score,
     object_points_track,
     sample_sdf,
@@ -311,38 +310,6 @@ class TestContact:
     def test_frame_count_mismatch(self, rng):
         with pytest.raises(SceneError):
             contact_score(np.zeros((3, 2, 3)), np.zeros((4, 2, 3)))
-
-
-class TestContactLoss:
-    def test_identical_prediction_zero(self, rng):
-        obj = rng.normal(size=(8, 3))
-        kp = rng.normal(size=(5, 3))
-        assert contact_loss(obj, kp, obj.copy(), kp.copy()) == 0.0
-
-    def test_single_pair(self):
-        zero = np.zeros((1, 3))
-        gt_obj = np.array([[1.0, 0.0, 0.0]])
-        pred_obj = np.array([[1.5, 0.0, 0.0]])
-        assert contact_loss(gt_obj, zero, pred_obj, zero) == pytest.approx(0.5)
-
-    def test_rigid_transform_invariance(self, rng):
-        obj = rng.normal(size=(8, 3))
-        kp = rng.normal(size=(5, 3))
-        rot = rodrigues(rng.normal(size=3))
-        shift = rng.normal(size=3)
-        moved_obj = obj @ rot.T + shift
-        moved_kp = kp @ rot.T + shift
-        assert contact_loss(obj, kp, moved_obj, moved_kp) == pytest.approx(0.0, abs=1e-9)
-        # and the same transform on the ground-truth side
-        assert contact_loss(moved_obj, moved_kp, obj, kp) == pytest.approx(0.0, abs=1e-9)
-
-    def test_per_frame_inputs_average(self, rng):
-        gt_obj = rng.normal(size=(3, 4, 3))
-        gt_kp = rng.normal(size=(3, 2, 3))
-        per_frame = [contact_loss(gt_obj[t], gt_kp[t], gt_obj[t] * 1.1, gt_kp[t])
-                     for t in range(3)]
-        batched = contact_loss(gt_obj, gt_kp, gt_obj * 1.1, gt_kp)
-        assert batched == pytest.approx(np.mean(per_frame))
 
 
 class TestBodyKeypoints:

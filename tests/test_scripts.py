@@ -1,4 +1,4 @@
-"""Smoke test: the shipped scripts run from a source checkout."""
+"""Smoke test: the shipped scripts and ``python -m motok`` run from a source checkout."""
 
 import csv
 import json
@@ -6,6 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from motok.fileio import read_mseq
+from motok.synth import make_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +40,34 @@ def test_run_vocab_sweep(tmp_path):
     assert rows[0][0] == "vocab_size" and len(rows) == 2
     for cell in rows[1]:
         float(cell)
+
+
+def test_make_synthetic_corpus(tmp_path):
+    out = tmp_path / "synth"
+    done = run_script("make_synthetic_corpus.py", "--out", str(out), "--sequences", "2",
+                      "--frames", "16", "--seed", "5", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    paths = sorted(out.glob("*.mseq"))
+    assert [p.name for p in paths] == ["synth000.mseq", "synth001.mseq"]
+    expected = make_corpus(2, 16, seed=5)
+    for path, seq in zip(paths, expected):
+        got = read_mseq(path)
+        assert got.num_frames == 16
+        np.testing.assert_array_equal(got.frames, seq.frames.astype("<f4"))
+
+
+def test_make_synthetic_corpus_rejects_bad_frame_count(tmp_path):
+    out = tmp_path / "synth"
+    done = run_script("make_synthetic_corpus.py", "--out", str(out), "--frames", "20",
+                      cwd=tmp_path)
+    assert done.returncode == 2
+    assert "--frames" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_module_entry_point_help(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "motok", "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: motok")
