@@ -3,7 +3,6 @@
 from .ddim import (
     Condition,
     GuidanceConfig,
-    NoiseSchedule,
     apply_cfg,
     ddim_sample,
 )

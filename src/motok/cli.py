@@ -1,8 +1,9 @@
 """Command-line entry point wiring every pipeline stage.
 
 Exit codes: 0 success, 1 domain failure (infeasible placement, diverged
-training, malformed data), 2 usage error (bad flags, missing files).  Every
-output file is written atomically.
+training, malformed data), 2 usage error (bad flags, missing files).  A flag
+value out of range is a usage error too, caught before any file is read or
+written.  Every output file is written atomically.
 """
 
 from __future__ import annotations
@@ -105,31 +106,14 @@ def _load_dataset(data_dir: Path) -> list[motion.MotionSequence]:
     return [fileio.read_mseq(p) for p in paths]
 
 
-_CONFIG_COERCERS = {
-    "vocab_size": int, "hidden_width": int,
-    "lambda_commit": float, "lambda_entropy": float,
-    "entropy_temperature": float, "learning_rate": float,
-    "epochs": int, "seed": int,
-}
-
-
-def _vae_config(args) -> vae.ToyVaeConfig:
-    """Defaults, then config-file settings, then explicit flags."""
-    settings: dict = {}
-    if args.config:
-        raw = fileio.parse_flat_config(_require_file(args.config, "config file"))
-        for key, value in raw.items():
-            if key not in _CONFIG_COERCERS:
-                raise UsageError(f"unknown config key {key!r}")
-            try:
-                settings[key] = _CONFIG_COERCERS[key](value)
-            except ValueError:
-                raise UsageError(f"bad value for {key!r}: {value!r}") from None
-    for key in _CONFIG_COERCERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
-    return vae.ToyVaeConfig(**settings)
+def _vae_config(args, **overrides) -> vae.ToyVaeConfig:
+    """Defaults, then the trainer flags given, then ``overrides``."""
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(vae.ToyVaeConfig)
+                if getattr(args, f.name, None) is not None}
+    try:
+        return vae.ToyVaeConfig(**{**settings, **overrides})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _history_csv(path, history: list[dict]):
@@ -164,11 +148,10 @@ def _cmd_sweep_vocab(args) -> int:
         raise UsageError(f"--ks must be a comma-separated integer list, got {args.ks!r}") from None
     if not ks:
         raise UsageError("--ks is empty")
+    configs = [_vae_config(args, vocab_size=k) for k in ks]
     dataset = _load_dataset(_require_dir(args.data, "data directory"))
-    base = _vae_config(args)
     rows = []
-    for k in ks:
-        cfg = dataclasses.replace(base, vocab_size=k)
+    for k, cfg in zip(ks, configs):
         params, _ = vae.train(cfg, dataset)
         mse = _corpus_mse(params, dataset)
         fraction, entropy = _corpus_utilization(params, dataset)
@@ -193,17 +176,16 @@ def _waypoints_to_frames(track: np.ndarray) -> np.ndarray:
 
 
 def _cmd_sample(args) -> int:
-    schedule = ddim.NoiseSchedule()
-    denoiser = synth.toy_walk_denoiser(schedule)
     guidance = None
     if args.heading is not None:
         guidance = ddim.GuidanceConfig(scale=args.cfg_scale,
                                        condition=ddim.Condition(text=args.heading))
     shape = (args.waypoints, 12)
     if args.two_pass:
-        track = ddim.two_pass_sample(denoiser, shape, schedule, args.steps, guidance, args.seed)
+        track = ddim.two_pass_sample(synth.toy_walk_denoiser, shape, args.steps, guidance,
+                                     args.seed)
     else:
-        track = ddim.ddim_sample(denoiser, shape, schedule, args.steps, guidance, args.seed)
+        track = ddim.ddim_sample(synth.toy_walk_denoiser, shape, args.steps, guidance, args.seed)
     frames = motion.normalize_rotations(_waypoints_to_frames(track))
     # one waypoint per second of motion, hence fps = 1 for the emitted track
     seq = motion.MotionSequence(frames, fps=1, is_canonical=False)
@@ -212,12 +194,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_populate(args) -> int:
+    try:
+        config = populate.PlacementConfig(yaw_count=args.yaw_count,
+                                          feasibility_threshold=args.threshold)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     grid = fileio.read_vox(_require_file(args.scene, "scene voxels"))
     seq = fileio.read_mseq(_require_file(args.motion, "input motion"))
-    config = populate.PlacementConfig(
-        yaw_count=args.yaw_count,
-        feasibility_threshold=args.threshold,
-    )
     try:
         result = populate.optimize_placement(seq, grid, config)
     except populate.SceneLessError as exc:
@@ -321,6 +304,28 @@ def _parse_root_pose(text: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type: an int in [low, high], or >= low when ``high`` is None."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _add_trainer_flags(p: argparse.ArgumentParser, skip: tuple = ()):
+    """One flag per ToyVaeConfig field, typed by its default; unset flags stay None."""
+    for f in dataclasses.fields(vae.ToyVaeConfig):
+        if f.name not in skip:
+            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                           type=type(f.default), default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="motok",
                                      description="motion tokenization and evaluation toolkit")
@@ -348,17 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vae", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--fps", type=int, default=30)
+    p.add_argument("--fps", type=_bounded_int(1), default=30)
     p.add_argument("--canonical", action="store_true")
     p.set_defaults(func=_cmd_detokenize)
 
     p = sub.add_parser("train-vae", help="train the toy tokenizer autoencoder")
-    p.add_argument("--config", help="flat key = value settings file")
     p.add_argument("--data", required=True, help="directory of .mseq files")
     p.add_argument("--out", required=True, help="output .vae params path")
     p.add_argument("--history", help="loss history CSV path (default: next to --out)")
-    for key, coerce in _CONFIG_COERCERS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=coerce, default=None)
+    _add_trainer_flags(p)
     p.set_defaults(func=_cmd_train_vae)
 
     p = sub.add_parser("sweep-vocab", help="train across vocab sizes, with and without "
@@ -366,18 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", required=True, help="comma-separated vocab sizes")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="vocab_sweep.csv")
-    p.add_argument("--config", help="flat key = value settings file")
-    for key, coerce in _CONFIG_COERCERS.items():
-        if key != "vocab_size":
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=coerce, default=None)
-    p.set_defaults(func=_cmd_sweep_vocab, vocab_size=None)
+    _add_trainer_flags(p, skip=("vocab_size",))
+    p.set_defaults(func=_cmd_sweep_vocab)
 
     p = sub.add_parser("sample", help="sample a waypoint track with the toy denoiser")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_bounded_int(1, ddim.NUM_TRAIN_STEPS), default=20)
     # default guidance strength is an arbitrary starting point; sweep it
     p.add_argument("--cfg-scale", dest="cfg_scale", type=float, default=2.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--waypoints", type=int, default=10)
+    p.add_argument("--waypoints", type=_bounded_int(1, motion.MAX_FRAMES), default=10)
     p.add_argument("--heading", type=float, default=None,
                    help="condition the toy denoiser on this heading (radians)")
     p.add_argument("--two-pass", action="store_true", dest="two_pass",
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="placement report JSON path")
     p.add_argument("--threshold", type=float, default=1e-3,
                    help="max penetration (m) still considered feasible")
-    p.add_argument("--yaw-count", dest="yaw_count", type=int, default=16)
+    p.add_argument("--yaw-count", dest="yaw_count", type=_bounded_int(1), default=16)
     p.set_defaults(func=_cmd_populate)
 
     p = sub.add_parser("score", help="collision/contact scores for one motion")

@@ -2,8 +2,9 @@
 
 The denoiser is any callable ``f(w_t, t, condition) -> w0_hat`` that predicts
 the clean sample directly.  Sampling walks an evenly strided, descending
-subset of the training steps with eta = 0, so a (seed, schedule, denoiser)
-triple always reproduces the same output bit for bit.
+subset of the ``NUM_TRAIN_STEPS`` training steps of one fixed linear-beta
+schedule with eta = 0, so a (seed, denoiser) pair always reproduces the
+same output bit for bit.
 """
 
 from __future__ import annotations
@@ -18,40 +19,15 @@ DenoiserFn = Callable[[np.ndarray, int, Any], np.ndarray]
 # Row stride of the coarse first pass of two_pass_sample.
 COARSE_STRIDE = 2
 
+# The noise schedule: betas rise linearly from 1e-4 to 2e-2 over the training
+# steps, and ALPHA_BARS[t] is the product of (1 - beta) up to step t.
+NUM_TRAIN_STEPS = 1000
+ALPHA_BARS = np.cumprod(1.0 - np.linspace(1e-4, 2e-2, NUM_TRAIN_STEPS))
+ALPHA_BARS.setflags(write=False)
+
 
 class SamplerError(ValueError):
-    """Raised for schedule misuse or ill-shaped denoiser output."""
-
-
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Linear-beta variance schedule with cached cumulative products."""
-
-    num_train_steps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 2e-2
-
-    def __post_init__(self):
-        if self.num_train_steps < 1:
-            raise SamplerError(f"num_train_steps must be >= 1, got {self.num_train_steps}")
-        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
-            raise SamplerError(
-                f"betas must satisfy 0 < start <= end < 1, got ({self.beta_start}, {self.beta_end})"
-            )
-        betas = np.linspace(self.beta_start, self.beta_end, self.num_train_steps)
-        alpha_bars = np.cumprod(1.0 - betas)
-        betas.setflags(write=False)
-        alpha_bars.setflags(write=False)
-        object.__setattr__(self, "_betas", betas)
-        object.__setattr__(self, "_alpha_bars", alpha_bars)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return self._betas
-
-    @property
-    def alpha_bars(self) -> np.ndarray:
-        return self._alpha_bars
+    """Raised for a step count out of range or ill-shaped denoiser output."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +78,13 @@ def apply_cfg(w_uncond: np.ndarray, w_cond: np.ndarray, scale: float) -> np.ndar
     return (1.0 - scale) * w_uncond + scale * w_cond
 
 
-def inference_steps(schedule: NoiseSchedule, num_infer_steps: int) -> np.ndarray:
+def inference_steps(num_infer_steps: int) -> np.ndarray:
     """Evenly spaced descending step subset, always starting at the top step."""
-    if not 1 <= num_infer_steps <= schedule.num_train_steps:
+    if not 1 <= num_infer_steps <= NUM_TRAIN_STEPS:
         raise SamplerError(
-            f"num_infer_steps must be in [1, {schedule.num_train_steps}], got {num_infer_steps}"
+            f"num_infer_steps must be in [1, {NUM_TRAIN_STEPS}], got {num_infer_steps}"
         )
-    raw = np.linspace(schedule.num_train_steps - 1, 0, num_infer_steps)
+    raw = np.linspace(NUM_TRAIN_STEPS - 1, 0, num_infer_steps)
     steps = np.unique(np.rint(raw).astype(np.int64))[::-1]
     return steps
 
@@ -135,7 +111,6 @@ def _predict_clean(
 def ddim_sample(
     denoiser: DenoiserFn,
     shape: tuple,
-    schedule: NoiseSchedule,
     num_infer_steps: int = 20,
     guidance: Optional[GuidanceConfig] = None,
     seed: int = 0,
@@ -146,16 +121,15 @@ def ddim_sample(
     implied noise, and re-noises to the next smaller step; the return value
     is the clean prediction at the final step.
     """
-    steps = inference_steps(schedule, num_infer_steps)
+    steps = inference_steps(num_infer_steps)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(shape)
-    alpha_bars = schedule.alpha_bars
     for i, t in enumerate(steps):
         w0_hat = _predict_clean(denoiser, w, int(t), guidance)
         if i == len(steps) - 1:
             return w0_hat
-        ab_t = alpha_bars[t]
-        ab_next = alpha_bars[steps[i + 1]]
+        ab_t = ALPHA_BARS[t]
+        ab_next = ALPHA_BARS[steps[i + 1]]
         eps_hat = (w - np.sqrt(ab_t) * w0_hat) / np.sqrt(1.0 - ab_t)
         w = np.sqrt(ab_next) * w0_hat + np.sqrt(1.0 - ab_next) * eps_hat
         if not np.all(np.isfinite(w)):
@@ -166,7 +140,6 @@ def ddim_sample(
 def two_pass_sample(
     denoiser: DenoiserFn,
     shape: tuple,
-    schedule: NoiseSchedule,
     num_infer_steps: int = 20,
     guidance: Optional[GuidanceConfig] = None,
     seed: int = 0,
@@ -181,31 +154,27 @@ def two_pass_sample(
     """
     rows = shape[0]
     coarse_rows = (rows + COARSE_STRIDE - 1) // COARSE_STRIDE
-    coarse = ddim_sample(denoiser, (coarse_rows,) + tuple(shape[1:]), schedule,
-                         num_infer_steps, guidance, seed)
+    coarse = ddim_sample(denoiser, (coarse_rows,) + tuple(shape[1:]), num_infer_steps,
+                         guidance, seed)
     upsampled = np.repeat(coarse, COARSE_STRIDE, axis=0)[:rows]
     if guidance is None:
         base = Condition(coarse=upsampled)
         fine_denoiser = lambda w, t, c: denoiser(w, t, base)  # noqa: E731
-        return ddim_sample(fine_denoiser, shape, schedule, num_infer_steps, None, seed + 1)
+        return ddim_sample(fine_denoiser, shape, num_infer_steps, None, seed + 1)
     fine_guidance = GuidanceConfig(scale=guidance.scale,
                                    condition=replace(guidance.condition, coarse=upsampled))
-    return ddim_sample(denoiser, shape, schedule, num_infer_steps, fine_guidance, seed + 1)
+    return ddim_sample(denoiser, shape, num_infer_steps, fine_guidance, seed + 1)
 
 
 def gaussian_posterior_denoiser(
-    mean: np.ndarray, sigma: float, schedule: NoiseSchedule
-) -> DenoiserFn:
-    """Analytically optimal clean-sample predictor for N(mean, sigma^2 I) data.
+    w_t: np.ndarray, t: int, mean: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Analytically optimal clean-sample prediction for N(mean, sigma^2 I) data.
 
     Under w_t = sqrt(ab)*w0 + sqrt(1-ab)*eps the posterior mean of w0 is
     (sqrt(ab)*sigma^2*w_t + (1-ab)*mean) / (ab*sigma^2 + 1-ab).
     """
     mean = np.asarray(mean, dtype=np.float64)
-
-    def denoiser(w_t: np.ndarray, t: int, condition: Any) -> np.ndarray:
-        ab = schedule.alpha_bars[int(t)]
-        denom = ab * sigma * sigma + (1.0 - ab)
-        return (np.sqrt(ab) * sigma * sigma * w_t + (1.0 - ab) * mean) / denom
-
-    return denoiser
+    ab = ALPHA_BARS[int(t)]
+    denom = ab * sigma * sigma + (1.0 - ab)
+    return (np.sqrt(ab) * sigma * sigma * w_t + (1.0 - ab) * mean) / denom

@@ -206,21 +206,3 @@ def read_vae(path) -> ToyVaeParams:
             tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
         _expect_end(handle)
     return ToyVaeParams(tensors=tensors, vocab_size=vocab, hidden_width=hidden)
-
-
-def parse_flat_config(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    settings = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FileFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise FileFormatError(f"{path}:{lineno}: empty key or value")
-        if key in settings:
-            raise FileFormatError(f"{path}:{lineno}: duplicate key {key!r}")
-        settings[key] = value
-    return settings

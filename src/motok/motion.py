@@ -85,10 +85,6 @@ class SixDof:
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "orientation", r)
 
-    @classmethod
-    def identity(cls) -> "SixDof":
-        return cls(np.zeros(3), np.zeros(3))
-
     def rotation_matrix(self) -> np.ndarray:
         return axis_angle_to_matrix(self.orientation)
 

@@ -23,11 +23,10 @@ search stops there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .motion import MotionSequence, SixDof, to_global
+from .motion import OBJ_POS, MotionSequence, SixDof, to_global
 from .scene import (
     SceneVoxelGrid,
     SignedDistanceField,
@@ -43,6 +42,9 @@ CHUNK_FRAMES = 8
 # same values in different orders, so a candidate that ties the best must not
 # be dropped over the last bits.
 PRUNE_SLACK = 1e-9
+# Height (m) of the cell layer the search stands on: the seed cell and the
+# lattice are the cells free at this height.
+STANDING_HEIGHT = 0.9
 # Coordinate-descent rounds after the coarse scan; each halves the step sizes.
 REFINE_ROUNDS = 3
 # Unit (dx, dz, dyaw) steps of one refinement pass, scaled by the round's steps.
@@ -80,9 +82,9 @@ class PlacementOffset:
 class PlacementConfig:
     """Yaws of the coarse lattice and the feasibility verdict.
 
-    The search always stands at 0.9 m, seeds from the free cell with the
-    most clearance, refines for ``REFINE_ROUNDS`` rounds, and scores the
-    object position with the body whenever the clip carries one.
+    The search always stands at ``STANDING_HEIGHT``, seeds from the free
+    cell with the most clearance, refines for ``REFINE_ROUNDS`` rounds, and
+    scores the object position with the body whenever the clip carries one.
     """
 
     yaw_count: int = 16
@@ -120,18 +122,18 @@ def wrap_angle(angle: float) -> float:
     return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def _standing_centers(grid: SceneVoxelGrid, standing_height: float):
+def _standing_centers(grid: SceneVoxelGrid):
     """Standing cell layer ``iy`` and its cell-center x and z, each (nx, nz)."""
     nx, nz, ny = grid.shape
     c = grid.cell_size
-    iy = int(np.clip(np.floor(standing_height / c), 0, ny - 1))
+    iy = int(np.clip(np.floor(STANDING_HEIGHT / c), 0, ny - 1))
     xs = grid.origin[0] + c * (np.arange(nx) + 0.5)
     zs = grid.origin[2] + c * (np.arange(nz) + 0.5)
     grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
     return iy, grid_x, grid_z
 
 
-def _clearance_map(grid: SceneVoxelGrid, sdf: SignedDistanceField, standing_height: float):
+def _clearance_map(grid: SceneVoxelGrid, sdf: SignedDistanceField):
     """Per-column clearance at standing height, and the standing cell layer.
 
     Clearance is the smaller of the SDF value and the planar distance to the
@@ -139,7 +141,7 @@ def _clearance_map(grid: SceneVoxelGrid, sdf: SignedDistanceField, standing_heig
     """
     nx, nz, _ = grid.shape
     c = grid.cell_size
-    iy, grid_x, grid_z = _standing_centers(grid, standing_height)
+    iy, grid_x, grid_z = _standing_centers(grid)
     y = grid.origin[1] + c * (iy + 0.5)
     centers = np.stack([grid_x, np.full((nx, nz), y), grid_z], axis=-1)
     sdf_vals = sample_sdf(sdf, centers.reshape(-1, 3)).reshape(nx, nz)
@@ -148,19 +150,14 @@ def _clearance_map(grid: SceneVoxelGrid, sdf: SignedDistanceField, standing_heig
     return np.minimum(sdf_vals, np.minimum(edge_x, edge_z)), iy
 
 
-def find_seed_position(
-    grid: SceneVoxelGrid,
-    standing_height: float = 0.9,
-    sdf: Optional[SignedDistanceField] = None,
-) -> np.ndarray:
+def find_seed_position(grid: SceneVoxelGrid, sdf: SignedDistanceField) -> np.ndarray:
     """Free cell center with the most clearance at standing height.
 
-    Ties break toward the lowest (x, then z) index.  Raises
-    :class:`SceneLessError` when no cell is free at standing height.
+    ``sdf`` is the grid's own SDF.  Ties break toward the lowest (x, then z)
+    index.  Raises :class:`SceneLessError` when no cell is free at standing
+    height.
     """
-    if sdf is None:
-        sdf = build_sdf(grid)
-    clearance, iy = _clearance_map(grid, sdf, standing_height)
+    clearance, iy = _clearance_map(grid, sdf)
     free = grid.occupancy[:, :, iy] == 0
     if not free.any():
         raise SceneLessError("no free cell at standing height")
@@ -172,19 +169,19 @@ def find_seed_position(
 def _candidate_keypoints(seq: MotionSequence) -> np.ndarray:
     """Canonical keypoints (T, J, 3); a nonzero object position joins as an extra point."""
     kp = body_keypoints(seq)
-    obj = seq.frames[:, 69:72]
+    obj = seq.frames[:, OBJ_POS]
     if np.any(obj != 0.0):
         kp = np.concatenate([kp, obj[:, None, :]], axis=1)
     return kp
 
 
-def placement_lattice(grid: SceneVoxelGrid, standing_height: float = 0.9) -> np.ndarray:
+def placement_lattice(grid: SceneVoxelGrid) -> np.ndarray:
     """Coarse candidate (x, z) positions: centers of cells free at standing height.
 
     This is the search lattice optimize_placement scans at every yaw, exposed
     so external checks can enumerate the identical candidate set.
     """
-    iy, grid_x, grid_z = _standing_centers(grid, standing_height)
+    iy, grid_x, grid_z = _standing_centers(grid)
     free = grid.occupancy[:, :, iy] == 0
     return np.stack([grid_x[free], grid_z[free]], axis=-1)
 
@@ -270,7 +267,7 @@ def optimize_placement(
     if not seq.is_canonical:
         raise ValueError("optimize_placement expects a canonical sequence")
     sdf = build_sdf(grid)
-    seed = find_seed_position(grid, sdf=sdf)
+    seed = find_seed_position(grid, sdf)
     kp = _candidate_keypoints(seq)
 
     lattice_xz = placement_lattice(grid)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ddim import NoiseSchedule, gaussian_posterior_denoiser
+from .ddim import gaussian_posterior_denoiser
 from .motion import FRAME_DIM, MotionSequence
 from .vae import SEGMENT_LEN
 
@@ -107,28 +107,24 @@ def toy_walk_track(num_waypoints: int, heading: float = 0.0) -> np.ndarray:
     return track
 
 
-def toy_walk_denoiser(schedule: NoiseSchedule):
-    """Clean-sample predictor pulling noisy waypoint tracks toward a walk.
+def toy_walk_denoiser(w_t: np.ndarray, t: int, condition) -> np.ndarray:
+    """Clean-sample predictor pulling a noisy waypoint track toward a walk.
 
-    The condition's ``text`` slot, when present, is read as a heading in
-    radians; a ``coarse`` track from a first sampling pass is blended into
-    the walk mean.  Each call is :func:`ddim.gaussian_posterior_denoiser`
-    around the heading-dependent track, so sampling stays deterministic per
-    seed while varying smoothly with the guidance scale.
+    This is a ``ddim.DenoiserFn``, handed to the sampler as it is.  The
+    condition's ``text`` slot, when present, is read as a heading in radians;
+    a ``coarse`` track from a first sampling pass is blended into the walk
+    mean.  The prediction is :func:`ddim.gaussian_posterior_denoiser` around
+    the heading-dependent track with spread ``WALK_SIGMA``, so sampling stays
+    deterministic per seed while varying smoothly with the guidance scale.
     """
-
-    def denoiser(w_t: np.ndarray, t: int, condition) -> np.ndarray:
-        heading = 0.0
-        coarse = None
-        if condition is not None:
-            if condition.text is not None:
-                heading = float(condition.text)
-            coarse = condition.coarse
-        # sized from the noisy input so strided coarse passes work too
-        mean = toy_walk_track(w_t.shape[0], heading)
-        if coarse is not None:
-            mean = 0.5 * (mean + np.asarray(coarse, dtype=np.float64))
-        return gaussian_posterior_denoiser(mean, WALK_SIGMA, schedule)(w_t, t, condition)
-
-    return denoiser
-
+    heading = 0.0
+    coarse = None
+    if condition is not None:
+        if condition.text is not None:
+            heading = float(condition.text)
+        coarse = condition.coarse
+    # sized from the noisy input so strided coarse passes work too
+    mean = toy_walk_track(w_t.shape[0], heading)
+    if coarse is not None:
+        mean = 0.5 * (mean + np.asarray(coarse, dtype=np.float64))
+    return gaussian_posterior_denoiser(w_t, t, mean, WALK_SIGMA)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lfq import LfqCodebook
+from .vae import SEGMENT_LEN
 
 
 class TokenError(ValueError):
@@ -23,7 +24,7 @@ class TokenStream:
 
     indices: np.ndarray
     vocab_size: int
-    segment_len: int = 8
+    segment_len: int = SEGMENT_LEN
 
     def __post_init__(self):
         codebook = LfqCodebook.from_vocab_size(self.vocab_size)

@@ -1,9 +1,11 @@
-"""Every public top-level function and class of motok has a caller outside tests.
+"""Every public name of motok has a caller outside tests.
 
-A name counts as used when it is read (as a name or an attribute) in a
-``src/motok`` module other than ``__init__.py``, outside its own definition,
-or anywhere in ``scripts/`` or ``perfbench/``.  Names are matched by spelling
-alone, which can only hide an unused name, never flag a used one.
+Public names are the top-level functions and classes of ``src/motok`` and
+the methods and properties of its public classes.  A name counts as used
+when it is read (as a name or an attribute) in a ``src/motok`` module other
+than ``__init__.py``, outside its own definition, or anywhere in
+``scripts/`` or ``perfbench/``.  Names are matched by spelling alone, which
+can only hide an unused name, never flag a used one.
 """
 
 import ast
@@ -42,12 +44,20 @@ def _library() -> dict[Path, ast.Module]:
             if path.name != "__init__.py"}
 
 
+def _public(body: list) -> list:
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_definitions(library: dict[Path, ast.Module]):
+    """(path, qualified name, node) of each public top-level name and public method."""
     for path, tree in library.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield path, node
+        for node in _public(tree.body):
+            yield path, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    yield path, f"{node.name}.{method.name}", method
 
 
 def test_public_names_have_a_caller_outside_tests():
@@ -57,15 +67,15 @@ def test_public_names_have_a_caller_outside_tests():
         for path in sorted((ROOT / folder).glob("**/*.py")):
             outside |= _reads(_parse(path))
     unused = []
-    for path, node in _public_definitions(library):
+    for path, name, node in _public_definitions(library):
         used = set(outside)
         for other, tree in library.items():
             used |= _reads(tree, skip=node if other == path else None)
-        if node.name not in used and node.name not in ALLOWED_UNUSED:
-            unused.append(f"{path.name}:{node.lineno} {node.name}")
+        if node.name not in used and name not in ALLOWED_UNUSED:
+            unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"public names used only by tests: {unused}"
 
 
 def test_allowlist_names_still_exist():
-    defined = {node.name for _, node in _public_definitions(_library())}
+    defined = {name for _, name, _ in _public_definitions(_library())}
     assert ALLOWED_UNUSED <= defined

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from motok import fileio, metrics, synth, vae
-from motok.cli import dispatch
+from motok.cli import _vae_config, build_parser, dispatch
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.vae import pad_frames, reconstruction_mse
@@ -163,25 +164,6 @@ class TestTrainVae:
         history = (out / "loss_history.csv").read_text().splitlines()
         assert history[0] == "epoch,recon,commit,entropy,total"
         assert len(history) == 6
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        data_dir = write_corpus(tmp_path)
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text("vocab_size = 16\nhidden_width = 6\nepochs = 4\n"
-                       "learning_rate = 0.1\nseed = 3\n")
-        out = tmp_path / "p.vae"
-        assert dispatch(["train-vae", "--config", str(cfg), "--data", str(data_dir),
-                         "--out", str(out), "--epochs", "2"]) == 0
-        history = (tmp_path / "loss_history.csv").read_text().splitlines()
-        assert len(history) == 3  # flag overrode the file's epoch count
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        data_dir = write_corpus(tmp_path)
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text("optimizer = adam\n")
-        assert dispatch(["train-vae", "--config", str(cfg), "--data", str(data_dir),
-                         "--out", str(tmp_path / "p.vae")]) == 2
-        assert "unknown config key" in capsys.readouterr().err
 
 
 class TestSample:
@@ -383,3 +365,74 @@ class TestSweepVocab:
         assert dispatch(["sweep-vocab", "--ks", "a,b", "--data", str(data_dir),
                          "--out", str(tmp_path / "s.csv")]) == 2
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Valid inputs for every command, so only the flag under test is bad."""
+    root = tmp_path_factory.mktemp("inputs")
+    data_dir = write_corpus(root, num=2, frames=16)
+    vae_path = root / "p.vae"
+    assert dispatch(["train-vae", "--data", str(data_dir), "--out", str(vae_path),
+                     "--vocab-size", "16", "--hidden-width", "4", "--epochs", "1"]) == 0
+    mtok = root / "t.mtok"
+    assert dispatch(["tokenize", "--vae", str(vae_path),
+                     "--in", str(data_dir / "seq00.mseq"), "--out", str(mtok)]) == 0
+    motion_path = root / "walk.mseq"
+    fileio.write_mseq(motion_path, synth.make_walk_sequence(num_frames=9))
+    return {"data": data_dir, "vae": vae_path, "mtok": mtok,
+            "scene": make_room(root), "motion": motion_path}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--waypoints", "0", "--out", "{out}/s.mseq"],
+     "argument --waypoints: must be in [1, 304], got 0"),
+    (["sample", "--waypoints", "400", "--out", "{out}/s.mseq"],
+     "argument --waypoints: must be in [1, 304], got 400"),
+    (["sample", "--steps", "0", "--out", "{out}/s.mseq"],
+     "argument --steps: must be in [1, 1000], got 0"),
+    (["sample", "--steps", "1001", "--out", "{out}/s.mseq"],
+     "argument --steps: must be in [1, 1000], got 1001"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--vocab-size", "100"],
+     "vocab_size must be a power of two >= 2, got 100"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--epochs", "0"],
+     "epochs must be >= 1, got 0"),
+    (["sweep-vocab", "--ks", "64,100", "--data", "{data}", "--out", "{out}/k.csv",
+      "--epochs", "1"],
+     "vocab_size must be a power of two >= 2, got 100"),
+    (["detokenize", "--vae", "{vae}", "--in", "{mtok}", "--out", "{out}/d.mseq",
+      "--fps", "0"],
+     "argument --fps: must be >= 1, got 0"),
+    (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
+      "--report", "{out}/r.json", "--yaw-count", "0"],
+     "argument --yaw-count: must be >= 1, got 0"),
+    (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
+      "--report", "{out}/r.json", "--threshold", "-1"],
+     "feasibility_threshold must be >= 0"),
+])
+def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    code = dispatch([arg.format(out=out, **cli_inputs) for arg in argv])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def _non_default(value):
+    # doubling keeps vocab_size a power of two; a zero default becomes 1
+    return value * 2 or 1
+
+
+@pytest.mark.parametrize("argv, fixed", [
+    (["train-vae", "--data", "d", "--out", "o.vae"], ()),
+    (["sweep-vocab", "--ks", "4", "--data", "d"], ("vocab_size",)),
+])
+def test_every_trainer_setting_has_its_own_flag(argv, fixed):
+    fields = [f for f in dataclasses.fields(vae.ToyVaeConfig) if f.name not in fixed]
+    expected = dataclasses.asdict(vae.ToyVaeConfig())
+    for f in fields:
+        expected[f.name] = _non_default(f.default)
+        argv = argv + [f"--{f.name.replace('_', '-')}", str(expected[f.name])]
+    assert dataclasses.asdict(_vae_config(build_parser().parse_args(argv))) == expected

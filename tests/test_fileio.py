@@ -7,7 +7,6 @@ from motok.cli import dispatch
 from motok.fileio import (
     FileFormatError,
     atomic_write,
-    parse_flat_config,
     read_feat,
     read_mseq,
     read_mtok,
@@ -202,22 +201,3 @@ class TestAtomicWrite:
         with atomic_write(target) as handle:
             handle.write(b"new")
         assert target.read_bytes() == b"new"
-
-
-class TestFlatConfig:
-    def test_parses_and_strips(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("# trainer settings\nvocab_size = 512\n\nepochs=20 # short\n")
-        assert parse_flat_config(path) == {"vocab_size": "512", "epochs": "20"}
-
-    def test_rejects_duplicate_keys(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("seed = 1\nseed = 2\n")
-        with pytest.raises(FileFormatError):
-            parse_flat_config(path)
-
-    def test_rejects_bad_lines(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("just words\n")
-        with pytest.raises(FileFormatError):
-            parse_flat_config(path)

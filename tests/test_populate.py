@@ -12,6 +12,7 @@ from motok.populate import (
     PlacementConfig,
     PlacementOffset,
     REFINE_ROUNDS,
+    STANDING_HEIGHT,
     SceneLessError,
     _candidate_keypoints,
     find_seed_position,
@@ -29,6 +30,8 @@ from motok.scene import (
 from motok.synth import make_walk_sequence
 
 CELL = 0.1
+# the cell layer the search stands on, in CELL-sized grids with more layers than this
+STAND_IY = int(np.floor(STANDING_HEIGHT / CELL))
 
 
 def empty_room(nx=7, nz=9, ny=4):
@@ -70,7 +73,7 @@ def _brute_force_placement(seq, grid, config=PlacementConfig()):
     coordinate-descent refinement.
     """
     sdf = build_sdf(grid)
-    seed = find_seed_position(grid, sdf=sdf)
+    seed = find_seed_position(grid, sdf)
     kp = _candidate_keypoints(seq)
 
     def score_offsets(xz, yaw):
@@ -148,27 +151,26 @@ def assert_counters(result, seed_scores_zero):
 class TestSeedPosition:
     def test_empty_room_picks_geometric_center(self):
         # square room: the clearance maximum is the unique center cell
-        grid = empty_room(nx=9, nz=9)
-        seed = find_seed_position(grid, standing_height=0.15)
-        np.testing.assert_allclose(seed, grid.cell_center(4, 4, 1))
+        grid = empty_room(nx=9, nz=9, ny=12)
+        seed = find_seed_position(grid, build_sdf(grid))
+        np.testing.assert_allclose(seed, grid.cell_center(4, 4, STAND_IY))
 
     def test_even_dims_tie_breaks_to_low_index(self):
-        grid = empty_room(nx=8, nz=8)
-        seed = find_seed_position(grid, standing_height=0.15)
-        np.testing.assert_allclose(seed[[0, 2]], grid.cell_center(3, 3, 1)[[0, 2]])
+        grid = empty_room(nx=8, nz=8, ny=12)
+        seed = find_seed_position(grid, build_sdf(grid))
+        np.testing.assert_allclose(seed[[0, 2]], grid.cell_center(3, 3, STAND_IY)[[0, 2]])
 
     def test_fully_occupied_raises(self):
         grid = SceneVoxelGrid(np.ones((4, 4, 4), dtype=np.uint8), np.zeros(3), CELL)
         with pytest.raises(SceneLessError):
-            find_seed_position(grid)
+            find_seed_position(grid, build_sdf(grid))
 
     def test_l_shaped_region_matches_brute_force(self, rng):
-        occ = np.zeros((12, 12, 4), dtype=np.uint8)
+        occ = np.zeros((12, 12, 12), dtype=np.uint8)
         occ[6:, 6:, :] = 1  # occupy one quadrant so the free space is an L
         grid = SceneVoxelGrid(occ, np.zeros(3), CELL)
-        height = 0.15
-        iy = 1
-        seed = find_seed_position(grid, standing_height=height)
+        iy = STAND_IY
+        seed = find_seed_position(grid, build_sdf(grid))
 
         occupied = np.argwhere(occ == 1)
         best_val, best_cell = -np.inf, None
@@ -192,7 +194,7 @@ class TestOptimizePlacement:
         grid = empty_room(nx=9, nz=9, ny=12)
         seq = make_walk_sequence(num_frames=15, speed=0.3)
         result = optimize_placement(seq, grid)
-        seed = find_seed_position(grid)
+        seed = find_seed_position(grid, build_sdf(grid))
         assert result.collision == 0.0
         assert result.feasible
         np.testing.assert_allclose(result.offset.xz_translation, seed[[0, 2]])
