@@ -297,11 +297,22 @@ def _cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def _parse_root_pose(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("root pose needs 6 comma-separated numbers")
-    return [float(p) for p in parts]
+    return [_finite_float(p) for p in parts]
 
 
 def _bounded_int(low: int, high: int | None = None):
@@ -375,10 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a waypoint track with the toy denoiser")
     p.add_argument("--steps", type=_bounded_int(1, ddim.NUM_TRAIN_STEPS), default=20)
     # default guidance strength is an arbitrary starting point; sweep it
-    p.add_argument("--cfg-scale", dest="cfg_scale", type=float, default=2.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cfg-scale", dest="cfg_scale", type=_finite_float, default=2.5)
+    p.add_argument("--seed", type=_bounded_int(0), default=0)
     p.add_argument("--waypoints", type=_bounded_int(1, motion.MAX_FRAMES), default=10)
-    p.add_argument("--heading", type=float, default=None,
+    p.add_argument("--heading", type=_finite_float, default=None,
                    help="condition the toy denoiser on this heading (radians)")
     p.add_argument("--two-pass", action="store_true", dest="two_pass",
                    help="coarse-to-fine: strided first pass conditions the second")
@@ -390,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="placement report JSON path")
-    p.add_argument("--threshold", type=float, default=1e-3,
+    p.add_argument("--threshold", type=_finite_float, default=1e-3,
                    help="max penetration (m) still considered feasible")
     p.add_argument("--yaw-count", dest="yaw_count", type=_bounded_int(1), default=16)
     p.set_defaults(func=_cmd_populate)
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--pool-size", dest="pool_size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded_int(0), default=0)
     p.add_argument("--motion", help="optional motion for geometry scores "
                                     "(needs --scene and/or --object)")
     p.add_argument("--scene", help="optional scene voxels for geometry scores")

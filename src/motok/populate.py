@@ -93,7 +93,7 @@ class PlacementConfig:
     def __post_init__(self):
         if self.yaw_count < 1:
             raise ValueError(f"yaw_count must be >= 1, got {self.yaw_count}")
-        if self.feasibility_threshold < 0:
+        if not self.feasibility_threshold >= 0:  # NaN fails every comparison
             raise ValueError("feasibility_threshold must be >= 0")
 
 

@@ -1,17 +1,20 @@
 """Desk-scale trainable LFQ autoencoder over 8-frame motion segments.
 
-The encoder halves the temporal axis three times with affine pooling layers
-(concatenate neighboring steps, apply an affine map, tanh), so each 8-frame
-segment maps independently to one latent of log2(vocab_size) dimensions.
-The decoder mirrors the structure with affine upsampling.  Gradients are
-computed by hand in reverse mode; the quantization node uses the
-straight-through rule (the reconstruction gradient passes through the sign
-function as identity, and the sign pattern itself is never differentiated).
+The network is declared once, in the layer table ``_LAYERS``.  Each row is an
+affine map on its input reshaped to ``(-1, input width)``, optionally followed
+by tanh; a row whose input is twice the previous output width pools two
+neighboring steps, so three encoder rows halve the temporal axis three times
+and each 8-frame segment maps to one latent of log2(vocab_size) dimensions.
+The decoder rows mirror them.  Parameter names and shapes, the init draw
+order, the forward pass and the hand-written backward all loop over the table.
+It splits at the quantizer seam between ``lat`` and ``dec``: the decoder sees
+the sign pattern of the latent, and the straight-through rule passes the
+reconstruction gradient back through the sign function as identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +30,18 @@ SEGMENT_LEN = 2 ** DOWNSAMPLE_LAYERS
 # imbalanced, which is the failure mode the entropy term exists to fix
 LATENT_BIAS_INIT = 0.4
 
-_PARAM_NAMES = (
-    "enc1_w", "enc1_b", "enc2_w", "enc2_b", "enc3_w", "enc3_b",
-    "lat_w", "lat_b",
-    "dec_w", "dec_b", "up3_w", "up3_b", "up2_w", "up2_b", "up1_w", "up1_b",
+# (name, input width, output width, tanh?); a width is "h" (hidden_width), "d"
+# (log2 vocab_size) or twice "c" (the 75 frame channels) or "h"
+_LAYERS = (
+    ("enc1", "2c", "h", True), ("enc2", "2h", "h", True), ("enc3", "2h", "h", True),
+    ("lat", "h", "d", False),
+    ("dec", "d", "h", True), ("up3", "h", "2h", True), ("up2", "h", "2h", True),
+    ("up1", "h", "2c", False),
 )
+# the quantizer seam: rows before it encode, rows from it on decode
+_ENCODER, _DECODER = _LAYERS[:4], _LAYERS[4:]
+
+_PARAM_NAMES = tuple(f"{name}_{kind}" for name, *_ in _LAYERS for kind in "wb")
 
 # frozen per-channel preprocessing constants; never touched by the optimizer
 _FIXED_NAMES = ("in_shift", "in_scale")
@@ -64,6 +74,9 @@ class ToyVaeConfig:
 
     def __post_init__(self):
         LfqCodebook.from_vocab_size(self.vocab_size)
+        for name in ("lambda_commit", "lambda_entropy", "entropy_temperature", "learning_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise VaeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.hidden_width < 1:
             raise VaeError(f"hidden_width must be >= 1, got {self.hidden_width}")
         if self.lambda_commit < 0 or self.lambda_entropy < 0:
@@ -74,6 +87,8 @@ class ToyVaeConfig:
             raise VaeError("learning_rate must be > 0")
         if self.epochs < 1:
             raise VaeError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise VaeError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def num_dims(self) -> int:
@@ -130,18 +145,12 @@ class ToyVaeParams:
 
 
 def _shapes(hidden: int, dims: int) -> dict[str, tuple]:
-    h, d, c = hidden, dims, FRAME_DIM
-    return {
-        "enc1_w": (2 * c, h), "enc1_b": (h,),
-        "enc2_w": (2 * h, h), "enc2_b": (h,),
-        "enc3_w": (2 * h, h), "enc3_b": (h,),
-        "lat_w": (h, d), "lat_b": (d,),
-        "dec_w": (d, h), "dec_b": (h,),
-        "up3_w": (h, 2 * h), "up3_b": (2 * h,),
-        "up2_w": (h, 2 * h), "up2_b": (2 * h,),
-        "up1_w": (h, 2 * c), "up1_b": (2 * c,),
-        "in_shift": (c,), "in_scale": (c,),
-    }
+    width = {"2c": 2 * FRAME_DIM, "h": hidden, "2h": 2 * hidden, "d": dims}
+    shapes = {}
+    for name, n_in, n_out, _ in _LAYERS:
+        shapes[f"{name}_w"] = (width[n_in], width[n_out])
+        shapes[f"{name}_b"] = (width[n_out],)
+    return {**shapes, "in_shift": (FRAME_DIM,), "in_scale": (FRAME_DIM,)}
 
 
 def channel_stats(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,14 +168,12 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray | None = None) -> Toy
     input standardization.
     """
     rng = np.random.default_rng(config.seed)
+    shapes = _shapes(config.hidden_width, config.num_dims)
     tensors = {}
-    for name, shape in _shapes(config.hidden_width, config.num_dims).items():
-        if name in _FIXED_NAMES:
-            continue
-        if name.endswith("_b"):
-            tensors[name] = np.zeros(shape)
-        else:
-            tensors[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
+    for name, *_ in _LAYERS:
+        n_in, n_out = shapes[f"{name}_w"]
+        tensors[f"{name}_w"] = rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
+        tensors[f"{name}_b"] = np.zeros(n_out)
     tensors["lat_b"] = tensors["lat_b"] + LATENT_BIAS_INIT
     if segments is not None:
         tensors["in_shift"], tensors["in_scale"] = channel_stats(segments)
@@ -195,32 +202,46 @@ def _coerce_frames(seq) -> np.ndarray:
     return seq.frames if isinstance(seq, MotionSequence) else np.asarray(seq, dtype=np.float64)
 
 
-def _encode_forward(t: dict[str, np.ndarray], x: np.ndarray) -> dict[str, np.ndarray]:
-    s = x.shape[0]
-    h = t["enc1_b"].shape[0]
-    xs = (x - t["in_shift"]) / t["in_scale"]
-    h1 = np.tanh(xs.reshape(s, 4, 2 * FRAME_DIM) @ t["enc1_w"] + t["enc1_b"])
-    h2 = np.tanh(h1.reshape(s, 2, 2 * h) @ t["enc2_w"] + t["enc2_b"])
-    h3 = np.tanh(h2.reshape(s, 1, 2 * h) @ t["enc3_w"] + t["enc3_b"])[:, 0, :]
-    z = h3 @ t["lat_w"] + t["lat_b"]
-    return {"xs": xs, "h1": h1, "h2": h2, "h3": h3, "z": z}
+def _forward(t: dict[str, np.ndarray], layers: tuple, a: np.ndarray) -> tuple[np.ndarray, list]:
+    """Run ``layers`` on ``a``: the last output and, per layer, its 2-D (input, output)."""
+    trace = []
+    for name, _, _, squash in layers:
+        w = t[f"{name}_w"]
+        inp = a.reshape(-1, w.shape[0])
+        a = inp @ w + t[f"{name}_b"]
+        if squash:
+            a = np.tanh(a)
+        trace.append((inp, a))
+    return a, trace
 
 
-def _decode_forward(t: dict[str, np.ndarray], q: np.ndarray) -> dict[str, np.ndarray]:
-    s = q.shape[0]
-    h = t["dec_b"].shape[0]
-    g0 = np.tanh(q @ t["dec_w"] + t["dec_b"])
-    g1 = np.tanh((g0 @ t["up3_w"] + t["up3_b"]).reshape(s, 2, h))
-    g2 = np.tanh((g1 @ t["up2_w"] + t["up2_b"]).reshape(s, 4, h))
-    ys = (g2 @ t["up1_w"] + t["up1_b"]).reshape(s, SEGMENT_LEN, FRAME_DIM)
-    y = ys * t["in_scale"] + t["in_shift"]
-    return {"g0": g0, "g1": g1, "g2": g2, "y": y}
+def _backward(t: dict[str, np.ndarray], layers: tuple, trace: list, grad_out: np.ndarray,
+              grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Reverse pass of :func:`_forward`: fills ``grads`` and returns the input gradient."""
+    for (name, _, _, squash), (inp, out) in zip(reversed(layers), reversed(trace)):
+        da = grad_out.reshape(out.shape)
+        if squash:
+            da = da * (1.0 - out * out)
+        grads[f"{name}_w"] = inp.T @ da
+        grads[f"{name}_b"] = da.sum(axis=0)
+        grad_out = da @ t[f"{name}_w"].T
+    return grad_out
+
+
+def _encode(t: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Latents of a segment batch, and the encoder trace for :func:`_backward`."""
+    return _forward(t, _ENCODER, (x - t["in_shift"]) / t["in_scale"])
+
+
+def _decode(t: dict[str, np.ndarray], q: np.ndarray) -> tuple[np.ndarray, list]:
+    """Segments decoded from codes, and the decoder trace for :func:`_backward`."""
+    ys, trace = _forward(t, _DECODER, q)
+    return ys.reshape(-1, SEGMENT_LEN, FRAME_DIM) * t["in_scale"] + t["in_shift"], trace
 
 
 def encode(params: ToyVaeParams, seq) -> np.ndarray:
     """Latent vectors, one per 8-frame segment: shape (ceil(T/8), log2 K)."""
-    segments = segment_frames(_coerce_frames(seq))
-    return _encode_forward(params.tensors, segments)["z"]
+    return _encode(params.tensors, segment_frames(_coerce_frames(seq)))[0]
 
 
 def decode(params: ToyVaeParams, codes) -> np.ndarray:
@@ -234,7 +255,7 @@ def decode(params: ToyVaeParams, codes) -> np.ndarray:
         raise VaeError(f"codes must be (S, {params.num_dims}), got {q.shape}")
     if q.shape[0] < 1:
         raise VaeError("need at least one code")
-    return _decode_forward(params.tensors, q)["y"].reshape(-1, FRAME_DIM)
+    return _decode(params.tensors, q)[0].reshape(-1, FRAME_DIM)
 
 
 def loss_and_grads(
@@ -244,6 +265,11 @@ def loss_and_grads(
     quantize: bool = True,
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Total loss, per-term values, and analytic parameter gradients.
+
+    Forward: the encoder rows of ``_LAYERS``, :func:`motok.lfq.sign_bits` at
+    the latent ``z``, then the decoder rows.  Backward: the decoder rows in
+    reverse, the straight-through, commitment and entropy gradients at ``z``
+    (the quantizer seam), then the encoder rows in reverse.
 
     With ``quantize=False`` the bottleneck is the identity (the decoder sees
     the raw latent); this path is smooth end to end and is what finite
@@ -256,14 +282,10 @@ def loss_and_grads(
     if x.ndim != 3 or x.shape[1:] != (SEGMENT_LEN, FRAME_DIM):
         raise VaeError(f"segments must be (S, {SEGMENT_LEN}, {FRAME_DIM}), got {x.shape}")
     s = x.shape[0]
-    h = config.hidden_width
 
-    enc = _encode_forward(t, x)
-    z = enc["z"]
+    z, enc_trace = _encode(t, x)
     bits = sign_bits(z).astype(np.float64)
-    q = bits if quantize else z
-    dec = _decode_forward(t, q)
-    y = dec["y"]
+    y, dec_trace = _decode(t, bits if quantize else z)
 
     resid = y - x
     recon = float((resid * resid).sum() / x.size)
@@ -274,52 +296,14 @@ def loss_and_grads(
     parts = {"recon": recon, "commit": commit, "entropy": entropy, "total": total}
 
     grads = {}
-    # decoder backward (the raw-space residual crosses the de-standardization)
+    # the raw-space residual crosses the de-standardization into the decoder
     dy = 2.0 * resid / x.size
-    da_u1 = (dy * t["in_scale"]).reshape(s, 4, 2 * FRAME_DIM)
-    g2, g1, g0 = dec["g2"], dec["g1"], dec["g0"]
-    grads["up1_w"] = np.einsum("sij,sik->jk", g2, da_u1)
-    grads["up1_b"] = da_u1.sum(axis=(0, 1))
-    dg2 = da_u1 @ t["up1_w"].T
-    da_u2 = (dg2 * (1.0 - g2 * g2)).reshape(s, 2, 2 * h)
-    grads["up2_w"] = np.einsum("sij,sik->jk", g1, da_u2)
-    grads["up2_b"] = da_u2.sum(axis=(0, 1))
-    dg1 = da_u2 @ t["up2_w"].T
-    da_u3 = (dg1 * (1.0 - g1 * g1)).reshape(s, 2 * h)
-    grads["up3_w"] = g0.T @ da_u3
-    grads["up3_b"] = da_u3.sum(axis=0)
-    dg0 = da_u3 @ t["up3_w"].T
-    da_dec = dg0 * (1.0 - g0 * g0)
-    grads["dec_w"] = q.T @ da_dec
-    grads["dec_b"] = da_dec.sum(axis=0)
-    dq = da_dec @ t["dec_w"].T
-
+    dq = _backward(t, _DECODER, dec_trace, dy * t["in_scale"], grads)
     # straight-through: reconstruction gradient reaches z as identity
-    dz = dq.copy()
-    dz += config.lambda_commit * 2.0 * commit_diff / s
+    dz = dq + config.lambda_commit * 2.0 * commit_diff / s
     if config.lambda_entropy != 0.0:
         dz += config.lambda_entropy * entropy_loss_grad(z, config.entropy_temperature)
-
-    # encoder backward
-    h1, h2, h3 = enc["h1"], enc["h2"], enc["h3"]
-    grads["lat_w"] = h3.T @ dz
-    grads["lat_b"] = dz.sum(axis=0)
-    dh3 = dz @ t["lat_w"].T
-    da_e3 = (dh3 * (1.0 - h3 * h3)).reshape(s, 1, h)
-    h2r = h2.reshape(s, 1, 2 * h)
-    grads["enc3_w"] = np.einsum("sij,sik->jk", h2r, da_e3)
-    grads["enc3_b"] = da_e3.sum(axis=(0, 1))
-    dh2 = (da_e3 @ t["enc3_w"].T).reshape(s, 2, h)
-    da_e2 = dh2 * (1.0 - h2 * h2)
-    h1r = h1.reshape(s, 2, 2 * h)
-    grads["enc2_w"] = np.einsum("sij,sik->jk", h1r, da_e2)
-    grads["enc2_b"] = da_e2.sum(axis=(0, 1))
-    dh1 = (da_e2 @ t["enc2_w"].T).reshape(s, 4, h)
-    da_e1 = dh1 * (1.0 - h1 * h1)
-    xr = enc["xs"].reshape(s, 4, 2 * FRAME_DIM)
-    grads["enc1_w"] = np.einsum("sij,sik->jk", xr, da_e1)
-    grads["enc1_b"] = da_e1.sum(axis=(0, 1))
-
+    _backward(t, _ENCODER, enc_trace, dz, grads)
     return total, parts, grads
 
 

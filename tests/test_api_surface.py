@@ -4,7 +4,10 @@ Public names are the top-level functions and classes of ``src/motok`` and
 the methods and properties of its public classes.  A name counts as used
 when it is read (as a name or an attribute) in a ``src/motok`` module other
 than ``__init__.py``, outside its own definition, or anywhere in
-``scripts/`` or ``perfbench/``.  Names are matched by spelling alone, which
+``scripts/`` or ``perfbench/``.  Private top-level names (functions,
+classes and constants whose name starts with one underscore) must be read
+in some ``src/motok`` module outside their own definition, so a helper left
+behind by a refactor fails here.  Names are matched by spelling alone, which
 can only hide an unused name, never flag a used one.
 """
 
@@ -74,6 +77,36 @@ def test_public_names_have_a_caller_outside_tests():
         if node.name not in used and name not in ALLOWED_UNUSED:
             unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"public names used only by tests: {unused}"
+
+
+def _private_definitions(library: dict[Path, ast.Module]):
+    """(path, name, node) of each private top-level function, class and constant."""
+    for path, tree in library.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                elements = [e for t in targets
+                            for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+                names = [e.id for e in elements if isinstance(e, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield path, name, node
+
+
+def test_private_names_are_read_in_the_package():
+    library = _library()
+    unused = []
+    for path, name, node in _private_definitions(library):
+        used = set()
+        for other, tree in library.items():
+            used |= _reads(tree, skip=node if other == path else None)
+        if name not in used:
+            unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"private names nothing in src/motok reads: {unused}"
 
 
 def test_allowlist_names_still_exist():

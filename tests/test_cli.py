@@ -380,8 +380,10 @@ def cli_inputs(tmp_path_factory):
                      "--in", str(data_dir / "seq00.mseq"), "--out", str(mtok)]) == 0
     motion_path = root / "walk.mseq"
     fileio.write_mseq(motion_path, synth.make_walk_sequence(num_frames=9))
+    feat_path = root / "f.feat"
+    fileio.write_feat(feat_path, np.random.default_rng(0).normal(size=(64, 8)))
     return {"data": data_dir, "vae": vae_path, "mtok": mtok,
-            "scene": make_room(root), "motion": motion_path}
+            "scene": make_room(root), "motion": motion_path, "feat": feat_path}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -409,6 +411,32 @@ def cli_inputs(tmp_path_factory):
     (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
       "--report", "{out}/r.json", "--threshold", "-1"],
      "feasibility_threshold must be >= 0"),
+    (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
+      "--report", "{out}/r.json", "--threshold", "nan"],
+     "argument --threshold: must be a finite number, got nan"),
+    (["sample", "--cfg-scale", "nan", "--out", "{out}/s.mseq"],
+     "argument --cfg-scale: must be a finite number, got nan"),
+    (["sample", "--heading", "nan", "--out", "{out}/s.mseq"],
+     "argument --heading: must be a finite number, got nan"),
+    (["sample", "--seed", "-1", "--out", "{out}/s.mseq"],
+     "argument --seed: must be >= 0, got -1"),
+    (["convert", "--to-global", "--in", "{motion}", "--out", "{out}/c.mseq",
+      "--root-pose=nan,0,0,0,0,0"],
+     "argument --root-pose: must be a finite number, got nan"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--learning-rate", "nan"],
+     "learning_rate must be finite, got nan"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--learning-rate", "inf"],
+     "learning_rate must be finite, got inf"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--lambda-commit", "nan"],
+     "lambda_commit must be finite, got nan"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae",
+      "--entropy-temperature", "nan"],
+     "entropy_temperature must be finite, got nan"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
+      "--report", "{out}/e.json", "--seed", "-1"],
+     "argument --seed: must be >= 0, got -1"),
 ])
 def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs, tmp_path,
                                                         capsys):

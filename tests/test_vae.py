@@ -28,6 +28,8 @@ from motok.vae import (
 
 SMALL = ToyVaeConfig(vocab_size=16, hidden_width=5, lambda_commit=0.05,
                      lambda_entropy=0.01, learning_rate=0.05, epochs=5, seed=3)
+# the narrowest network: every reshape between layers collapses to width 1
+TINY = dataclasses.replace(SMALL, vocab_size=2, hidden_width=1)
 
 
 def small_batch(rng, segments=4):
@@ -123,22 +125,24 @@ class TestShapes:
 class TestGradients:
     def test_identity_bottleneck_matches_finite_differences(self, rng):
         segments = small_batch(rng)
-        params = init_params(SMALL)
-        _, _, analytic = loss_and_grads(params, segments, SMALL, quantize=False)
-        numeric = finite_difference_grads(params, segments, SMALL, quantize=False)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        for config in (SMALL, TINY):
+            params = init_params(config)
+            _, _, analytic = loss_and_grads(params, segments, config, quantize=False)
+            numeric = finite_difference_grads(params, segments, config, quantize=False)
+            assert max_relative_error(analytic, numeric) < 1e-4, config
 
     def test_decoder_grads_match_fd_with_quantization_on(self, rng):
         # the decoder side sees a locally constant code, so true finite
         # differences of the quantized loss apply to its parameters
         segments = small_batch(rng)
-        params = init_params(SMALL)
-        _, _, analytic = loss_and_grads(params, segments, SMALL, quantize=True)
-        numeric = finite_difference_grads(params, segments, SMALL, quantize=True)
         decoder = ("dec_w", "dec_b", "up3_w", "up3_b", "up2_w", "up2_b", "up1_w", "up1_b")
-        worst = max_relative_error({k: analytic[k] for k in decoder},
-                                   {k: numeric[k] for k in decoder})
-        assert worst < 1e-4
+        for config in (SMALL, TINY):
+            params = init_params(config)
+            _, _, analytic = loss_and_grads(params, segments, config, quantize=True)
+            numeric = finite_difference_grads(params, segments, config, quantize=True)
+            worst = max_relative_error({k: analytic[k] for k in decoder},
+                                       {k: numeric[k] for k in decoder})
+            assert worst < 1e-4, config
 
     def test_straight_through_contract_on_encoder(self, rng):
         # encoder gradients of the quantized reconstruction must equal finite
