@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 domain failure (infeasible placement, diverged
 training, malformed data), 2 usage error (bad flags, missing files).  A flag
 value out of range is a usage error too, caught before any file is read or
-written.  Every output file is written atomically.
+written.  A path that cannot be opened, read or written exits 2 as well: its
+``OSError`` is caught once, in :func:`dispatch`, and the one-line message
+names the path given on the command line.  Every output file is written
+atomically, so a failed write leaves no file behind.
 """
 
 from __future__ import annotations
@@ -22,21 +25,7 @@ _DOMAIN_ERRORS = (ValueError, RuntimeError)
 
 
 class UsageError(Exception):
-    """Bad invocation detected after argparse (missing files, bad values)."""
-
-
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"{what} not found: {path}")
-    return p
-
-
-def _require_dir(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_dir():
-        raise UsageError(f"{what} not found: {path}")
-    return p
+    """Bad invocation detected after argparse (bad values, missing inputs)."""
 
 
 def _write_json(path, payload: dict):
@@ -60,7 +49,7 @@ def _write_csv(path, header: list[str], rows: list[list]):
 # ---------------------------------------------------------------------------
 
 def _cmd_convert(args) -> int:
-    seq = fileio.read_mseq(_require_file(args.infile, "input motion"))
+    seq = fileio.read_mseq(args.infile)
     if args.to_global:
         pose = motion.SixDof(translation=np.array(args.root_pose[:3]),
                              orientation=np.array(args.root_pose[3:]))
@@ -72,8 +61,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    params = fileio.read_vae(_require_file(args.vae, "VAE params"))
-    seq = fileio.read_mseq(_require_file(args.infile, "input motion"))
+    params = fileio.read_vae(args.vae)
+    seq = fileio.read_mseq(args.infile)
     indices = vae.tokenize_frames(params, seq.frames)
     stream = tokens.TokenStream(indices=indices, vocab_size=params.vocab_size,
                                 segment_len=vae.SEGMENT_LEN)
@@ -82,8 +71,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_detokenize(args) -> int:
-    params = fileio.read_vae(_require_file(args.vae, "VAE params"))
-    stream = fileio.read_mtok(_require_file(args.infile, "token stream"))
+    params = fileio.read_vae(args.vae)
+    stream = fileio.read_mtok(args.infile)
     if stream.vocab_size != params.vocab_size:
         raise UsageError(
             f"token vocab {stream.vocab_size} does not match VAE vocab {params.vocab_size}"
@@ -99,8 +88,8 @@ def _cmd_detokenize(args) -> int:
     return 0
 
 
-def _load_dataset(data_dir: Path) -> list[motion.MotionSequence]:
-    paths = sorted(data_dir.glob("*.mseq"))
+def _load_dataset(data_dir: str) -> list[motion.MotionSequence]:
+    paths = sorted(Path(data_dir).glob("*.mseq"))
     if not paths:
         raise UsageError(f"no .mseq files in {data_dir}")
     return [fileio.read_mseq(p) for p in paths]
@@ -124,7 +113,7 @@ def _history_csv(path, history: list[dict]):
 
 def _cmd_train_vae(args) -> int:
     config = _vae_config(args)
-    dataset = _load_dataset(_require_dir(args.data, "data directory"))
+    dataset = _load_dataset(args.data)
     params, history = vae.train(config, dataset)
     fileio.write_vae(args.out, params)
     history_path = args.history or str(Path(args.out).parent / "loss_history.csv")
@@ -149,7 +138,7 @@ def _cmd_sweep_vocab(args) -> int:
     if not ks:
         raise UsageError("--ks is empty")
     configs = [_vae_config(args, vocab_size=k) for k in ks]
-    dataset = _load_dataset(_require_dir(args.data, "data directory"))
+    dataset = _load_dataset(args.data)
     rows = []
     for k, cfg in zip(ks, configs):
         params, _ = vae.train(cfg, dataset)
@@ -199,8 +188,8 @@ def _cmd_populate(args) -> int:
                                           feasibility_threshold=args.threshold)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    grid = fileio.read_vox(_require_file(args.scene, "scene voxels"))
-    seq = fileio.read_mseq(_require_file(args.motion, "input motion"))
+    grid = fileio.read_vox(args.scene)
+    seq = fileio.read_mseq(args.motion)
     try:
         result = populate.optimize_placement(seq, grid, config)
     except populate.SceneLessError as exc:
@@ -254,9 +243,9 @@ def _geometry_scores(seq: motion.MotionSequence, grid=None, points=None) -> dict
 
 
 def _cmd_score(args) -> int:
-    seq = fileio.read_mseq(_require_file(args.motion, "input motion"))
-    grid = fileio.read_vox(_require_file(args.scene, "scene voxels")) if args.scene else None
-    points = fileio.read_pts(_require_file(args.object, "object points")) if args.object else None
+    seq = fileio.read_mseq(args.motion)
+    grid = fileio.read_vox(args.scene) if args.scene else None
+    points = fileio.read_pts(args.object) if args.object else None
     if grid is None and points is None:
         raise UsageError("score needs --scene and/or --object")
     report = _geometry_scores(seq, grid, points)
@@ -270,9 +259,9 @@ def _cmd_score(args) -> int:
 def _cmd_eval(args) -> int:
     if bool(args.motion) != bool(args.scene or args.object):
         raise UsageError("geometry scores need --motion with --scene and/or --object")
-    real = fileio.read_feat(_require_file(args.real, "real features"))
-    gen = fileio.read_feat(_require_file(args.gen, "generated features"))
-    text = fileio.read_feat(_require_file(args.text, "text features"))
+    real = fileio.read_feat(args.real)
+    gen = fileio.read_feat(args.gen)
+    text = fileio.read_feat(args.text)
     report = {
         "fid": metrics.frechet_distance(metrics.fit_gaussian(real),
                                         metrics.fit_gaussian(gen)),
@@ -284,10 +273,9 @@ def _cmd_eval(args) -> int:
     for k, acc in enumerate(top, start=1):
         report[f"r{k}"] = acc
     if args.motion:
-        seq = fileio.read_mseq(_require_file(args.motion, "input motion"))
-        grid = fileio.read_vox(_require_file(args.scene, "scene voxels")) if args.scene else None
-        points = (fileio.read_pts(_require_file(args.object, "object points"))
-                  if args.object else None)
+        seq = fileio.read_mseq(args.motion)
+        grid = fileio.read_vox(args.scene) if args.scene else None
+        points = fileio.read_pts(args.object) if args.object else None
         report.update(_geometry_scores(seq, grid, points))
     _write_json(args.report, report)
     return 0
@@ -418,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--pool-size", dest="pool_size", type=int, default=32)
+    # eval reports R-precision at k = 1..3, so a pool needs at least 3 rows
+    p.add_argument("--pool-size", dest="pool_size", type=_bounded_int(3), default=32)
     p.add_argument("--seed", type=_bounded_int(0), default=0)
     p.add_argument("--motion", help="optional motion for geometry scores "
                                     "(needs --scene and/or --object)")
@@ -439,6 +428,10 @@ def dispatch(argv) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"usage error: {exc.filename}: {reason}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,27 +1,18 @@
 """Binary file formats and atomic writes.
 
-All integers are little-endian.  Every reader raises
-:class:`FileFormatError` on a bad magic or version, a truncated payload, or
-bytes after the payload.  Formats:
-
-* ``.mseq``  magic "MSEQ", u32 version, u32 T, u32 fps, u8 is_canonical,
-  then T x 75 float32 row-major.
-* ``.mtok``  magic "MTOK", u32 version, u32 vocab_size, u32 num_tokens,
-  u32 segment_len, then u16 token indices (vocab_size <= 65536).
-* ``.vox``   magic "SVOX", u32 version, u32 H, u32 W, u32 D, f32 origin[3],
-  f32 cell_size, then bit-packed occupancy flattened x-fastest (y, then z,
-  then x order; MSB-first within each byte).
-* ``.pts``   u32 n, then n x 3 float32.
-* ``.feat``  u32 N, u32 F, then N x F float32.
-* ``.vae``   magic "MVAE", u32 version, u32 vocab_size, u32 hidden_width,
-  u32 downsample_layers (always 3, ``vae.DOWNSAMPLE_LAYERS``; any other
-  value is rejected), u32 num_tensors, then per tensor: u16 name length,
-  name bytes, u8 ndim, u32 dims, float32 data.
+All integers are little-endian.  Each format is declared once, in the
+header table below: its magic and its ``struct`` header, with the payload
+that follows the header.  A file is the magic, a u32 ``FORMAT_VERSION``
+(neither is present when the magic is empty), the header, then the payload.
+Every reader raises :class:`FileFormatError` on a bad magic or version, a
+header or payload that runs past the end of the file (a corrupt count
+included), a tensor name that is not UTF-8, or bytes after the payload.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import tempfile
@@ -36,6 +27,21 @@ from .vae import DOWNSAMPLE_LAYERS, ToyVaeParams
 
 FORMAT_VERSION = 1
 
+_VERSION = "<I"
+# (magic, header): header fields; payload
+_MSEQ = (b"MSEQ", "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
+_MTOK = (b"MTOK", "<III")  # vocab_size (<= 65536), num_tokens, segment_len; u16 indices
+# H, W, D, origin[3], cell_size; occupancy bit-packed MSB-first, flattened
+# x-fastest (y, then z, then x order)
+_VOX = (b"SVOX", "<III3ff")
+_PTS = (b"", "<I")  # n; n x 3 float32
+_FEAT = (b"", "<II")  # N, F; N x F float32
+# vocab_size, hidden_width, downsample_layers (must be vae.DOWNSAMPLE_LAYERS),
+# num_tensors; then per tensor, by name: u16 name length, the UTF-8 name,
+# u8 ndim, ndim x u32 dims, float32 data
+_VAE = (b"MVAE", "<IIII")
+_NAME_LEN, _NDIM = "<H", "<B"
+
 
 class FileFormatError(ValueError):
     """Raised when a file fails magic/shape validation."""
@@ -43,166 +49,166 @@ class FileFormatError(ValueError):
 
 @contextlib.contextmanager
 def atomic_write(path):
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a temp file in the target directory, then rename into place.
+
+    On any failure the temp file is removed, and an ``OSError`` names ``path``.
+    """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
+    tmp_name = None
     try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp_name, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
+    except BaseException as exc:
+        if tmp_name is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
-def _read_exact(handle, count: int, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise FileFormatError(f"truncated file while reading {what}")
-    return data
+def _write(path, fmt, header, *payload):
+    magic, layout = fmt
+    with atomic_write(path) as out:
+        if magic:
+            out.write(magic + struct.pack(_VERSION, FORMAT_VERSION))
+        out.write(struct.pack(layout, *header))
+        out.writelines(payload)
 
 
-def _expect_end(handle):
-    if handle.read(1):
+class _Body:
+    """A file's bytes, read front to back; no read goes past the end."""
+
+    def __init__(self, data: bytes):
+        self.view = memoryview(data)
+        self.offset = 0
+
+    def take(self, size: int, what: str) -> memoryview:
+        start = self.offset
+        if size > len(self.view) - start:
+            raise FileFormatError(f"truncated file while reading {what}")
+        self.offset = start + size
+        return self.view[start:self.offset]
+
+
+@contextlib.contextmanager
+def _read(path, fmt):
+    """Check ``fmt``'s magic and version, then yield the body and the header fields.
+
+    The payload is read inside the ``with``; bytes left after it are rejected.
+    """
+    magic, layout = fmt
+    with open(path, "rb") as handle:
+        body = _Body(handle.read())
+    if magic:
+        if body.take(len(magic), "magic") != magic:
+            raise FileFormatError(f"bad magic, expected {magic!r}")
+        (version,) = _unpack(body, _VERSION, "version")
+        if version != FORMAT_VERSION:
+            raise FileFormatError(f"unsupported version {version}")
+    yield body, _unpack(body, layout, "header")
+    if body.offset != len(body.view):
         raise FileFormatError("trailing bytes after the payload")
 
 
-def _expect_magic(handle, magic: bytes):
-    if _read_exact(handle, 4, "magic") != magic:
-        raise FileFormatError(f"bad magic, expected {magic!r}")
-    (version,) = struct.unpack("<I", _read_exact(handle, 4, "version"))
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"unsupported version {version}")
+def _unpack(body: _Body, layout: str, what: str) -> tuple:
+    return struct.unpack(layout, body.take(struct.calcsize(layout), what))
+
+
+def _array(body: _Body, dtype, shape: tuple, what: str) -> np.ndarray:
+    """One payload array; ``math.prod`` keeps a corrupt u32 count from overflowing."""
+    dtype = np.dtype(dtype)
+    data = body.take(math.prod(shape) * dtype.itemsize, what)
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
 def write_mseq(path, seq: MotionSequence):
-    with atomic_write(path) as out:
-        out.write(b"MSEQ")
-        out.write(struct.pack("<IIIB", FORMAT_VERSION, seq.num_frames, seq.fps,
-                              1 if seq.is_canonical else 0))
-        out.write(seq.frames.astype("<f4").tobytes())
+    _write(path, _MSEQ, (seq.num_frames, seq.fps, int(seq.is_canonical)),
+           seq.frames.astype("<f4").tobytes())
 
 
 def read_mseq(path) -> MotionSequence:
-    with open(path, "rb") as handle:
-        _expect_magic(handle, b"MSEQ")
-        num, fps, canonical = struct.unpack("<IIB", _read_exact(handle, 9, "header"))
-        data = _read_exact(handle, num * FRAME_DIM * 4, "frames")
-        _expect_end(handle)
-        frames = np.frombuffer(data, dtype="<f4").reshape(num, FRAME_DIM).astype(np.float64)
-    return MotionSequence(frames, fps=fps, is_canonical=bool(canonical))
+    with _read(path, _MSEQ) as (body, (num, fps, canonical)):
+        frames = _array(body, "<f4", (num, FRAME_DIM), "frames")
+    return MotionSequence(frames.astype(np.float64), fps=fps, is_canonical=bool(canonical))
 
 
 def write_mtok(path, stream: TokenStream):
     if stream.vocab_size > 65536:
         raise FileFormatError("token files support vocab_size <= 65536")
-    with atomic_write(path) as out:
-        out.write(b"MTOK")
-        out.write(struct.pack("<IIII", FORMAT_VERSION, stream.vocab_size,
-                              stream.num_tokens, stream.segment_len))
-        out.write(stream.indices.astype("<u2").tobytes())
+    _write(path, _MTOK, (stream.vocab_size, stream.num_tokens, stream.segment_len),
+           stream.indices.astype("<u2").tobytes())
 
 
 def read_mtok(path) -> TokenStream:
-    with open(path, "rb") as handle:
-        _expect_magic(handle, b"MTOK")
-        vocab, num, segment = struct.unpack("<III", _read_exact(handle, 12, "header"))
-        data = _read_exact(handle, num * 2, "tokens")
-        _expect_end(handle)
-        indices = np.frombuffer(data, dtype="<u2").astype(np.int64)
-    return TokenStream(indices=indices, vocab_size=vocab, segment_len=segment)
+    with _read(path, _MTOK) as (body, (vocab, num, segment)):
+        indices = _array(body, "<u2", (num,), "tokens")
+    return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab, segment_len=segment)
 
 
 def write_vox(path, grid: SceneVoxelGrid):
-    nx, nz, ny = grid.shape
     flat = grid.occupancy.transpose(2, 1, 0).reshape(-1)  # y, z, x order: x fastest
-    with atomic_write(path) as out:
-        out.write(b"SVOX")
-        out.write(struct.pack("<IIII", FORMAT_VERSION, nx, nz, ny))
-        out.write(struct.pack("<3f", *grid.origin))
-        out.write(struct.pack("<f", grid.cell_size))
-        out.write(np.packbits(flat).tobytes())
+    _write(path, _VOX, (*grid.shape, *grid.origin, grid.cell_size), np.packbits(flat).tobytes())
 
 
 def read_vox(path) -> SceneVoxelGrid:
-    with open(path, "rb") as handle:
-        _expect_magic(handle, b"SVOX")
-        nx, nz, ny = struct.unpack("<III", _read_exact(handle, 12, "dims"))
-        origin = np.array(struct.unpack("<3f", _read_exact(handle, 12, "origin")))
-        (cell_size,) = struct.unpack("<f", _read_exact(handle, 4, "cell size"))
-        total = nx * nz * ny
-        packed = _read_exact(handle, (total + 7) // 8, "occupancy")
-        _expect_end(handle)
-        flat = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=total)
-    occupancy = flat.reshape(ny, nz, nx).transpose(2, 1, 0)
-    return SceneVoxelGrid(occupancy=occupancy, origin=origin, cell_size=cell_size)
+    with _read(path, _VOX) as (body, (nx, nz, ny, *origin, cell_size)):
+        packed = _array(body, np.uint8, ((nx * nz * ny + 7) // 8,), "occupancy")
+    occupancy = np.unpackbits(packed, count=nx * nz * ny).reshape(ny, nz, nx).transpose(2, 1, 0)
+    return SceneVoxelGrid(occupancy=occupancy, origin=np.array(origin), cell_size=cell_size)
 
 
 def write_pts(path, points: np.ndarray):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise FileFormatError(f"points must be (n, 3), got {points.shape}")
-    with atomic_write(path) as out:
-        out.write(struct.pack("<I", points.shape[0]))
-        out.write(points.astype("<f4").tobytes())
+    _write(path, _PTS, points.shape[:1], points.astype("<f4").tobytes())
 
 
 def read_pts(path) -> np.ndarray:
-    with open(path, "rb") as handle:
-        (count,) = struct.unpack("<I", _read_exact(handle, 4, "count"))
-        data = _read_exact(handle, count * 12, "points")
-        _expect_end(handle)
-    return np.frombuffer(data, dtype="<f4").reshape(count, 3).astype(np.float64)
+    with _read(path, _PTS) as (body, (count,)):
+        points = _array(body, "<f4", (count, 3), "points")
+    return points.astype(np.float64)
 
 
 def write_feat(path, features: np.ndarray):
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise FileFormatError(f"features must be (N, F), got {features.shape}")
-    with atomic_write(path) as out:
-        out.write(struct.pack("<II", *features.shape))
-        out.write(features.astype("<f4").tobytes())
+    _write(path, _FEAT, features.shape, features.astype("<f4").tobytes())
 
 
 def read_feat(path) -> np.ndarray:
-    with open(path, "rb") as handle:
-        rows, cols = struct.unpack("<II", _read_exact(handle, 8, "shape"))
-        data = _read_exact(handle, rows * cols * 4, "features")
-        _expect_end(handle)
-    return np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    with _read(path, _FEAT) as (body, shape):
+        features = _array(body, "<f4", shape, "features")
+    return features.astype(np.float64)
 
 
 def write_vae(path, params: ToyVaeParams):
-    names = sorted(params.tensors)
-    with atomic_write(path) as out:
-        out.write(b"MVAE")
-        out.write(struct.pack("<IIIII", FORMAT_VERSION, params.vocab_size,
-                              params.hidden_width, DOWNSAMPLE_LAYERS, len(names)))
-        for name in names:
-            tensor = params.tensors[name]
-            encoded = name.encode("utf-8")
-            out.write(struct.pack("<H", len(encoded)))
-            out.write(encoded)
-            out.write(struct.pack("<B", tensor.ndim))
-            out.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            out.write(tensor.astype("<f4").tobytes())
+    records = []
+    for name in sorted(params.tensors):
+        tensor, encoded = params.tensors[name], name.encode("utf-8")
+        records += [struct.pack(_NAME_LEN, len(encoded)), encoded,
+                    struct.pack(_NDIM, tensor.ndim), struct.pack(f"<{tensor.ndim}I", *tensor.shape),
+                    tensor.astype("<f4").tobytes()]
+    _write(path, _VAE, (params.vocab_size, params.hidden_width, DOWNSAMPLE_LAYERS,
+                        len(params.tensors)), *records)
 
 
 def read_vae(path) -> ToyVaeParams:
-    with open(path, "rb") as handle:
-        _expect_magic(handle, b"MVAE")
-        vocab, hidden, layers, count = struct.unpack("<IIII", _read_exact(handle, 16, "header"))
+    with _read(path, _VAE) as (body, (vocab, hidden, layers, count)):
         if layers != DOWNSAMPLE_LAYERS:
             raise FileFormatError(f"unsupported downsample layer count {layers}")
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(handle, 2, "name length"))
-            name = _read_exact(handle, name_len, "name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(handle, 1, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(handle, 4 * ndim, "shape"))
-            total = int(np.prod(shape)) if ndim else 1
-            data = _read_exact(handle, total * 4, f"tensor {name}")
-            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
-        _expect_end(handle)
+            (name_len,) = _unpack(body, _NAME_LEN, "name length")
+            try:
+                name = str(body.take(name_len, "name"), "utf-8")
+            except UnicodeDecodeError:
+                raise FileFormatError("tensor name is not UTF-8") from None
+            (ndim,) = _unpack(body, _NDIM, "ndim")
+            shape = _unpack(body, f"<{ndim}I", "shape")
+            tensors[name] = _array(body, "<f4", shape, f"tensor {name}").astype(np.float64)
     return ToyVaeParams(tensors=tensors, vocab_size=vocab, hidden_width=hidden)

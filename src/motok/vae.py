@@ -100,10 +100,10 @@ class ToyVaeParams:
     """Named weight tensors plus the sizes needed to interpret them.
 
     ``tensors`` holds exactly the 16 trainable tensors and the two fixed
-    ones; any other name raises :class:`VaeError`.  ``in_shift``/``in_scale``
-    default to the identity when omitted.  They standardize each of the 75
-    channels before the encoder (and undo it after the decoder); they are
-    dataset statistics, not trainable weights.
+    ones; a missing or unknown name raises :class:`VaeError`.  The fixed
+    ``in_shift``/``in_scale`` standardize each of the 75 channels before the
+    encoder (and undo it after the decoder); they are dataset statistics,
+    not trainable weights.
     """
 
     tensors: dict[str, np.ndarray]
@@ -113,18 +113,16 @@ class ToyVaeParams:
     def __post_init__(self):
         if self.hidden_width < 1:
             raise VaeError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        tensors = dict(self.tensors)
-        tensors.setdefault("in_shift", np.zeros(FRAME_DIM))
-        tensors.setdefault("in_scale", np.ones(FRAME_DIM))
-        missing = [n for n in _PARAM_NAMES if n not in tensors]
+        tensors, names = self.tensors, _PARAM_NAMES + _FIXED_NAMES
+        missing = [n for n in names if n not in tensors]
         if missing:
             raise VaeError(f"missing parameter tensors: {missing}")
-        unknown = sorted(set(tensors) - set(_PARAM_NAMES + _FIXED_NAMES))
+        unknown = sorted(set(tensors) - set(names))
         if unknown:
             raise VaeError(f"unknown parameter tensors: {unknown}")
         expected = _shapes(self.hidden_width, LfqCodebook.from_vocab_size(self.vocab_size).num_dims)
         clean = {}
-        for name in _PARAM_NAMES + _FIXED_NAMES:
+        for name in names:
             t = np.asarray(tensors[name], dtype=np.float64)
             if t.shape != expected[name]:
                 raise VaeError(f"{name} has shape {t.shape}, expected {expected[name]}")
@@ -165,7 +163,7 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray | None = None) -> Toy
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in) per layer.
 
     When a segment batch is given, its channel statistics seed the frozen
-    input standardization.
+    input standardization; otherwise it is the identity.
     """
     rng = np.random.default_rng(config.seed)
     shapes = _shapes(config.hidden_width, config.num_dims)
@@ -175,8 +173,9 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray | None = None) -> Toy
         tensors[f"{name}_w"] = rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
         tensors[f"{name}_b"] = np.zeros(n_out)
     tensors["lat_b"] = tensors["lat_b"] + LATENT_BIAS_INIT
-    if segments is not None:
-        tensors["in_shift"], tensors["in_scale"] = channel_stats(segments)
+    tensors["in_shift"], tensors["in_scale"] = (
+        channel_stats(segments) if segments is not None
+        else (np.zeros(FRAME_DIM), np.ones(FRAME_DIM)))
     return ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
                         hidden_width=config.hidden_width)
 

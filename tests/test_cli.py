@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
+import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +17,8 @@ from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.vae import pad_frames, reconstruction_mse
 from test_metrics import _reference_r_precision
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_corpus(tmp_path, num=3, frames=48, seed=0):
@@ -45,6 +52,17 @@ class TestUsageErrors:
                          str(tmp_path / "nope.mseq"), "--out", str(tmp_path / "o.mseq")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, reason", [("missing/x.mseq", "not found"),
+                                              ("taken", "Is a directory")])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, name, reason):
+        (tmp_path / "taken").mkdir()
+        out = tmp_path / name
+        assert dispatch(["sample", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: {out}: {reason}\n"
+        # no temp file is left next to the target
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any((tmp_path / "taken").iterdir())
 
     def test_help_exits_0(self, capsys):
         assert dispatch(["--help"]) == 0
@@ -147,6 +165,21 @@ class TestTokenizeRoundTrip:
         assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(src),
                          "--out", str(out)]) == 1
         assert "hidden_width must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vae_without_standardization_rejected(self, tmp_path, capsys):
+        params = vae.init_params(vae.ToyVaeConfig(vocab_size=64, hidden_width=4))
+        tensors = {name: t for name, t in params.tensors.items()
+                   if name not in ("in_shift", "in_scale")}
+        vae_path = tmp_path / "p16.vae"
+        fileio.write_vae(vae_path, SimpleNamespace(tensors=tensors, vocab_size=64,
+                                                   hidden_width=4))
+        src = tmp_path / "m.mseq"
+        fileio.write_mseq(src, synth.make_corpus(1, 16, seed=1)[0])
+        out = tmp_path / "t.mtok"
+        assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(src),
+                         "--out", str(out)]) == 1
+        assert "missing parameter tensors: ['in_shift', 'in_scale']" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -320,10 +353,17 @@ class TestScoreAndEval:
             assert payload[f"r{k}"] == _reference_r_precision(gen, text, pool_size=32,
                                                               k=k, seed=4)
 
-    def test_eval_pool_smaller_than_top3_is_domain_error(self, tmp_path, rng, capsys):
-        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 600)
-        assert dispatch(argv + ["--pool-size", "2"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+    def test_eval_corrupt_feature_count_is_domain_error(self, tmp_path, rng):
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
+        blob = bytearray((tmp_path / "gen.feat").read_bytes())
+        blob[0:8] = struct.pack("<II", 1 << 31, 1 << 31)
+        (tmp_path / "gen.feat").write_bytes(bytes(blob))
+        done = subprocess.run([sys.executable, "-m", "motok", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: truncated file")
+        assert "Traceback" not in done.stderr
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("flag", ["--scene", "--object"])
@@ -437,6 +477,9 @@ def cli_inputs(tmp_path_factory):
     (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
       "--report", "{out}/e.json", "--seed", "-1"],
      "argument --seed: must be >= 0, got -1"),
+    (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
+      "--report", "{out}/e.json", "--pool-size", "2"],
+     "argument --pool-size: must be >= 3, got 2"),
 ])
 def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs, tmp_path,
                                                         capsys):

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motok.cli import dispatch
 from motok.fileio import (
@@ -20,7 +21,7 @@ from motok.fileio import (
     write_vae,
     write_vox,
 )
-from motok.motion import FRAME_DIM, MotionSequence
+from motok.motion import FRAME_DIM, MAX_FRAMES, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.tokens import TokenStream
 from motok.vae import ToyVaeConfig, init_params
@@ -174,6 +175,109 @@ def test_every_truncation_rejected(tmp_path, rng, suffix):
         path.write_bytes(blob[:size])
         with pytest.raises(FileFormatError):
             read(path)
+
+
+def _count_offsets(suffix, blob):
+    """Byte offsets of the u32 fields that size a payload."""
+    if suffix == ".vae":
+        # num_tensors, then the first dim of the first tensor record, which
+        # starts at byte 24 with a u16 name length, the name and a u8 ndim
+        (name_len,) = struct.unpack("<H", blob[24:26])
+        return (20, 26 + name_len + 1)
+    return {".mseq": (8,), ".mtok": (12,), ".vox": (8, 12, 16), ".pts": (0,),
+            ".feat": (0, 4)}[suffix]
+
+
+@pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
+def test_corrupt_count_rejected(tmp_path, rng, suffix):
+    write, read, make = _VALID_FILES[suffix]
+    path = tmp_path / f"a{suffix}"
+    write(path, make(rng))
+    blob = path.read_bytes()
+    offsets = _count_offsets(suffix, blob)
+    for corrupt in [(offset,) for offset in offsets] + [offsets]:
+        bad = bytearray(blob)
+        for offset in corrupt:
+            bad[offset:offset + 4] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FileFormatError, match="truncated file"):
+            read(path)
+
+
+def test_vae_name_not_utf8_rejected(tmp_path):
+    path = tmp_path / "p.vae"
+    write_vae(path, init_params(ToyVaeConfig(vocab_size=16, hidden_width=2)))
+    blob = bytearray(path.read_bytes())
+    blob[26] = 0xFF  # first byte of the first tensor name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError, match="UTF-8"):
+        read_vae(path)
+
+
+def _motion(seed, num_frames, fps, canonical):
+    frames = np.random.default_rng(seed).uniform(-1, 1, (num_frames, FRAME_DIM))
+    return MotionSequence(frames, fps=fps, is_canonical=canonical)
+
+
+def _stream(seed, vocab_size, num_tokens, segment_len):
+    indices = np.random.default_rng(seed).integers(0, vocab_size, num_tokens)
+    return TokenStream(indices=indices, vocab_size=vocab_size, segment_len=segment_len)
+
+
+def _grid(seed, shape, origin, cell_size):
+    occupancy = (np.random.default_rng(seed).random(shape) < 0.5).astype(np.uint8)
+    return SceneVoxelGrid(occupancy, np.array(origin), cell_size)
+
+
+def _table(seed, rows, cols):
+    return np.random.default_rng(seed).normal(size=(rows, cols))
+
+
+def _params(seed, vocab_size, hidden_width):
+    return init_params(ToyVaeConfig(vocab_size=vocab_size, hidden_width=hidden_width, seed=seed))
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_U32 = st.integers(1, 2**32 - 1)
+_COORD = st.floats(-100, 100, width=32)
+# the smallest and largest legal sizes, and any in between
+_FRAMES = st.sampled_from([1, MAX_FRAMES]) | st.integers(1, MAX_FRAMES)
+_VOCABS = st.sampled_from([2, 65536]) | st.integers(1, 16).map(lambda bits: 1 << bits)
+_ROWS = st.just(0) | st.integers(0, 20)
+_GRID_SHAPES = st.just((1, 1, 1)) | st.tuples(*[st.integers(1, 9)] * 3)
+
+_DRAWN = {
+    ".mseq": st.builds(_motion, _SEEDS, _FRAMES, _U32, st.booleans()),
+    ".mtok": st.builds(_stream, _SEEDS, _VOCABS, st.integers(1, 64), _U32),
+    ".vox": st.builds(_grid, _SEEDS, _GRID_SHAPES, st.tuples(*[_COORD] * 3),
+                      st.floats(0.125, 10, width=32)),
+    ".pts": st.builds(_table, _SEEDS, _ROWS, st.just(3)),
+    ".feat": st.builds(_table, _SEEDS, _ROWS, _ROWS),
+    ".vae": st.builds(_params, _SEEDS, _VOCABS, st.integers(1, 8)),
+}
+
+# what each file stores, float data at float32
+_STORED = {
+    ".mseq": lambda seq: (seq.frames.astype(np.float32), seq.fps, seq.is_canonical),
+    ".mtok": lambda stream: (stream.indices, stream.vocab_size, stream.segment_len),
+    ".vox": lambda grid: (grid.occupancy, grid.origin.astype(np.float32),
+                          np.float32(grid.cell_size)),
+    ".pts": lambda points: points.astype(np.float32),
+    ".feat": lambda features: features.astype(np.float32),
+    ".vae": lambda params: (params.vocab_size, params.hidden_width,
+                            {name: t.astype(np.float32) for name, t in params.tensors.items()}),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_round_trip_property(tmp_path_factory, suffix, data):
+    write, read, _ = _VALID_FILES[suffix]
+    value = data.draw(_DRAWN[suffix])
+    path = tmp_path_factory.getbasetemp() / f"round_trip{suffix}"
+    write(path, value)
+    np.testing.assert_equal(_STORED[suffix](read(path)), _STORED[suffix](value))
 
 
 class TestAtomicWrite:
