@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 domain failure (infeasible placement, diverged
 training, malformed data), 2 usage error (bad flags, missing files).  A flag
 value out of range is a usage error too, caught before any file is read or
-written.  A path that cannot be opened, read or written exits 2 as well: its
-``OSError`` is caught once, in :func:`dispatch`, and the one-line message
-names the path given on the command line.  Every output file is written
+written, and so is an output path whose directory does not exist in the
+commands that work long before they write (``train-vae``, ``sweep-vocab``,
+``populate``, ``eval``).  A path that cannot be opened, read or written
+exits 2 as well: its ``OSError`` is caught once, in :func:`dispatch`, and
+the one-line message names the path given on the command line.  Every output file is written
 atomically, so a failed write leaves no file behind.
 """
 
@@ -26,6 +28,13 @@ _DOMAIN_ERRORS = (ValueError, RuntimeError)
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (bad values, missing inputs)."""
+
+
+def _check_output_dirs(*paths):
+    """Exit 2 before any work when an output path's directory does not exist."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"{path}: not found")
 
 
 def _write_json(path, payload: dict):
@@ -113,6 +122,7 @@ def _history_csv(path, history: list[dict]):
 
 def _cmd_train_vae(args) -> int:
     config = _vae_config(args)
+    _check_output_dirs(args.out, args.history)
     dataset = _load_dataset(args.data)
     params, history = vae.train(config, dataset)
     fileio.write_vae(args.out, params)
@@ -138,6 +148,7 @@ def _cmd_sweep_vocab(args) -> int:
     if not ks:
         raise UsageError("--ks is empty")
     configs = [_vae_config(args, vocab_size=k) for k in ks]
+    _check_output_dirs(args.out)
     dataset = _load_dataset(args.data)
     rows = []
     for k, cfg in zip(ks, configs):
@@ -188,6 +199,7 @@ def _cmd_populate(args) -> int:
                                           feasibility_threshold=args.threshold)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_output_dirs(args.out, args.report)
     grid = fileio.read_vox(args.scene)
     seq = fileio.read_mseq(args.motion)
     try:
@@ -259,6 +271,7 @@ def _cmd_score(args) -> int:
 def _cmd_eval(args) -> int:
     if bool(args.motion) != bool(args.scene or args.object):
         raise UsageError("geometry scores need --motion with --scene and/or --object")
+    _check_output_dirs(args.report)
     real = fileio.read_feat(args.real)
     gen = fileio.read_feat(args.gen)
     text = fileio.read_feat(args.text)

@@ -30,7 +30,8 @@ FORMAT_VERSION = 1
 _VERSION = "<I"
 # (magic, header): header fields; payload
 _MSEQ = (b"MSEQ", "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
-_MTOK = (b"MTOK", "<III")  # vocab_size (<= 65536), num_tokens, segment_len; u16 indices
+_MTOK = (b"MTOK", "<III")  # vocab_size (<= _MAX_VOCAB), num_tokens, segment_len; u16 indices
+_MAX_VOCAB = 1 << 16  # every index fits a u16
 # H, W, D, origin[3], cell_size; occupancy bit-packed MSB-first, flattened
 # x-fastest (y, then z, then x order)
 _VOX = (b"SVOX", "<III3ff")
@@ -136,14 +137,16 @@ def read_mseq(path) -> MotionSequence:
 
 
 def write_mtok(path, stream: TokenStream):
-    if stream.vocab_size > 65536:
-        raise FileFormatError("token files support vocab_size <= 65536")
+    if stream.vocab_size > _MAX_VOCAB:
+        raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}")
     _write(path, _MTOK, (stream.vocab_size, stream.num_tokens, stream.segment_len),
            stream.indices.astype("<u2").tobytes())
 
 
 def read_mtok(path) -> TokenStream:
     with _read(path, _MTOK) as (body, (vocab, num, segment)):
+        if vocab > _MAX_VOCAB:
+            raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}, got {vocab}")
         indices = _array(body, "<u2", (num,), "tokens")
     return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab, segment_len=segment)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 
 class QuantizerError(ValueError):
@@ -69,9 +68,19 @@ def indices_to_bits(indices: np.ndarray, num_dims: int) -> np.ndarray:
     return np.where((indices[..., None] >> shifts) & 1, 1, -1).astype(np.int8)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the exact limit 0
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x * log(x) for x in [0, 1], with 0 * log(0) = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
     """Shannon entropy of Bernoulli(p) in nats; 0*log(0) treated as 0."""
-    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+    return -(_xlogx(p) + _xlogx(1.0 - p))
 
 
 def entropy_loss(batch_logits: np.ndarray, temperature: float = 1.0) -> float:
@@ -91,7 +100,7 @@ def entropy_loss(batch_logits: np.ndarray, temperature: float = 1.0) -> float:
         raise QuantizerError(f"temperature must be > 0, got {temperature}")
     if not np.all(np.isfinite(z)):
         raise QuantizerError("batch_logits contain non-finite values")
-    p = expit(2.0 * z / temperature)
+    p = _sigmoid(2.0 * z / temperature)
     per_sample = _binary_entropy(p).sum(axis=1).mean()
     marginal = _binary_entropy(p.mean(axis=0)).sum()
     return float(per_sample - marginal)
@@ -103,7 +112,7 @@ def entropy_loss_grad(batch_logits: np.ndarray, temperature: float = 1.0) -> np.
     if not temperature > 0.0:
         raise QuantizerError(f"temperature must be > 0, got {temperature}")
     n = z.shape[0]
-    p = expit(2.0 * z / temperature)
+    p = _sigmoid(2.0 * z / temperature)
     p_bar = np.clip(p.mean(axis=0), 1e-12, 1.0 - 1e-12)
     # dH(p)/dp = log((1-p)/p); for the per-sample term this is exactly the
     # negated logit, -2z/tau, which avoids log-of-zero at saturation.

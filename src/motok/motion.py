@@ -5,6 +5,9 @@ root orientation as an axis-angle rotation vector (3:6), 21 local joint
 rotation vectors (6:69), and the 6-DoF pose of an interacting object
 (69:75).  Translations are meters, rotations radians.  Y is up; the ground
 plane is XZ.
+
+Rotation vectors map to matrices by Rodrigues' formula, and matrices back
+to rotation vectors through a unit quaternion found by Shepperd's method.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 FRAME_DIM = 75
 ROOT_POS = slice(0, 3)
@@ -27,6 +29,9 @@ OBJ_ROT = slice(72, 75)
 MAX_FRAMES = 304
 
 TWO_PI = 2.0 * np.pi
+# Below this angle the trigonometric ratios of the rotation maps use their
+# Taylor series, which are exact to double precision there.
+SMALL_ANGLE = 1e-3
 
 
 class MotionError(ValueError):
@@ -34,11 +39,69 @@ class MotionError(ValueError):
 
 
 def axis_angle_to_matrix(rotvec: np.ndarray) -> np.ndarray:
-    """Convert axis-angle rotation vectors (..., 3) to matrices (..., 3, 3)."""
-    rotvec = np.array(rotvec, dtype=np.float64, copy=True)  # scipy needs writable input
-    flat = rotvec.reshape(-1, 3)
-    mats = Rotation.from_rotvec(flat).as_matrix()
-    return mats.reshape(rotvec.shape[:-1] + (3, 3))
+    """Convert axis-angle rotation vectors (..., 3) to matrices (..., 3, 3).
+
+    Rodrigues' formula: R = cos(t) I + (sin(t)/t) [r]x + ((1 - cos(t))/t^2) r r^T
+    with t = |r|, where 1 - cos(t) = 2 sin^2(t/2) avoids cancellation.
+    """
+    r = np.asarray(rotvec, dtype=np.float64)
+    theta_sq = np.einsum("...i,...i->...", r, r)
+    theta = np.sqrt(theta_sq)
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    sinc = np.where(small, 1.0 - theta_sq / 6.0 + theta_sq * theta_sq / 120.0,
+                    np.sin(safe) / safe)
+    half_sin = np.sin(safe / 2.0)
+    versine = np.where(small, 0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0,
+                       2.0 * half_sin * half_sin / (safe * safe))
+    mats = versine[..., None, None] * r[..., :, None] * r[..., None, :]
+    x, y, z = (sinc * r[..., i] for i in range(3))
+    mats[..., 0, 1] -= z
+    mats[..., 1, 0] += z
+    mats[..., 0, 2] += y
+    mats[..., 2, 0] -= y
+    mats[..., 1, 2] -= x
+    mats[..., 2, 1] += x
+    cos = np.cos(theta)
+    for i in range(3):
+        mats[..., i, i] += cos
+    return mats
+
+
+def _matrix_to_rotvec(mats: np.ndarray) -> np.ndarray:
+    """Rotation vectors (N, 3) of rotation matrices (N, 3, 3).
+
+    Shepperd's method picks the largest of the trace and the three diagonal
+    entries to build the quaternion without cancellation.  The quaternion is
+    flipped to w >= 0, so angles lie in [0, pi], and angle = 2 atan2(|v|, w).
+    """
+    num = mats.shape[0]
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    trace = diag.sum(axis=1)
+    choice = np.argmax(np.concatenate([diag, trace[:, None]], axis=1), axis=1)
+    quat = np.empty((num, 4))  # x, y, z, w
+    m = mats[choice == 3]
+    quat[choice == 3] = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0],
+                                  m[:, 1, 0] - m[:, 0, 1], 1.0 + trace[choice == 3]], axis=1)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        rows = choice == i
+        m = mats[rows]
+        q = np.empty((m.shape[0], 4))
+        q[:, i] = 1.0 - trace[rows] + 2.0 * m[:, i, i]
+        q[:, j] = m[:, j, i] + m[:, i, j]
+        q[:, k] = m[:, k, i] + m[:, i, k]
+        q[:, 3] = m[:, k, j] - m[:, j, k]
+        quat[rows] = q
+    quat /= np.linalg.norm(quat, axis=1, keepdims=True)
+    quat[quat[:, 3] < 0.0] *= -1.0
+    vec = quat[:, :3]
+    angle = 2.0 * np.arctan2(np.linalg.norm(vec, axis=1), quat[:, 3])
+    small = angle < SMALL_ANGLE
+    angle_sq = angle * angle
+    scale = np.where(small, 2.0 + angle_sq / 12.0 + 7.0 * angle_sq * angle_sq / 2880.0,
+                     angle / np.sin(np.where(small, 1.0, angle) / 2.0))
+    return scale[:, None] * vec
 
 
 def _check_rotvec(vec: np.ndarray, what: str) -> None:
@@ -163,11 +226,10 @@ def _apply_rigid(frames: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.n
     Local joint rotations are untouched; they are relative to the root chain.
     """
     out = frames.copy()
-    world = Rotation.from_matrix(rot)
     out[:, ROOT_POS] = frames[:, ROOT_POS] @ rot.T + trans
-    out[:, ROOT_ROT] = (world * Rotation.from_rotvec(out[:, ROOT_ROT].copy())).as_rotvec()
+    out[:, ROOT_ROT] = _matrix_to_rotvec(rot @ axis_angle_to_matrix(frames[:, ROOT_ROT]))
     out[:, OBJ_POS] = frames[:, OBJ_POS] @ rot.T + trans
-    out[:, OBJ_ROT] = (world * Rotation.from_rotvec(out[:, OBJ_ROT].copy())).as_rotvec()
+    out[:, OBJ_ROT] = _matrix_to_rotvec(rot @ axis_angle_to_matrix(frames[:, OBJ_ROT]))
     return out
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
-from scipy.spatial.distance import cdist
 
 from .motion import (
     JOINT_ROT,
@@ -96,13 +94,42 @@ class SignedDistanceField:
         object.__setattr__(self, "cell_size", float(self.cell_size))
 
 
+def _distance_to(features: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance, in cells, from every cell to the nearest
+    ``features`` cell (0 on the features themselves).
+
+    The squared distance is separable (Felzenszwalb & Huttenlocher,
+    "Distance Transforms of Sampled Functions", 2012): starting from 0 at
+    features and inf elsewhere, each axis in turn takes
+    g[i] = min_j f[j] + (i - j)^2 over its grid lines.  The min runs over
+    shifts k, two shifted slices per k, on an array whose processed axis
+    comes first, so every slice is one contiguous block.  All values are
+    integers (or inf) until the final ``sqrt``, so the result is exact.
+    """
+    f = np.where(features, 0.0, np.inf)
+    for _ in range(f.ndim):
+        n = f.shape[0]
+        g = f.copy()
+        shifted = np.empty_like(f)
+        for k in range(1, n):
+            # g[i] against f[i - k], then against f[i + k]
+            np.add(f[:-k], float(k * k), out=shifted[:n - k])
+            np.minimum(g[k:], shifted[:n - k], out=g[k:])
+            np.add(f[k:], float(k * k), out=shifted[:n - k])
+            np.minimum(g[:-k], shifted[:n - k], out=g[:-k])
+        # the next axis comes first; after ndim passes the order is restored
+        f = np.ascontiguousarray(np.moveaxis(g, 0, -1))
+    return np.sqrt(f, out=f)
+
+
 def build_sdf(grid: SceneVoxelGrid) -> SignedDistanceField:
     """Signed Euclidean distance field over cell centers.
 
     Outside values are exact center-to-center distances to the nearest
     occupied cell.  Inside values are -(distance to the nearest free center
     minus one cell), so occupied cells that touch free space sit on the zero
-    level set.  All-free (or all-occupied) grids get a +/- sentinel.
+    level set.  All-free (or all-occupied) grids get a +/- sentinel.  Both
+    transforms are the exact separable EDT of :func:`_distance_to`.
     """
     occ = grid.occupancy.astype(bool)
     c = grid.cell_size
@@ -113,8 +140,8 @@ def build_sdf(grid: SceneVoxelGrid) -> SignedDistanceField:
     else:
         # exact EDT in cell units; scaled afterwards so brute-force checks see
         # sqrt(integer) * cell_size on both sides
-        dist_to_occupied = distance_transform_edt(~occ)
-        dist_to_free = distance_transform_edt(occ)
+        dist_to_occupied = _distance_to(occ)
+        dist_to_free = _distance_to(~occ)
         distances = np.where(occ, -(dist_to_free * c - c), dist_to_occupied * c)
     return SignedDistanceField(distances=distances, origin=grid.origin, cell_size=c)
 
@@ -298,6 +325,24 @@ def collision_score(keypoints: np.ndarray, sdf: SignedDistanceField) -> tuple[fl
     return penetration, colliding
 
 
+def _closest_pair_distances(keypoints: np.ndarray, object_points: np.ndarray) -> np.ndarray:
+    """Per-frame distance of the closest keypoint-object point pair, shape (T,).
+
+    Squared distances accumulate as (dx^2 + dy^2) + dz^2 over (T, J, n)
+    differences.  ``sqrt`` is monotone and correctly rounded, so the root of
+    each frame's minimum is its minimum distance.
+    """
+    squared = None
+    for axis in range(3):
+        delta = np.subtract(keypoints[:, :, None, axis], object_points[:, None, :, axis])
+        delta *= delta
+        if squared is None:
+            squared = delta
+        else:
+            squared += delta
+    return np.sqrt(squared.reshape(squared.shape[0], -1).min(axis=1))
+
+
 def contact_score(keypoints: np.ndarray, object_points: np.ndarray) -> float:
     """Fraction of frames whose closest human-object pair is under ``CONTACT_THRESHOLD``.
 
@@ -310,9 +355,5 @@ def contact_score(keypoints: np.ndarray, object_points: np.ndarray) -> float:
         raise SceneError("keypoints and object_points must be (T, ., 3) arrays")
     if kp.shape[0] != op.shape[0]:
         raise SceneError(f"frame counts differ: {kp.shape[0]} vs {op.shape[0]}")
-    hits = 0
-    for frame_kp, frame_op in zip(kp, op):
-        if cdist(frame_kp, frame_op).min() < CONTACT_THRESHOLD:
-            hits += 1
-    return hits / kp.shape[0]
-
+    closest = _closest_pair_distances(kp, op)
+    return np.count_nonzero(closest < CONTACT_THRESHOLD) / kp.shape[0]

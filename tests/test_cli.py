@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from motok import fileio, metrics, synth, vae
+from motok import fileio, metrics, populate, synth, vae
 from motok.cli import _vae_config, build_parser, dispatch
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
@@ -489,6 +489,42 @@ def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs
     assert code == 2
     assert message in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the output directory was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-vae", "--data", "{data}", "--out", "{missing}/p.vae"],
+    ["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--history", "{missing}/h.csv"],
+    ["sweep-vocab", "--ks", "4", "--data", "{data}", "--out", "{missing}/s.csv"],
+    ["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{missing}/p.mseq"],
+    ["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
+     "--report", "{missing}/r.json"],
+    ["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
+     "--report", "{missing}/e.json"],
+], ids=["train-vae", "train-vae-history", "sweep-vocab", "populate", "populate-report", "eval"])
+def test_missing_output_directory_exits_2_before_any_work(argv, cli_inputs, tmp_path, capsys,
+                                                          monkeypatch):
+    for module, name in [(fileio, "read_mseq"), (fileio, "read_vox"), (fileio, "read_feat"),
+                         (vae, "train"), (populate, "optimize_placement"),
+                         (metrics, "frechet_distance")]:
+        monkeypatch.setattr(module, name, _no_work)
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing, out=tmp_path, **cli_inputs) for arg in argv]
+    assert dispatch(argv) == 2
+    (path,) = [arg for arg in argv if arg.startswith(str(missing))]
+    assert capsys.readouterr().err == f"usage error: {path}: not found\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_import_loads_no_scipy():
+    probe = "import sys, motok.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _non_default(value):

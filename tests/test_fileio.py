@@ -67,6 +67,15 @@ class TestMtok:
         with pytest.raises(FileFormatError):
             write_mtok(tmp_path / "big.mtok", stream)
 
+    def test_reader_rejects_vocab_the_writer_refuses(self, tmp_path):
+        path = tmp_path / "big.mtok"
+        write_mtok(path, TokenStream(indices=np.array([0, 3]), vocab_size=1 << 16))
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 1 << 17)  # after the magic and the version
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError, match="vocab_size"):
+            read_mtok(path)
+
 
 class TestVox:
     def test_round_trip(self, tmp_path, rng):

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from motok.motion import (
     FRAME_DIM,
     MAX_FRAMES,
+    SMALL_ANGLE,
     MotionError,
     MotionSequence,
     SixDof,
+    _matrix_to_rotvec,
     axis_angle_to_matrix,
     extract_waypoints,
     normalize_rotations,
@@ -72,6 +74,75 @@ class TestValidation:
         ok = np.zeros((1, FRAME_DIM))
         ok[0, 5] = 1.5
         np.testing.assert_array_equal(normalize_rotations(ok), ok)
+
+
+def scipy_rotation():
+    return pytest.importorskip("scipy.spatial.transform").Rotation
+
+
+def unit_axes(rng, num):
+    axes = rng.normal(size=(num, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+# Angles at the edges of the rotation maps: 0, either side of the Taylor
+# switch, and pi, where the rotation vector's sign is ambiguous.
+EDGE_ANGLES = [0.0, 1e-300, 1e-12, 1e-8, SMALL_ANGLE * (1 - 1e-9), SMALL_ANGLE,
+               SMALL_ANGLE * (1 + 1e-9), 0.5, np.pi - 1e-6, np.pi - 1e-9, np.pi]
+
+
+class TestRotationMaps:
+    """Rodrigues and Shepperd's method against scipy's ``Rotation`` as an oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, np.pi, exclude_max=True))
+    def test_round_trip(self, seed, angle):
+        rotvec = unit_axes(np.random.default_rng(seed), 1)[0] * angle
+        back = _matrix_to_rotvec(axis_angle_to_matrix(rotvec)[None])[0]
+        np.testing.assert_allclose(back, rotvec, rtol=0, atol=1e-14)
+
+    def test_matrices_agree_with_scipy(self, rng):
+        rotation = scipy_rotation()
+        # MotionSequence admits angles up to 2*pi
+        rotvecs = unit_axes(rng, 5000) * rng.uniform(0.0, 2 * np.pi, size=(5000, 1))
+        mats = axis_angle_to_matrix(rotvecs)
+        np.testing.assert_allclose(mats, rotation.from_rotvec(rotvecs).as_matrix(),
+                                   rtol=0, atol=1e-14)
+        # compare the recovered rotations as matrices: at pi both signs are valid
+        want = rotation.from_matrix(mats).as_rotvec()
+        np.testing.assert_allclose(axis_angle_to_matrix(_matrix_to_rotvec(mats)),
+                                   axis_angle_to_matrix(want), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("angle", EDGE_ANGLES)
+    def test_edge_angles(self, rng, angle):
+        rotation = scipy_rotation()
+        rotvecs = unit_axes(rng, 50) * angle
+        mats = axis_angle_to_matrix(rotvecs)
+        np.testing.assert_allclose(mats, rotation.from_rotvec(rotvecs).as_matrix(),
+                                   rtol=0, atol=1e-14)
+        back = _matrix_to_rotvec(mats)
+        np.testing.assert_allclose(axis_angle_to_matrix(back), mats, rtol=0, atol=1e-14)
+        if angle < np.pi:
+            np.testing.assert_allclose(back, rotvecs, rtol=0, atol=1e-14)
+        else:
+            np.testing.assert_allclose(np.abs(back), np.abs(rotvecs), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(back, axis=1), angle, rtol=0, atol=1e-14)
+
+    def test_scalar_shape(self):
+        assert axis_angle_to_matrix(np.array([0.0, 0.3, 0.0])).shape == (3, 3)
+        np.testing.assert_array_equal(axis_angle_to_matrix(np.zeros((2, 4, 3))),
+                                      np.broadcast_to(np.eye(3), (2, 4, 3, 3)))
+
+    def test_to_global_composes_like_scipy(self, rng):
+        rotation = scipy_rotation()
+        frames = random_frames(rng, 40)
+        pose = SixDof(rng.normal(size=3), unit_axes(rng, 1)[0] * 2.5)
+        out = to_global(make_seq(frames, is_canonical=True), pose)
+        world = rotation.from_rotvec(pose.orientation.copy())  # scipy needs writable input
+        for block in (slice(3, 6), slice(72, 75)):
+            want = (world * rotation.from_rotvec(frames[:, block])).as_matrix()
+            np.testing.assert_allclose(axis_angle_to_matrix(out.frames[:, block]), want,
+                                       rtol=0, atol=1e-14)
 
 
 class TestToGlobal:

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motok.motion import FRAME_DIM, MotionSequence, SixDof, to_global
 from motok.scene import (
     BONE_OFFSETS,
+    CONTACT_THRESHOLD,
     BONE_PARENTS,
     FREE_SENTINEL,
     SceneError,
     SceneVoxelGrid,
     SignedDistanceField,
+    _closest_pair_distances,
+    _distance_to,
     body_keypoints,
     build_sdf,
     collision_score,
@@ -19,6 +23,7 @@ from motok.scene import (
     voxelize_points,
 )
 from conftest import rodrigues
+from test_populate import demo_room
 
 
 def brute_force_sdf(occ, cell):
@@ -110,6 +115,31 @@ class TestBuildSdf:
         sdf = build_sdf(SceneVoxelGrid(occ, np.zeros(3), 0.1))
         assert np.all(sdf.distances[occ == 1] <= 0.0)
         assert np.all(sdf.distances[occ == 0] > 0.0)
+
+
+class TestDistanceTransform:
+    """The numpy EDT against scipy's ``distance_transform_edt`` as an oracle."""
+
+    @staticmethod
+    def assert_matches_scipy(occ):
+        edt = pytest.importorskip("scipy.ndimage").distance_transform_edt
+        # both signs: distance to occupied cells and distance to free cells
+        for features in (occ, ~occ):
+            assert _distance_to(features).tobytes() == edt(~features).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, st.tuples(*[st.integers(1, 8)] * 3)))
+    def test_bit_identical_to_scipy(self, occ):
+        assume(occ.any() and not occ.all())
+        self.assert_matches_scipy(occ)
+
+    def test_bit_identical_to_scipy_on_demo_room(self):
+        self.assert_matches_scipy(demo_room().occupancy.astype(bool))
+
+    def test_one_cell_axes(self):
+        occ = np.zeros((1, 5, 1), dtype=bool)
+        occ[0, 1, 0] = True
+        np.testing.assert_array_equal(_distance_to(occ).ravel(), [1.0, 0.0, 1.0, 2.0, 3.0])
 
 
 class TestSignedDistanceFieldValidation:
@@ -300,6 +330,25 @@ class TestContact:
         under = np.array([[[0.05 - 1e-9, 0.0, 0.0]]])
         assert contact_score(kp, at) == 0.0
         assert contact_score(kp, under) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 30), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    def test_distances_bit_identical_to_cdist(self, num, joints, points, seed):
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
+        rng = np.random.default_rng(seed)
+        kp = rng.normal(size=(num, joints, 3))
+        obj = rng.normal(size=(num, points, 3))
+        want = np.array([cdist(a, b).min() for a, b in zip(kp, obj)])
+        assert _closest_pair_distances(kp, obj).tobytes() == want.tobytes()
+
+    def test_pair_at_threshold_on_every_axis_is_not_contact(self):
+        kp = np.zeros((3, 1, 3))
+        at = np.zeros((3, 1, 3))
+        at[[0, 1, 2], 0, [0, 1, 2]] = -CONTACT_THRESHOLD
+        np.testing.assert_array_equal(_closest_pair_distances(kp, at), CONTACT_THRESHOLD)
+        assert contact_score(kp, at) == 0.0
+        assert contact_score(kp, np.nextafter(at, 0.0)) == 1.0
 
     def test_invariant_to_point_relabeling(self, rng):
         kp = rng.normal(size=(6, 4, 3))
