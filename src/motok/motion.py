@@ -45,17 +45,19 @@ def axis_angle_to_matrix(rotvec: np.ndarray) -> np.ndarray:
     with t = |r|, where 1 - cos(t) = 2 sin^2(t/2) avoids cancellation.
     """
     r = np.asarray(rotvec, dtype=np.float64)
+    if r.shape[-1:] != (3,):
+        raise MotionError(f"rotation vectors must have shape (..., 3), got {r.shape}")
     theta_sq = np.einsum("...i,...i->...", r, r)
     theta = np.sqrt(theta_sq)
+    # a = sin(t)/t and b = (1 - cos(t))/t^2, by their Taylor series when t is small
     small = theta < SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
-    sinc = np.where(small, 1.0 - theta_sq / 6.0 + theta_sq * theta_sq / 120.0,
-                    np.sin(safe) / safe)
+    a = np.where(small, 1.0 - theta_sq / 6.0 + theta_sq * theta_sq / 120.0, np.sin(safe) / safe)
     half_sin = np.sin(safe / 2.0)
-    versine = np.where(small, 0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0,
-                       2.0 * half_sin * half_sin / (safe * safe))
-    mats = versine[..., None, None] * r[..., :, None] * r[..., None, :]
-    x, y, z = (sinc * r[..., i] for i in range(3))
+    b = np.where(small, 0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0,
+                 2.0 * half_sin * half_sin / (safe * safe))
+    mats = b[..., None, None] * r[..., :, None] * r[..., None, :]
+    x, y, z = (a * r[..., i] for i in range(3))
     mats[..., 0, 1] -= z
     mats[..., 1, 0] += z
     mats[..., 0, 2] += y

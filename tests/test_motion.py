@@ -128,10 +128,13 @@ class TestRotationMaps:
             np.testing.assert_allclose(np.abs(back), np.abs(rotvecs), rtol=0, atol=1e-14)
         np.testing.assert_allclose(np.linalg.norm(back, axis=1), angle, rtol=0, atol=1e-14)
 
-    def test_scalar_shape(self):
+    def test_shapes(self):
         assert axis_angle_to_matrix(np.array([0.0, 0.3, 0.0])).shape == (3, 3)
         np.testing.assert_array_equal(axis_angle_to_matrix(np.zeros((2, 4, 3))),
                                       np.broadcast_to(np.eye(3), (2, 4, 3, 3)))
+        for shape in [(4,), (5, 2), ()]:
+            with pytest.raises(MotionError, match="shape"):
+                axis_angle_to_matrix(np.zeros(shape))
 
     def test_to_global_composes_like_scipy(self, rng):
         rotation = scipy_rotation()
