@@ -3,6 +3,7 @@
 
 Writes its artifacts (scene.vox, walk.mseq, placed.mseq, placement.json,
 score.json, sampled_track.mseq) into --workdir and prints a short summary.
+A stage that fails ends the demo with that stage's exit code.
 """
 
 import argparse
@@ -27,6 +28,13 @@ def build_room(cell=0.1, nx=30, nz=30, ny=18):
     return SceneVoxelGrid(occ, np.zeros(3), cell)
 
 
+def run_stage(*argv):
+    """Run one CLI stage in-process; a failed stage ends the demo with its exit code."""
+    code = dispatch(list(argv))
+    if code != 0:
+        raise SystemExit(code)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="demo_out")
@@ -47,20 +55,20 @@ def main():
 
     placed = work / "placed.mseq"
     report = work / "placement.json"
-    code = dispatch(["populate", "--scene", str(scene_path), "--motion",
-                     str(walk_path), "--out", str(placed), "--report", str(report)])
-    print("populate exit:", code)
+    run_stage("populate", "--scene", str(scene_path), "--motion", str(walk_path),
+              "--out", str(placed), "--report", str(report))
+    print("placement:")
     print(report.read_text())
 
     score = work / "score.json"
-    dispatch(["score", "--scene", str(scene_path), "--motion", str(placed),
-              "--object", str(object_path), "--report", str(score)])
+    run_stage("score", "--scene", str(scene_path), "--motion", str(placed),
+              "--object", str(object_path), "--report", str(score))
     print("geometry scores:")
     print(json.dumps(json.loads(score.read_text()), indent=2))
 
     track = work / "sampled_track.mseq"
-    dispatch(["sample", "--steps", "20", "--seed", str(args.seed), "--waypoints",
-              "8", "--heading", "0.6", "--cfg-scale", "2.5", "--out", str(track)])
+    run_stage("sample", "--steps", "20", "--seed", str(args.seed), "--waypoints", "8",
+              "--heading", "0.6", "--cfg-scale", "2.5", "--out", str(track))
     print("sampled waypoint track:", track)
 
 

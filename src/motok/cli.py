@@ -9,12 +9,18 @@ commands that work long before they write (``train-vae``, ``sweep-vocab``,
 exits 2 as well: its ``OSError`` is caught once, in :func:`dispatch`, and
 the one-line message names the path given on the command line.  Every output file is written
 atomically, so a failed write leaves no file behind.
+
+:func:`build_parser` builds the parser once per process, on the first call
+(not at import), and :func:`dispatch` reuses it for every command: parsing
+fills a fresh namespace and leaves the parser unchanged.  Callers must not
+mutate the parser that :func:`build_parser` returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -338,6 +344,7 @@ def _add_trainer_flags(p: argparse.ArgumentParser, skip: tuple = ()):
                            type=type(f.default), default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="motok",
                                      description="motion tokenization and evaluation toolkit")
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--root-pose", dest="root_pose", type=_parse_root_pose,
-                   default=[0.0] * 6,
+                   default=(0.0,) * 6,  # a tuple: the cached parser shares its defaults
                    help="x,y,z,rx,ry,rz world offset for --to-global "
                         "(use --root-pose=<v> when the first value is negative)")
     p.set_defaults(func=_cmd_convert)
@@ -432,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -26,6 +26,8 @@ from .motion import (
 FREE_SENTINEL = 1e9
 # Human-object distance (m) below which a frame counts as contact.
 CONTACT_THRESHOLD = 0.05
+# Frames per block of contact distances; a block's (J, n) buffers stay in cache.
+_CONTACT_BLOCK = 4
 
 
 class SceneError(ValueError):
@@ -328,19 +330,29 @@ def collision_score(keypoints: np.ndarray, sdf: SignedDistanceField) -> tuple[fl
 def _closest_pair_distances(keypoints: np.ndarray, object_points: np.ndarray) -> np.ndarray:
     """Per-frame distance of the closest keypoint-object point pair, shape (T,).
 
-    Squared distances accumulate as (dx^2 + dy^2) + dz^2 over (T, J, n)
-    differences.  ``sqrt`` is monotone and correctly rounded, so the root of
-    each frame's minimum is its minimum distance.
+    Squared distances accumulate as (dx^2 + dy^2) + dz^2 over (J, n)
+    differences, a block of frames at a time in two reused buffers, from
+    coordinate-major copies (3, T, J) and (3, T, n).  ``sqrt`` is monotone
+    and correctly rounded, so the root of each frame's minimum is its minimum
+    distance.
     """
-    squared = None
-    for axis in range(3):
-        delta = np.subtract(keypoints[:, :, None, axis], object_points[:, None, :, axis])
-        delta *= delta
-        if squared is None:
-            squared = delta
-        else:
-            squared += delta
-    return np.sqrt(squared.reshape(squared.shape[0], -1).min(axis=1))
+    kp = np.ascontiguousarray(np.moveaxis(keypoints, 2, 0))
+    op = np.ascontiguousarray(np.moveaxis(object_points, 2, 0))
+    num = kp.shape[1]
+    squared = np.empty((min(_CONTACT_BLOCK, num), kp.shape[2], op.shape[2]))
+    delta = np.empty_like(squared)
+    closest = np.empty(num)
+    for start in range(0, num, _CONTACT_BLOCK):
+        stop = min(start + _CONTACT_BLOCK, num)
+        block, diff = squared[:stop - start], delta[:stop - start]
+        np.subtract(kp[0, start:stop, :, None], op[0, start:stop, None, :], out=block)
+        block *= block
+        for axis in (1, 2):
+            np.subtract(kp[axis, start:stop, :, None], op[axis, start:stop, None, :], out=diff)
+            diff *= diff
+            block += diff
+        block.reshape(stop - start, -1).min(axis=1, out=closest[start:stop])
+    return np.sqrt(closest, out=closest)
 
 
 def contact_score(keypoints: np.ndarray, object_points: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -525,6 +526,80 @@ def test_import_loads_no_scipy():
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_import_builds_no_parser():
+    # the parser is built on the first dispatch, so importing the CLI stays cheap
+    probe = "import motok.cli; print(motok.cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "0\n"
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParserReuse:
+    """``dispatch`` parses every command with one parser built per process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_valid_command_after_parse_error(self, tmp_path, capsys):
+        out = tmp_path / "t.mseq"
+        assert dispatch(["sample", "--steps", "0", "--out", str(out)]) == 2
+        assert dispatch(["frobnicate"]) == 2
+        capsys.readouterr()
+        assert dispatch(["sample", "--out", str(out)]) == 0
+        assert fileio.read_mseq(out).num_frames == 10
+
+    @pytest.mark.parametrize("given, omitted, name, default", [
+        (["sample", "--two-pass", "--out", "o"], ["sample", "--out", "o"], "two_pass", False),
+        (["populate", "--scene", "s", "--motion", "m", "--out", "o", "--yaw-count", "4"],
+         ["populate", "--scene", "s", "--motion", "m", "--out", "o"], "yaw_count", 16),
+        (["convert", "--to-global", "--in", "i", "--out", "o", "--root-pose=1,2,3,4,5,6"],
+         ["convert", "--to-global", "--in", "i", "--out", "o"], "root_pose", (0.0,) * 6),
+    ], ids=["sample", "populate", "convert"])
+    def test_flag_does_not_carry_into_next_parse(self, given, omitted, name, default):
+        assert getattr(build_parser().parse_args(given), name) != default
+        assert getattr(build_parser().parse_args(omitted), name) == default
+
+    def test_dispatch_does_not_carry_yaw_count(self, monkeypatch, capsys):
+        monkeypatch.setattr(fileio, "read_vox", lambda path: None)
+        monkeypatch.setattr(fileio, "read_mseq", lambda path: None)
+        seen = []
+
+        def record(seq, grid, config):
+            seen.append(config.yaw_count)
+            raise populate.SceneLessError("recorded")
+
+        monkeypatch.setattr(populate, "optimize_placement", record)
+        argv = ["populate", "--scene", "s.vox", "--motion", "m.mseq", "--out", "o.mseq"]
+        assert dispatch([*argv, "--yaw-count", "4"]) == 1
+        assert dispatch(argv) == 1
+        capsys.readouterr()
+        assert seen == [4, 16]
+
+    def test_help_matches_a_fresh_parser(self, tmp_path, capsys):
+        # use the shared parser first: errors and help both print through it
+        assert dispatch(["sample", "--steps", "0", "--out", str(tmp_path / "t")]) == 2
+        assert dispatch(["--help"]) == 0
+        capsys.readouterr()
+        fresh = build_parser.__wrapped__()
+        commands = _subcommands(fresh)
+        assert commands == _subcommands(build_parser())
+        for argv in [[], *([cmd] for cmd in commands)]:
+            assert _help_text(build_parser(), argv, capsys) == _help_text(fresh, argv, capsys)
 
 
 def _non_default(value):

@@ -1,6 +1,7 @@
 """Smoke test: the shipped scripts and ``python -m motok`` run from a source checkout."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from motok.fileio import read_mseq
 from motok.synth import make_corpus
@@ -29,6 +31,36 @@ def test_demo_scene_pipeline(tmp_path):
     for name in ("scene.vox", "walk.mseq", "object.pts", "placed.mseq", "score.json",
                  "sampled_track.mseq"):
         assert (work / name).is_file(), name
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("failing, code, ran", [
+    ("populate", 1, ["populate"]),
+    ("score", 2, ["populate", "score"]),
+    ("sample", 1, ["populate", "score", "sample"]),
+])
+def test_demo_stops_at_first_failed_stage(failing, code, ran, tmp_path, monkeypatch, capsys):
+    demo = load_script("demo_scene_pipeline.py")
+    real_dispatch, calls = demo.dispatch, []
+
+    def dispatch(argv):
+        calls.append(argv[0])
+        return code if argv[0] == failing else real_dispatch(argv)
+
+    monkeypatch.setattr(demo, "dispatch", dispatch)
+    monkeypatch.setattr(sys, "argv", ["demo", "--workdir", str(tmp_path / "demo")])
+    with pytest.raises(SystemExit) as exc:
+        demo.main()
+    assert exc.value.code == code
+    assert calls == ran
+    capsys.readouterr()
 
 
 def test_run_vocab_sweep(tmp_path):
