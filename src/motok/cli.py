@@ -79,8 +79,7 @@ def _cmd_tokenize(args) -> int:
     params = fileio.read_vae(args.vae)
     seq = fileio.read_mseq(args.infile)
     indices = vae.tokenize_frames(params, seq.frames)
-    stream = tokens.TokenStream(indices=indices, vocab_size=params.vocab_size,
-                                segment_len=vae.SEGMENT_LEN)
+    stream = tokens.TokenStream(indices=indices, vocab_size=params.vocab_size)
     fileio.write_mtok(args.outfile, stream)
     return 0
 
@@ -91,10 +90,6 @@ def _cmd_detokenize(args) -> int:
     if stream.vocab_size != params.vocab_size:
         raise UsageError(
             f"token vocab {stream.vocab_size} does not match VAE vocab {params.vocab_size}"
-        )
-    if stream.segment_len != vae.SEGMENT_LEN:
-        raise UsageError(
-            f"token segment length {stream.segment_len} does not match the VAE's {vae.SEGMENT_LEN}"
         )
     bits = lfq.indices_to_bits(stream.indices, params.num_dims)
     frames = motion.normalize_rotations(vae.decode(params, bits.astype(np.float64)))

@@ -1,12 +1,15 @@
 """Binary file formats and atomic writes.
 
 All integers are little-endian.  Each format is declared once, in the
-header table below: its magic and its ``struct`` header, with the payload
-that follows the header.  A file is the magic, a u32 ``FORMAT_VERSION``
-(neither is present when the magic is empty), the header, then the payload.
-Every reader raises :class:`FileFormatError` on a bad magic or version, a
-header or payload that runs past the end of the file (a corrupt count
-included), a tensor name that is not UTF-8, or bytes after the payload.
+header table below: its magic, its version, its ``struct`` header, and the
+payload that follows the header.  A file is the magic, the format's version
+as a u32 (neither is present when the magic is empty), the header, then the
+payload.  Each format has its own version, and each reader reads that
+version alone: ``.mtok`` and ``.vae`` are at version 2, so a version 1 file
+of either is rejected.  Every reader raises :class:`FileFormatError` on a
+bad magic or version, a header or payload that runs past the end of the
+file (a corrupt count included), a tensor name that is not UTF-8, a tensor
+that is not 1-D or 2-D, or bytes after the payload.
 """
 
 from __future__ import annotations
@@ -23,24 +26,23 @@ import numpy as np
 from .motion import FRAME_DIM, MotionSequence
 from .scene import SceneVoxelGrid
 from .tokens import TokenStream
-from .vae import DOWNSAMPLE_LAYERS, ToyVaeParams
-
-FORMAT_VERSION = 1
+from .vae import ToyVaeParams
 
 _VERSION = "<I"
-# (magic, header): header fields; payload
-_MSEQ = (b"MSEQ", "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
-_MTOK = (b"MTOK", "<III")  # vocab_size (<= _MAX_VOCAB), num_tokens, segment_len; u16 indices
+# (magic, version, header): header fields; payload.  A format without a
+# magic has no version either.
+_MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
+# vocab_size (<= _MAX_VOCAB), num_tokens; u16 indices, one per vae.SEGMENT_LEN frames
+_MTOK = (b"MTOK", 2, "<II")
 _MAX_VOCAB = 1 << 16  # every index fits a u16
 # H, W, D, origin[3], cell_size; occupancy bit-packed MSB-first, flattened
 # x-fastest (y, then z, then x order)
-_VOX = (b"SVOX", "<III3ff")
-_PTS = (b"", "<I")  # n; n x 3 float32
-_FEAT = (b"", "<II")  # N, F; N x F float32
-# vocab_size, hidden_width, downsample_layers (must be vae.DOWNSAMPLE_LAYERS),
-# num_tensors; then per tensor, by name: u16 name length, the UTF-8 name,
-# u8 ndim, ndim x u32 dims, float32 data
-_VAE = (b"MVAE", "<IIII")
+_VOX = (b"SVOX", 1, "<III3ff")
+_PTS = (b"", None, "<I")  # n; n x 3 float32
+_FEAT = (b"", None, "<II")  # N, F; N x F float32
+# vocab_size, hidden_width, num_tensors; then per tensor, by name: u16 name
+# length, the UTF-8 name, u8 ndim (1 or 2), ndim x u32 dims, float32 data
+_VAE = (b"MVAE", 2, "<III")
 _NAME_LEN, _NDIM = "<H", "<B"
 
 
@@ -71,10 +73,10 @@ def atomic_write(path):
 
 
 def _write(path, fmt, header, *payload):
-    magic, layout = fmt
+    magic, version, layout = fmt
     with atomic_write(path) as out:
         if magic:
-            out.write(magic + struct.pack(_VERSION, FORMAT_VERSION))
+            out.write(magic + struct.pack(_VERSION, version))
         out.write(struct.pack(layout, *header))
         out.writelines(payload)
 
@@ -100,15 +102,16 @@ def _read(path, fmt):
 
     The payload is read inside the ``with``; bytes left after it are rejected.
     """
-    magic, layout = fmt
+    magic, version, layout = fmt
     with open(path, "rb") as handle:
         body = _Body(handle.read())
     if magic:
         if body.take(len(magic), "magic") != magic:
             raise FileFormatError(f"bad magic, expected {magic!r}")
-        (version,) = _unpack(body, _VERSION, "version")
-        if version != FORMAT_VERSION:
-            raise FileFormatError(f"unsupported version {version}")
+        (found,) = _unpack(body, _VERSION, "version")
+        if found != version:
+            raise FileFormatError(
+                f"unsupported {magic.decode()} version {found}, expected version {version}")
     yield body, _unpack(body, layout, "header")
     if body.offset != len(body.view):
         raise FileFormatError("trailing bytes after the payload")
@@ -139,16 +142,16 @@ def read_mseq(path) -> MotionSequence:
 def write_mtok(path, stream: TokenStream):
     if stream.vocab_size > _MAX_VOCAB:
         raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}")
-    _write(path, _MTOK, (stream.vocab_size, stream.num_tokens, stream.segment_len),
+    _write(path, _MTOK, (stream.vocab_size, stream.num_tokens),
            stream.indices.astype("<u2").tobytes())
 
 
 def read_mtok(path) -> TokenStream:
-    with _read(path, _MTOK) as (body, (vocab, num, segment)):
+    with _read(path, _MTOK) as (body, (vocab, num)):
         if vocab > _MAX_VOCAB:
             raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}, got {vocab}")
         indices = _array(body, "<u2", (num,), "tokens")
-    return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab, segment_len=segment)
+    return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab)
 
 
 def write_vox(path, grid: SceneVoxelGrid):
@@ -196,14 +199,11 @@ def write_vae(path, params: ToyVaeParams):
         records += [struct.pack(_NAME_LEN, len(encoded)), encoded,
                     struct.pack(_NDIM, tensor.ndim), struct.pack(f"<{tensor.ndim}I", *tensor.shape),
                     tensor.astype("<f4").tobytes()]
-    _write(path, _VAE, (params.vocab_size, params.hidden_width, DOWNSAMPLE_LAYERS,
-                        len(params.tensors)), *records)
+    _write(path, _VAE, (params.vocab_size, params.hidden_width, len(params.tensors)), *records)
 
 
 def read_vae(path) -> ToyVaeParams:
-    with _read(path, _VAE) as (body, (vocab, hidden, layers, count)):
-        if layers != DOWNSAMPLE_LAYERS:
-            raise FileFormatError(f"unsupported downsample layer count {layers}")
+    with _read(path, _VAE) as (body, (vocab, hidden, count)):
         tensors = {}
         for _ in range(count):
             (name_len,) = _unpack(body, _NAME_LEN, "name length")
@@ -212,6 +212,8 @@ def read_vae(path) -> ToyVaeParams:
             except UnicodeDecodeError:
                 raise FileFormatError("tensor name is not UTF-8") from None
             (ndim,) = _unpack(body, _NDIM, "ndim")
+            if ndim not in (1, 2):
+                raise FileFormatError(f"tensor {name} has {ndim} dims, expected 1 or 2")
             shape = _unpack(body, f"<{ndim}I", "shape")
             tensors[name] = _array(body, "<f4", shape, f"tensor {name}").astype(np.float64)
     return ToyVaeParams(tensors=tensors, vocab_size=vocab, hidden_width=hidden)

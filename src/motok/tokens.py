@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lfq import LfqCodebook
-from .vae import SEGMENT_LEN
 
 
 class TokenError(ValueError):
@@ -20,11 +19,10 @@ class TokenError(ValueError):
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Token indices covering fixed-length motion segments."""
+    """Token indices, one per ``vae.SEGMENT_LEN``-frame motion segment."""
 
     indices: np.ndarray
     vocab_size: int
-    segment_len: int = SEGMENT_LEN
 
     def __post_init__(self):
         codebook = LfqCodebook.from_vocab_size(self.vocab_size)
@@ -33,12 +31,9 @@ class TokenStream:
             raise TokenError("token stream is empty")
         if np.any(idx < 0) or np.any(idx >= codebook.vocab_size):
             raise TokenError("token index out of range")
-        if int(self.segment_len) < 1:
-            raise TokenError(f"segment_len must be >= 1, got {self.segment_len}")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "vocab_size", codebook.vocab_size)
-        object.__setattr__(self, "segment_len", int(self.segment_len))
 
     @property
     def num_tokens(self) -> int:

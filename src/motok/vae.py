@@ -21,10 +21,10 @@ import numpy as np
 from .lfq import LfqCodebook, bits_to_indices, entropy_loss, entropy_loss_grad, sign_bits
 from .motion import FRAME_DIM, MotionSequence
 
-# three halving layers give the fixed 8-frame segment the rest of the
-# pipeline (token files, waypoint repetition) is built around
-DOWNSAMPLE_LAYERS = 3
-SEGMENT_LEN = 2 ** DOWNSAMPLE_LAYERS
+# the three halving encoder rows of _LAYERS map each 8-frame segment to one
+# latent; the rest of the pipeline (token files, waypoint repetition) is built
+# around this segment length
+SEGMENT_LEN = 8
 
 # starting the latent projection bias off-center makes initial code usage
 # imbalanced, which is the failure mode the entropy term exists to fix

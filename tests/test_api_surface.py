@@ -1,13 +1,13 @@
 """Every public name of motok has a caller outside tests.
 
-Public names are the top-level functions and classes of ``src/motok`` and
-the methods and properties of its public classes.  A name counts as used
-when it is read (as a name or an attribute) in a ``src/motok`` module other
-than ``__init__.py``, outside its own definition, or anywhere in
-``scripts/`` or ``perfbench/``.  Private top-level names (functions,
-classes and constants whose name starts with one underscore) must be read
-in some ``src/motok`` module outside their own definition, so a helper left
-behind by a refactor fails here.  Names are matched by spelling alone, which
+Public names are the top-level functions, classes and constants of
+``src/motok`` and the methods and properties of its public classes.  A name
+counts as used when it is read (as a name or an attribute) in a
+``src/motok`` module other than ``__init__.py``, outside its own definition,
+or anywhere in ``scripts/`` or ``perfbench/``.  Private top-level names
+(functions, classes and constants whose name starts with one underscore)
+must be read in some ``src/motok`` module outside their own definition, so a
+helper left behind by a refactor fails here.  Names are matched by spelling alone, which
 can only hide an unused name, never flag a used one.
 """
 
@@ -53,6 +53,18 @@ def _public(body: list) -> list:
             and not node.name.startswith("_")]
 
 
+def _assigned_names(node: ast.AST) -> list[str]:
+    """The plain names a module-level assignment binds; none for other statements."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    elements = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    return [e.id for e in elements if isinstance(e, ast.Name)]
+
+
 def _public_definitions(library: dict[Path, ast.Module]):
     """(path, qualified name, node) of each public top-level name and public method."""
     for path, tree in library.items():
@@ -61,6 +73,10 @@ def _public_definitions(library: dict[Path, ast.Module]):
             if isinstance(node, ast.ClassDef):
                 for method in _public(node.body):
                     yield path, f"{node.name}.{method.name}", method
+        for node in tree.body:
+            for name in _assigned_names(node):
+                if not name.startswith("_"):
+                    yield path, name, node
 
 
 def test_public_names_have_a_caller_outside_tests():
@@ -74,7 +90,7 @@ def test_public_names_have_a_caller_outside_tests():
         used = set(outside)
         for other, tree in library.items():
             used |= _reads(tree, skip=node if other == path else None)
-        if node.name not in used and name not in ALLOWED_UNUSED:
+        if name.rpartition(".")[2] not in used and name not in ALLOWED_UNUSED:
             unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"public names used only by tests: {unused}"
 
@@ -83,15 +99,8 @@ def _private_definitions(library: dict[Path, ast.Module]):
     """(path, name, node) of each private top-level function, class and constant."""
     for path, tree in library.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                elements = [e for t in targets
-                            for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
-                names = [e.id for e in elements if isinstance(e, ast.Name)]
-            else:
-                continue
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     else _assigned_names(node))
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     yield path, name, node

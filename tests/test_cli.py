@@ -139,17 +139,17 @@ class TestTokenizeRoundTrip:
                          str(stream_path), "--out", str(tmp_path / "o.mseq")]) == 2
         capsys.readouterr()
 
-    def test_segment_len_mismatch_rejected(self, tmp_path, capsys):
+    def test_version_1_mtok_rejected(self, tmp_path, capsys):
         data_dir = write_corpus(tmp_path)
         vae_path = train_small_vae(tmp_path, data_dir)
-        stream_path = tmp_path / "s.mtok"
-        from motok.tokens import TokenStream
-        fileio.write_mtok(stream_path, TokenStream(indices=np.array([0, 1, 2]),
-                                                   vocab_size=64, segment_len=4))
+        # version 1: magic, version, vocab_size, num_tokens, segment_len (8), u16 indices
+        stream_path = tmp_path / "v1.mtok"
+        stream_path.write_bytes(b"MTOK" + struct.pack("<IIII", 1, 64, 3, 8)
+                                + struct.pack("<3H", 0, 1, 2))
         out = tmp_path / "o.mseq"
         assert dispatch(["detokenize", "--vae", str(vae_path), "--in",
-                         str(stream_path), "--out", str(out)]) == 2
-        assert "segment length 4" in capsys.readouterr().err
+                         str(stream_path), "--out", str(out)]) == 1
+        assert "unsupported MTOK version 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_hidden_width_rejected(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motok import fileio
 from motok.cli import dispatch
 from motok.fileio import (
     FileFormatError,
@@ -24,7 +27,7 @@ from motok.fileio import (
 from motok.motion import FRAME_DIM, MAX_FRAMES, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.tokens import TokenStream
-from motok.vae import ToyVaeConfig, init_params
+from motok.vae import ToyVaeConfig, ToyVaeParams, _shapes, init_params
 
 
 class TestMseq:
@@ -54,13 +57,12 @@ class TestMseq:
 
 class TestMtok:
     def test_round_trip(self, tmp_path, rng):
-        stream = TokenStream(indices=rng.integers(0, 8192, 40), vocab_size=8192,
-                             segment_len=8)
+        stream = TokenStream(indices=rng.integers(0, 8192, 40), vocab_size=8192)
         path = tmp_path / "a.mtok"
         write_mtok(path, stream)
         back = read_mtok(path)
         np.testing.assert_array_equal(back.indices, stream.indices)
-        assert back.vocab_size == 8192 and back.segment_len == 8
+        assert back.vocab_size == 8192
 
     def test_vocab_limit(self, tmp_path):
         stream = TokenStream(indices=np.array([0]), vocab_size=1 << 17)
@@ -128,15 +130,14 @@ class TestVae:
             np.testing.assert_array_equal(back.tensors[name],
                                           tensor.astype(np.float32))
 
-    def test_two_layer_header_rejected(self, tmp_path, rng, capsys):
-        # the header's downsample layer count (bytes 16:20) must be 3
+    def test_version_1_rejected(self, tmp_path, rng, capsys):
+        # version 1 had a downsample layer count (always 3) before num_tensors
         path = tmp_path / "p.vae"
         write_vae(path, init_params(ToyVaeConfig(vocab_size=64, hidden_width=6)))
-        blob = bytearray(path.read_bytes())
-        assert struct.unpack("<I", blob[16:20]) == (3,)
-        blob[16:20] = struct.pack("<I", 2)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FileFormatError):
+        blob = path.read_bytes()
+        vocab, hidden, count = struct.unpack("<III", blob[8:20])
+        path.write_bytes(b"MVAE" + struct.pack("<IIIII", 1, vocab, hidden, 3, count) + blob[20:])
+        with pytest.raises(FileFormatError, match="unsupported MVAE version 1"):
             read_vae(path)
 
         motion = tmp_path / "m.mseq"
@@ -144,7 +145,7 @@ class TestVae:
         code = dispatch(["tokenize", "--vae", str(path), "--in", str(motion),
                          "--out", str(tmp_path / "m.mtok")])
         assert code == 1
-        assert "downsample layer count 2" in capsys.readouterr().err
+        assert "unsupported MVAE version 1" in capsys.readouterr().err
         assert not (tmp_path / "m.mtok").exists()
 
 
@@ -186,13 +187,23 @@ def test_every_truncation_rejected(tmp_path, rng, suffix):
             read(path)
 
 
+def _header_end(fmt):
+    """Offset of the first payload byte: magic, version (if any) and header."""
+    magic, _, layout = fmt
+    return len(magic) + (4 if magic else 0) + struct.calcsize(layout)
+
+
+# the first .vae tensor record, which starts with its u16 name length
+_VAE_RECORDS = _header_end(fileio._VAE)
+
+
 def _count_offsets(suffix, blob):
     """Byte offsets of the u32 fields that size a payload."""
     if suffix == ".vae":
-        # num_tensors, then the first dim of the first tensor record, which
-        # starts at byte 24 with a u16 name length, the name and a u8 ndim
-        (name_len,) = struct.unpack("<H", blob[24:26])
-        return (20, 26 + name_len + 1)
+        # num_tensors (the last header field), then the first dim of the first
+        # tensor record: after its u16 name length, the name and a u8 ndim
+        (name_len,) = struct.unpack("<H", blob[_VAE_RECORDS:_VAE_RECORDS + 2])
+        return (_VAE_RECORDS - 4, _VAE_RECORDS + 2 + name_len + 1)
     return {".mseq": (8,), ".mtok": (12,), ".vox": (8, 12, 16), ".pts": (0,),
             ".feat": (0, 4)}[suffix]
 
@@ -217,10 +228,100 @@ def test_vae_name_not_utf8_rejected(tmp_path):
     path = tmp_path / "p.vae"
     write_vae(path, init_params(ToyVaeConfig(vocab_size=16, hidden_width=2)))
     blob = bytearray(path.read_bytes())
-    blob[26] = 0xFF  # first byte of the first tensor name
+    blob[_VAE_RECORDS + 2] = 0xFF  # first byte of the first tensor name
     path.write_bytes(bytes(blob))
     with pytest.raises(FileFormatError, match="UTF-8"):
         read_vae(path)
+
+
+# one value per format from deterministic inputs (no generator draws, whose
+# streams may change with the numpy version), and the sha256 of its file.  The
+# .mtok and .vae pins are their version 1 files with the version set to 2 and
+# the segment length or downsample layer count field cut out.
+_GOLDEN = {
+    ".mseq": (lambda: MotionSequence(np.linspace(-1, 1, 3 * FRAME_DIM).reshape(3, FRAME_DIM),
+                                     fps=30, is_canonical=True),
+              "aa5983d7b56b44b091995e2bb7fc3594ccff2eec0f6281d51151e82901b4a268"),
+    ".mtok": (lambda: TokenStream(indices=np.arange(0, 64, 9), vocab_size=64),
+              "5d129e5ea4bf267cd01f5f8dcbe58c5cf15f20109be2b492d382b78812710ce6"),
+    ".vox": (lambda: SceneVoxelGrid((np.arange(12).reshape(3, 2, 2) % 3 == 0).astype(np.uint8),
+                                    np.array([0.5, -1.0, 2.0]), 0.25),
+             "6b6c66f8c7a5978a961a979d1cb454637c06156c4f333d95aaaf8113e3412a23"),
+    ".pts": (lambda: np.linspace(-2, 2, 12).reshape(4, 3),
+             "bcb196a91295fe3ffffc48a3b73b6e24922a9bcf4b6bec0ddab29edbd0259681"),
+    ".feat": (lambda: np.linspace(-1, 1, 10).reshape(2, 5),
+              "107de79d7098c349597cf3b278ce803e77075439d1eb7bf89993bc571aade3f0"),
+    ".vae": (lambda: ToyVaeParams(
+        tensors={name: np.linspace(0.5, 1.5, math.prod(shape)).reshape(shape)
+                 for name, shape in _shapes(2, 4).items()},
+        vocab_size=16, hidden_width=2),
+        "4178c1474be2517fa10e869b638e598971c03ca37ca144f2328c6432ae15858e"),
+}
+
+
+def _golden_file(tmp_path, suffix):
+    path = tmp_path / f"golden{suffix}"
+    _VALID_FILES[suffix][0](path, _GOLDEN[suffix][0]())
+    return path
+
+
+@pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
+def test_golden_bytes(tmp_path, suffix):
+    blob = _golden_file(tmp_path, suffix).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN[suffix][1]
+
+
+_FORMATS = {".mseq": fileio._MSEQ, ".mtok": fileio._MTOK, ".vox": fileio._VOX,
+            ".pts": fileio._PTS, ".feat": fileio._FEAT, ".vae": fileio._VAE}
+
+
+def _framing_offsets(suffix, blob):
+    """Offsets of every magic, version and header byte, and of each .vae record's framing."""
+    offsets = list(range(_header_end(_FORMATS[suffix])))
+    if suffix == ".vae":
+        at = _VAE_RECORDS
+        while at < len(blob):
+            (name_len,) = struct.unpack("<H", blob[at:at + 2])
+            ndim = blob[at + 2 + name_len]
+            framing = 2 + name_len + 1 + 4 * ndim  # name length, name, ndim, dims
+            dims = struct.unpack(f"<{ndim}I", blob[at + framing - 4 * ndim:at + framing])
+            offsets += range(at, at + framing)
+            at += framing + 4 * math.prod(dims)
+    return offsets
+
+
+@pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
+# a flip can turn misread tensor bytes into signalling NaNs, which warn when cast
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_header_corruption_returns_or_raises_a_motok_error(tmp_path, suffix):
+    path = _golden_file(tmp_path, suffix)
+    read, blob = _VALID_FILES[suffix][1], path.read_bytes()
+    leaks = []
+    for offset in _framing_offsets(suffix, blob):
+        for mask in (0x01, 0x80, 0xFF):
+            bad = bytearray(blob)
+            bad[offset] ^= mask
+            path.write_bytes(bytes(bad))
+            try:
+                read(path)
+            except Exception as exc:  # noqa: BLE001 - the class is what is checked
+                if type(exc).__module__.partition(".")[0] != "motok":
+                    leaks.append(f"byte {offset} ^ {mask:#04x}: {exc!r}")
+    assert not leaks
+
+
+def test_corrupt_header_exits_1_without_output(tmp_path, capsys):
+    vae_path = _golden_file(tmp_path, ".vae")
+    blob = bytearray(vae_path.read_bytes())
+    # the first record's name loses its last byte, so ndim reads a name character
+    blob[_VAE_RECORDS] ^= 0x01
+    vae_path.write_bytes(bytes(blob))
+    motion = _golden_file(tmp_path, ".mseq")
+    out = tmp_path / "m.mtok"
+    assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(motion),
+                     "--out", str(out)]) == 1
+    assert "expected 1 or 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _motion(seed, num_frames, fps, canonical):
@@ -228,9 +329,9 @@ def _motion(seed, num_frames, fps, canonical):
     return MotionSequence(frames, fps=fps, is_canonical=canonical)
 
 
-def _stream(seed, vocab_size, num_tokens, segment_len):
+def _stream(seed, vocab_size, num_tokens):
     indices = np.random.default_rng(seed).integers(0, vocab_size, num_tokens)
-    return TokenStream(indices=indices, vocab_size=vocab_size, segment_len=segment_len)
+    return TokenStream(indices=indices, vocab_size=vocab_size)
 
 
 def _grid(seed, shape, origin, cell_size):
@@ -257,7 +358,7 @@ _GRID_SHAPES = st.just((1, 1, 1)) | st.tuples(*[st.integers(1, 9)] * 3)
 
 _DRAWN = {
     ".mseq": st.builds(_motion, _SEEDS, _FRAMES, _U32, st.booleans()),
-    ".mtok": st.builds(_stream, _SEEDS, _VOCABS, st.integers(1, 64), _U32),
+    ".mtok": st.builds(_stream, _SEEDS, _VOCABS, st.integers(1, 64)),
     ".vox": st.builds(_grid, _SEEDS, _GRID_SHAPES, st.tuples(*[_COORD] * 3),
                       st.floats(0.125, 10, width=32)),
     ".pts": st.builds(_table, _SEEDS, _ROWS, st.just(3)),
@@ -268,7 +369,7 @@ _DRAWN = {
 # what each file stores, float data at float32
 _STORED = {
     ".mseq": lambda seq: (seq.frames.astype(np.float32), seq.fps, seq.is_canonical),
-    ".mtok": lambda stream: (stream.indices, stream.vocab_size, stream.segment_len),
+    ".mtok": lambda stream: (stream.indices, stream.vocab_size),
     ".vox": lambda grid: (grid.occupancy, grid.origin.astype(np.float32),
                           np.float32(grid.cell_size)),
     ".pts": lambda points: points.astype(np.float32),
