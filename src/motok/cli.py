@@ -7,8 +7,14 @@ written, and so is an output path whose directory does not exist in the
 commands that work long before they write (``train-vae``, ``sweep-vocab``,
 ``populate``, ``eval``).  A path that cannot be opened, read or written
 exits 2 as well: its ``OSError`` is caught once, in :func:`dispatch`, and
-the one-line message names the path given on the command line.  Every output file is written
-atomically, so a failed write leaves no file behind.
+the one-line message names the path given on the command line.  Every
+output file is written atomically, so a failed write leaves no file behind.
+
+Two commands decide their outcome from their input.  ``convert`` takes its
+direction from the ``.mseq`` canonical flag: a canonical motion is placed
+into the world at ``--root-pose``, a global one is re-rooted.  ``populate``
+writes the best placement it finds, then exits 1 when its collision is above
+``--threshold``.
 
 :func:`build_parser` builds the parser once per process, on the first call
 (not at import), and :func:`dispatch` reuses it for every command: parsing
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ddim, fileio, lfq, metrics, motion, populate, scene, synth, tokens, vae
+from . import ddim, fileio, lfq, metrics, motion, populate, scene, synth, vae
 
 _DOMAIN_ERRORS = (ValueError, RuntimeError)
 
@@ -65,7 +71,7 @@ def _write_csv(path, header: list[str], rows: list[list]):
 
 def _cmd_convert(args) -> int:
     seq = fileio.read_mseq(args.infile)
-    if args.to_global:
+    if seq.is_canonical:
         pose = motion.SixDof(translation=np.array(args.root_pose[:3]),
                              orientation=np.array(args.root_pose[3:]))
         out = motion.to_global(seq, pose)
@@ -79,7 +85,7 @@ def _cmd_tokenize(args) -> int:
     params = fileio.read_vae(args.vae)
     seq = fileio.read_mseq(args.infile)
     indices = vae.tokenize_frames(params, seq.frames)
-    stream = tokens.TokenStream(indices=indices, vocab_size=params.vocab_size)
+    stream = lfq.TokenStream(indices=indices, vocab_size=params.vocab_size)
     fileio.write_mtok(args.outfile, stream)
     return 0
 
@@ -171,8 +177,7 @@ def _cmd_sweep_vocab(args) -> int:
 
 def _waypoints_to_frames(track: np.ndarray) -> np.ndarray:
     frames = np.zeros((track.shape[0], motion.FRAME_DIM))
-    frames[:, 0:6] = track[:, 0:6]
-    frames[:, 69:75] = track[:, 6:12]
+    frames[:, motion.WAYPOINT_COLUMNS] = track
     return frames
 
 
@@ -195,16 +200,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_populate(args) -> int:
-    try:
-        config = populate.PlacementConfig(yaw_count=args.yaw_count,
-                                          feasibility_threshold=args.threshold)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.threshold < 0:
+        raise UsageError(f"--threshold must be >= 0, got {args.threshold}")
     _check_output_dirs(args.out, args.report)
     grid = fileio.read_vox(args.scene)
     seq = fileio.read_mseq(args.motion)
     try:
-        result = populate.optimize_placement(seq, grid, config)
+        result = populate.optimize_placement(seq, grid, args.yaw_count)
     except populate.SceneLessError as exc:
         if args.report:
             _write_json(args.report, {"feasible": False, "scene_less": True,
@@ -212,22 +214,20 @@ def _cmd_populate(args) -> int:
         print(f"scene-less: {exc}", file=sys.stderr)
         return 1
     fileio.write_mseq(args.out, result.placed)
+    feasible = result.collision <= args.threshold
     if args.report:
+        x, _, z = result.offset.translation
         _write_json(args.report, {
-            "offset": {
-                "x": float(result.offset.xz_translation[0]),
-                "z": float(result.offset.xz_translation[1]),
-                "yaw": result.offset.yaw,
-            },
+            "offset": {"x": float(x), "z": float(z), "yaw": float(result.offset.orientation[1])},
             "collision": result.collision,
-            "feasible": result.feasible,
+            "feasible": feasible,
             "candidates_evaluated": result.candidates_evaluated,
             "candidates_scored": result.candidates_scored,
             "candidates_pruned": result.candidates_pruned,
         })
-    if not result.feasible:
+    if not feasible:
         print(f"infeasible placement: collision {result.collision:.6f} m "
-              f"exceeds {config.feasibility_threshold:.6f} m", file=sys.stderr)
+              f"exceeds {args.threshold:.6f} m", file=sys.stderr)
         return 1
     return 0
 
@@ -345,15 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="motion tokenization and evaluation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="switch between canonical and global motion")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--to-global", action="store_true", dest="to_global")
-    group.add_argument("--to-canonical", action="store_false", dest="to_global")
+    p = sub.add_parser("convert", help="place a canonical motion into the world at "
+                                       "--root-pose, or re-root a global motion")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--root-pose", dest="root_pose", type=_parse_root_pose,
                    default=(0.0,) * 6,  # a tuple: the cached parser shares its defaults
-                   help="x,y,z,rx,ry,rz world offset for --to-global "
+                   help="x,y,z,rx,ry,rz world offset of a canonical input; a global "
+                        "input is re-rooted and ignores it "
                         "(use --root-pose=<v> when the first value is negative)")
     p.set_defaults(func=_cmd_convert)
 
@@ -399,13 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("populate", help="place a canonical motion into a scene")
+    p = sub.add_parser("populate", help="place a canonical motion where it collides "
+                                        "least with a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--motion", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="placement report JSON path")
     p.add_argument("--threshold", type=_finite_float, default=1e-3,
-                   help="max penetration (m) still considered feasible")
+                   help="max mean penetration (m) of a feasible placement; above it the "
+                        "placement is still written and the exit code is 1")
     p.add_argument("--yaw-count", dest="yaw_count", type=_bounded_int(1), default=16)
     p.set_defaults(func=_cmd_populate)
 

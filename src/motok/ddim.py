@@ -1,10 +1,11 @@
 """Deterministic DDIM sampling with clean-sample prediction and guidance.
 
 The denoiser is any callable ``f(w_t, t, condition) -> w0_hat`` that predicts
-the clean sample directly.  Sampling walks an evenly strided, descending
-subset of the ``NUM_TRAIN_STEPS`` training steps of one fixed linear-beta
-schedule with eta = 0, so a (seed, denoiser) pair always reproduces the
-same output bit for bit.
+the clean sample directly.  ``condition`` is always a :class:`Condition`,
+an empty one when sampling is unguided.  Sampling walks an evenly strided,
+descending subset of the ``NUM_TRAIN_STEPS`` training steps of one fixed
+linear-beta schedule with eta = 0, so a (seed, denoiser) pair always
+reproduces the same output bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-DenoiserFn = Callable[[np.ndarray, int, Any], np.ndarray]
+DenoiserFn = Callable[[np.ndarray, int, "Condition"], np.ndarray]
 
 # Row stride of the coarse first pass of two_pass_sample.
 COARSE_STRIDE = 2
@@ -96,7 +97,7 @@ def _predict_clean(
     guidance: Optional[GuidanceConfig],
 ) -> np.ndarray:
     if guidance is None:
-        pred = np.asarray(denoiser(w, t, None), dtype=np.float64)
+        pred = np.asarray(denoiser(w, t, Condition()), dtype=np.float64)
     else:
         cond = np.asarray(denoiser(w, t, guidance.condition), dtype=np.float64)
         uncond = np.asarray(denoiser(w, t, guidance.null_condition), dtype=np.float64)

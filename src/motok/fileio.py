@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .lfq import TokenStream
 from .motion import FRAME_DIM, MotionSequence
 from .scene import SceneVoxelGrid
-from .tokens import TokenStream
 from .vae import ToyVaeParams
 
 _VERSION = "<I"
@@ -215,5 +215,8 @@ def read_vae(path) -> ToyVaeParams:
             if ndim not in (1, 2):
                 raise FileFormatError(f"tensor {name} has {ndim} dims, expected 1 or 2")
             shape = _unpack(body, f"<{ndim}I", "shape")
-            tensors[name] = _array(body, "<f4", shape, f"tensor {name}").astype(np.float64)
+            # misread bytes may hold signalling NaNs, which warn when cast;
+            # ToyVaeParams rejects every non-finite tensor with one error
+            with np.errstate(invalid="ignore"):
+                tensors[name] = _array(body, "<f4", shape, f"tensor {name}").astype(np.float64)
     return ToyVaeParams(tensors=tensors, vocab_size=vocab, hidden_width=hidden)

@@ -3,7 +3,9 @@
 The codebook is implicit: each latent dimension quantizes independently to
 the nearer of +1/-1, and the token index is the little-endian bit pattern of
 the signs.  No code vectors are stored anywhere.  Every function takes a
-batch of latents, sign patterns or token indices.
+batch of latents, sign patterns or token indices.  A :class:`TokenStream`
+holds the indices of one motion, as ``motok tokenize`` writes them to a
+``.mtok`` file and ``motok detokenize`` reads them back.
 """
 
 from __future__ import annotations
@@ -38,6 +40,29 @@ class LfqCodebook:
         if vocab_size < 2 or vocab_size & (vocab_size - 1) != 0:
             raise QuantizerError(f"vocab_size must be a power of two >= 2, got {vocab_size}")
         return cls(num_dims=vocab_size.bit_length() - 1)
+
+
+@dataclass(frozen=True)
+class TokenStream:
+    """Token indices, one per ``vae.SEGMENT_LEN``-frame motion segment."""
+
+    indices: np.ndarray
+    vocab_size: int
+
+    def __post_init__(self):
+        codebook = LfqCodebook.from_vocab_size(self.vocab_size)
+        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1).copy()
+        if idx.size < 1:
+            raise QuantizerError("token stream is empty")
+        if np.any(idx < 0) or np.any(idx >= codebook.vocab_size):
+            raise QuantizerError("token index out of range")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "vocab_size", codebook.vocab_size)
+
+    @property
+    def num_tokens(self) -> int:
+        return self.indices.size
 
 
 def sign_bits(latents: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ ROOT_ROT = slice(3, 6)
 JOINT_ROT = slice(6, 69)
 OBJ_POS = slice(69, 72)
 OBJ_ROT = slice(72, 75)
+# The frame columns of a 12-value waypoint row: root pose, then object pose.
+WAYPOINT_COLUMNS = np.r_[ROOT_POS, ROOT_ROT, OBJ_POS, OBJ_ROT]
 
 # Dataset cap (300 frames at 30 fps) rounded up to a whole 8-frame segment,
 # so a tokenize/detokenize round trip of a maximum-length sequence stays
@@ -303,8 +305,7 @@ def extract_waypoints(seq: MotionSequence) -> WaypointTrack:
     if seq.is_canonical:
         raise MotionError("extract_waypoints expects a global sequence")
     spacing = seq.fps
-    rows = seq.frames[::spacing]
-    waypoints = np.concatenate([rows[:, 0:6], rows[:, 69:75]], axis=1)
+    waypoints = seq.frames[::spacing, WAYPOINT_COLUMNS]
     return WaypointTrack(waypoints=waypoints, spacing_frames=spacing)
 
 

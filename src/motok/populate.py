@@ -57,58 +57,18 @@ class SceneLessError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PlacementOffset:
-    """Planar translation (meters) plus yaw (radians, in [-pi, pi))."""
-
-    xz_translation: np.ndarray
-    yaw: float
-
-    def __post_init__(self):
-        xz = np.asarray(self.xz_translation, dtype=np.float64).reshape(2).copy()
-        if not np.all(np.isfinite(xz)) or not np.isfinite(self.yaw):
-            raise ValueError("placement offset contains non-finite values")
-        yaw = wrap_angle(float(self.yaw))
-        xz.setflags(write=False)
-        object.__setattr__(self, "xz_translation", xz)
-        object.__setattr__(self, "yaw", yaw)
-
-    def to_six_dof(self) -> SixDof:
-        x, z = self.xz_translation
-        return SixDof(translation=np.array([x, 0.0, z]),
-                      orientation=np.array([0.0, self.yaw, 0.0]))
-
-
-@dataclass(frozen=True)
-class PlacementConfig:
-    """Yaws of the coarse lattice and the feasibility verdict.
-
-    The search always stands at ``STANDING_HEIGHT``, seeds from the free
-    cell with the most clearance, refines for ``REFINE_ROUNDS`` rounds, and
-    scores the object position with the body whenever the clip carries one.
-    """
-
-    yaw_count: int = 16
-    feasibility_threshold: float = 1e-3
-
-    def __post_init__(self):
-        if self.yaw_count < 1:
-            raise ValueError(f"yaw_count must be >= 1, got {self.yaw_count}")
-        if not self.feasibility_threshold >= 0:  # NaN fails every comparison
-            raise ValueError("feasibility_threshold must be >= 0")
-
-
-@dataclass(frozen=True)
 class PlacementResult:
     """Best offset found, its collision score, and the placed sequence.
 
+    ``offset`` is the pose :func:`motion.to_global` applied to the clip:
+    translation (x, 0, z) and orientation (0, yaw, 0), yaw in [-pi, pi).
     ``candidates_evaluated`` counts the candidates an exhaustive search
     visits.  Of those, ``candidates_scored`` were scored in full and
     ``candidates_pruned`` dropped by the bound; the zero exit skipped the rest.
     """
 
-    offset: PlacementOffset
+    offset: SixDof
     collision: float
-    feasible: bool
     placed: MotionSequence
     candidates_evaluated: int
     candidates_scored: int
@@ -247,7 +207,7 @@ def _scan_yaw(
 def optimize_placement(
     seq: MotionSequence,
     grid: SceneVoxelGrid,
-    config: PlacementConfig = PlacementConfig(),
+    yaw_count: int = 16,
 ) -> PlacementResult:
     """Coarse lattice search plus coordinate-descent refinement.
 
@@ -266,13 +226,14 @@ def optimize_placement(
     """
     if not seq.is_canonical:
         raise ValueError("optimize_placement expects a canonical sequence")
+    if yaw_count < 1:
+        raise ValueError(f"yaw_count must be >= 1, got {yaw_count}")
     sdf = build_sdf(grid)
     seed = find_seed_position(grid, sdf)
     kp = _candidate_keypoints(seq)
 
     lattice_xz = placement_lattice(grid)
-    yaws = [wrap_angle(-np.pi + 2.0 * np.pi * k / config.yaw_count)
-            for k in range(config.yaw_count)]
+    yaws = [wrap_angle(-np.pi + 2.0 * np.pi * k / yaw_count) for k in range(yaw_count)]
 
     best_xz = np.array([seed[0], seed[2]])
     best_yaw = 0.0
@@ -292,7 +253,7 @@ def optimize_placement(
                 best_xz = lattice_xz[live[idx]].copy()
                 best_yaw = yaw
 
-    step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / config.yaw_count
+    step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / yaw_count
     if best_score == 0.0:
         # no move can improve on 0, so each round is one pass of all moves
         evaluated += REFINE_ROUNDS * len(REFINE_MOVES)
@@ -313,13 +274,12 @@ def optimize_placement(
             step_xz *= 0.5
             step_yaw *= 0.5
 
-    offset = PlacementOffset(xz_translation=best_xz, yaw=best_yaw)
-    placed = to_global(seq, offset.to_six_dof())
+    offset = SixDof(translation=np.array([best_xz[0], 0.0, best_xz[1]]),
+                    orientation=np.array([0.0, best_yaw, 0.0]))
     return PlacementResult(
         offset=offset,
         collision=best_score,
-        feasible=best_score <= config.feasibility_threshold,
-        placed=placed,
+        placed=to_global(seq, offset),
         candidates_evaluated=evaluated,
         candidates_scored=scored,
         candidates_pruned=pruned,

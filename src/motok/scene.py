@@ -51,8 +51,8 @@ class SceneVoxelGrid:
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
         if not np.all(np.isfinite(origin)):
             raise SceneError("origin contains non-finite values")
-        if not self.cell_size > 0:
-            raise SceneError(f"cell_size must be > 0, got {self.cell_size}")
+        if not 0.0 < self.cell_size < np.inf:  # NaN fails both comparisons
+            raise SceneError(f"cell_size must be finite and > 0, got {self.cell_size}")
         occ = occ.astype(np.uint8).copy()
         occ.setflags(write=False)
         origin.setflags(write=False)
@@ -87,8 +87,8 @@ class SignedDistanceField:
             # placement prune candidates that can still win
             raise SceneError("distances contain non-finite values")
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
-        if not self.cell_size > 0:
-            raise SceneError(f"cell_size must be > 0, got {self.cell_size}")
+        if not 0.0 < self.cell_size < np.inf:
+            raise SceneError(f"cell_size must be finite and > 0, got {self.cell_size}")
         d.setflags(write=False)
         origin.setflags(write=False)
         object.__setattr__(self, "distances", d)
@@ -264,12 +264,9 @@ BONE_OFFSETS = np.array([
 NUM_KEYPOINTS = BONE_PARENTS.shape[0]
 
 
-def body_keypoints(seq) -> np.ndarray:
-    """World joint positions per frame, shape (T, 22, 3).
-
-    Accepts a MotionSequence or a raw (T, 75) frame array.
-    """
-    frames = seq.frames if isinstance(seq, MotionSequence) else np.asarray(seq, dtype=np.float64)
+def body_keypoints(seq: MotionSequence) -> np.ndarray:
+    """World joint positions per frame, shape (T, 22, 3)."""
+    frames = seq.frames
     num = frames.shape[0]
     rot_local = np.empty((num, NUM_KEYPOINTS, 3, 3))
     rot_local[:, 0] = axis_angle_to_matrix(frames[:, ROOT_ROT])
@@ -288,9 +285,9 @@ def body_keypoints(seq) -> np.ndarray:
     return positions
 
 
-def object_points_track(base_points: np.ndarray, seq) -> np.ndarray:
+def object_points_track(base_points: np.ndarray, seq: MotionSequence) -> np.ndarray:
     """Object surface points moved by the per-frame object pose: (T, n, 3)."""
-    frames = seq.frames if isinstance(seq, MotionSequence) else np.asarray(seq, dtype=np.float64)
+    frames = seq.frames
     base = np.asarray(base_points, dtype=np.float64)
     if base.ndim != 2 or base.shape[1] != 3:
         raise SceneError(f"object points must be (n, 3), got {base.shape}")

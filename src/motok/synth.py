@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ddim import gaussian_posterior_denoiser
+from .ddim import Condition, gaussian_posterior_denoiser
 from .motion import FRAME_DIM, MotionSequence
 from .vae import SEGMENT_LEN
 
@@ -107,7 +107,7 @@ def toy_walk_track(num_waypoints: int, heading: float = 0.0) -> np.ndarray:
     return track
 
 
-def toy_walk_denoiser(w_t: np.ndarray, t: int, condition) -> np.ndarray:
+def toy_walk_denoiser(w_t: np.ndarray, t: int, condition: Condition) -> np.ndarray:
     """Clean-sample predictor pulling a noisy waypoint track toward a walk.
 
     This is a ``ddim.DenoiserFn``, handed to the sampler as it is.  The
@@ -117,14 +117,9 @@ def toy_walk_denoiser(w_t: np.ndarray, t: int, condition) -> np.ndarray:
     the heading-dependent track with spread ``WALK_SIGMA``, so sampling stays
     deterministic per seed while varying smoothly with the guidance scale.
     """
-    heading = 0.0
-    coarse = None
-    if condition is not None:
-        if condition.text is not None:
-            heading = float(condition.text)
-        coarse = condition.coarse
+    heading = 0.0 if condition.text is None else float(condition.text)
     # sized from the noisy input so strided coarse passes work too
     mean = toy_walk_track(w_t.shape[0], heading)
-    if coarse is not None:
-        mean = 0.5 * (mean + np.asarray(coarse, dtype=np.float64))
+    if condition.coarse is not None:
+        mean = 0.5 * (mean + np.asarray(condition.coarse, dtype=np.float64))
     return gaussian_posterior_denoiser(w_t, t, mean, WALK_SIGMA)

@@ -197,10 +197,6 @@ def segment_frames(frames: np.ndarray) -> np.ndarray:
     return padded.reshape(-1, SEGMENT_LEN, FRAME_DIM)
 
 
-def _coerce_frames(seq) -> np.ndarray:
-    return seq.frames if isinstance(seq, MotionSequence) else np.asarray(seq, dtype=np.float64)
-
-
 def _forward(t: dict[str, np.ndarray], layers: tuple, a: np.ndarray) -> tuple[np.ndarray, list]:
     """Run ``layers`` on ``a``: the last output and, per layer, its 2-D (input, output)."""
     trace = []
@@ -238,9 +234,9 @@ def _decode(t: dict[str, np.ndarray], q: np.ndarray) -> tuple[np.ndarray, list]:
     return ys.reshape(-1, SEGMENT_LEN, FRAME_DIM) * t["in_scale"] + t["in_shift"], trace
 
 
-def encode(params: ToyVaeParams, seq) -> np.ndarray:
-    """Latent vectors, one per 8-frame segment: shape (ceil(T/8), log2 K)."""
-    return _encode(params.tensors, segment_frames(_coerce_frames(seq)))[0]
+def encode(params: ToyVaeParams, frames: np.ndarray) -> np.ndarray:
+    """Latent vectors of (T, 75) frames, one per 8-frame segment: shape (ceil(T/8), log2 K)."""
+    return _encode(params.tensors, segment_frames(frames))[0]
 
 
 def decode(params: ToyVaeParams, codes) -> np.ndarray:
@@ -306,16 +302,16 @@ def loss_and_grads(
     return total, parts, grads
 
 
-def dataset_segments(dataset: list) -> np.ndarray:
+def dataset_segments(dataset: list[MotionSequence]) -> np.ndarray:
     """Stack every padded 8-frame segment of every sequence into one batch."""
     if not dataset:
         raise VaeError("dataset is empty")
-    return np.concatenate([segment_frames(_coerce_frames(seq)) for seq in dataset], axis=0)
+    return np.concatenate([segment_frames(seq.frames) for seq in dataset], axis=0)
 
 
 def train(
     config: ToyVaeConfig,
-    dataset: list,
+    dataset: list[MotionSequence],
 ) -> tuple[ToyVaeParams, list[dict[str, float]]]:
     """Full-batch gradient descent on the combined quantizer loss.
 
@@ -364,7 +360,7 @@ def reconstruct(params: ToyVaeParams, frames: np.ndarray) -> tuple[np.ndarray, n
 
 def reconstruction_mse(params: ToyVaeParams, frames: np.ndarray) -> float:
     """Per-element mean squared error of the quantized round trip."""
-    padded = pad_frames(_coerce_frames(frames))
+    padded = pad_frames(frames)
     recon, _ = reconstruct(params, padded)
     diff = recon - padded
     return float((diff * diff).mean())

@@ -9,10 +9,16 @@ or anywhere in ``scripts/`` or ``perfbench/``.  Private top-level names
 must be read in some ``src/motok`` module outside their own definition, so a
 helper left behind by a refactor fails here.  Names are matched by spelling alone, which
 can only hide an unused name, never flag a used one.
+
+The settable values a user can set (CLI options, defaulted dataclass fields
+and keyword defaults) are counted too, and may not grow past a pinned count.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from motok.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "motok"
@@ -121,3 +127,49 @@ def test_private_names_are_read_in_the_package():
 def test_allowlist_names_still_exist():
     defined = {name for _, name, _ in _public_definitions(_library())}
     assert ALLOWED_UNUSED <= defined
+
+
+# Settable values: every value a user of motok can set.  One per CLI option
+# of each subcommand (not counting -h), one per defaulted field of a public
+# dataclass, and one per keyword default of a public function or method.
+MAX_SETTABLE = 98
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list if isinstance(d, (ast.Name, ast.Call)))
+
+
+def _settable_values() -> dict[str, list[str]]:
+    """The settable values by kind, each named by where it is set."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {"cli options": [
+        f"{name} {action.option_strings[-1]}"
+        for name, sub in commands.choices.items() for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)],
+        "dataclass fields": [], "keyword defaults": []}
+    for path, tree in _library().items():
+        for node in _public(tree.body):
+            functions = [node]
+            if isinstance(node, ast.ClassDef):
+                functions = _public(node.body)
+                if _is_dataclass(node):
+                    found["dataclass fields"] += [
+                        f"{node.name}.{field.target.id}" for field in node.body
+                        if isinstance(field, ast.AnnAssign) and field.value is not None]
+            for func in functions:
+                args = func.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found["keyword defaults"] += [f"{path.stem}.{func.name}({a.arg})" for a in named]
+    return found
+
+
+def test_settable_values_stay_within_the_pin():
+    found = _settable_values()
+    total = sum(len(names) for names in found.values())
+    breakdown = "\n".join(f"{kind}: {len(names)}\n  " + "\n  ".join(names)
+                          for kind, names in found.items())
+    assert total <= MAX_SETTABLE, f"{total} settable values, pinned {MAX_SETTABLE}:\n{breakdown}"

@@ -17,7 +17,9 @@ from motok.cli import _vae_config, build_parser, dispatch
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.vae import pad_frames, reconstruction_mse
+from test_fileio import _header_end
 from test_metrics import _reference_r_precision
+from test_populate import too_small_pocket
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,7 +51,7 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
-        code = dispatch(["convert", "--to-canonical", "--in",
+        code = dispatch(["convert", "--in",
                          str(tmp_path / "nope.mseq"), "--out", str(tmp_path / "o.mseq")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
@@ -80,7 +82,7 @@ class TestConvert:
         fileio.write_mseq(src, seq)
 
         canon = tmp_path / "canon.mseq"
-        assert dispatch(["convert", "--to-canonical", "--in", str(src),
+        assert dispatch(["convert", "--in", str(src),
                          "--out", str(canon)]) == 0
         canon_seq = fileio.read_mseq(canon)
         assert canon_seq.is_canonical
@@ -90,19 +92,11 @@ class TestConvert:
         x0, z0 = float(seq.frames[0, 0]), float(seq.frames[0, 2])
         yaw = float(seq.frames[0, 4])
         # --root-pose=<v> form: a leading minus sign confuses argparse otherwise
-        assert dispatch(["convert", "--to-global", "--in", str(canon),
+        assert dispatch(["convert", "--in", str(canon),
                          "--out", str(back),
                          f"--root-pose={x0},0,{z0},0,{yaw},0"]) == 0
         back_seq = fileio.read_mseq(back)
         np.testing.assert_allclose(back_seq.frames, seq.frames, atol=1e-5)
-
-    def test_wrong_direction_is_domain_error(self, tmp_path, capsys):
-        seq = MotionSequence(np.zeros((2, FRAME_DIM)), is_canonical=True)
-        src = tmp_path / "c.mseq"
-        fileio.write_mseq(src, seq)
-        assert dispatch(["convert", "--to-canonical", "--in", str(src),
-                         "--out", str(tmp_path / "o.mseq")]) == 1
-        capsys.readouterr()
 
 
 class TestTokenizeRoundTrip:
@@ -132,7 +126,7 @@ class TestTokenizeRoundTrip:
         data_dir = write_corpus(tmp_path)
         vae_path = train_small_vae(tmp_path, data_dir)
         stream_path = tmp_path / "w.mtok"
-        from motok.tokens import TokenStream
+        from motok.lfq import TokenStream
         fileio.write_mtok(stream_path, TokenStream(indices=np.array([0, 1]),
                                                    vocab_size=128))
         assert dispatch(["detokenize", "--vae", str(vae_path), "--in",
@@ -282,6 +276,42 @@ class TestPopulate:
         assert code == 1
         assert json.loads(report.read_text())["feasible"] is False
         capsys.readouterr()
+
+    def test_threshold_judges_the_collision(self, tmp_path, capsys):
+        scene = tmp_path / "pocket.vox"
+        fileio.write_vox(scene, too_small_pocket())
+        motion_path = tmp_path / "walk.mseq"
+        fileio.write_mseq(motion_path, synth.make_walk_sequence(num_frames=25, arm_swing=0.0))
+        out, report = tmp_path / "placed.mseq", tmp_path / "placement.json"
+        argv = ["populate", "--scene", str(scene), "--motion", str(motion_path),
+                "--out", str(out), "--report", str(report)]
+        assert dispatch(argv) == 1
+        payload = json.loads(report.read_text())
+        assert payload["feasible"] is False and payload["collision"] > 1e-3
+        assert "infeasible placement" in capsys.readouterr().err
+        assert out.exists()
+        # a threshold equal to the collision accepts the same placement
+        assert dispatch([*argv, f"--threshold={payload['collision']!r}"]) == 0
+        assert json.loads(report.read_text()) == {**payload, "feasible": True}
+
+
+@pytest.mark.parametrize("cell", [np.inf, np.nan])
+@pytest.mark.parametrize("command", ["score", "populate"])
+def test_vox_cell_size_not_finite_exits_1(tmp_path, capsys, command, cell):
+    scene = make_room(tmp_path)
+    blob = bytearray(scene.read_bytes())
+    at = _header_end(fileio._VOX) - 4  # the f32 cell size ends the header
+    blob[at:at + 4] = struct.pack("<f", cell)
+    scene.write_bytes(bytes(blob))
+    walk = synth.make_walk_sequence(num_frames=9)
+    motion_path = tmp_path / "m.mseq"
+    fileio.write_mseq(motion_path, MotionSequence(walk.frames, is_canonical=command == "populate"))
+    argv = {"score": ["score", "--scene", str(scene), "--motion", str(motion_path)],
+            "populate": ["populate", "--scene", str(scene), "--motion", str(motion_path),
+                         "--out", str(tmp_path / "p.mseq")]}[command]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cell_size must be finite and > 0") and err.count("\n") == 1
 
 
 class TestScoreAndEval:
@@ -451,7 +481,7 @@ def cli_inputs(tmp_path_factory):
      "argument --yaw-count: must be >= 1, got 0"),
     (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
       "--report", "{out}/r.json", "--threshold", "-1"],
-     "feasibility_threshold must be >= 0"),
+     "--threshold must be >= 0, got -1.0"),
     (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
       "--report", "{out}/r.json", "--threshold", "nan"],
      "argument --threshold: must be a finite number, got nan"),
@@ -461,7 +491,7 @@ def cli_inputs(tmp_path_factory):
      "argument --heading: must be a finite number, got nan"),
     (["sample", "--seed", "-1", "--out", "{out}/s.mseq"],
      "argument --seed: must be >= 0, got -1"),
-    (["convert", "--to-global", "--in", "{motion}", "--out", "{out}/c.mseq",
+    (["convert", "--in", "{motion}", "--out", "{out}/c.mseq",
       "--root-pose=nan,0,0,0,0,0"],
      "argument --root-pose: must be a finite number, got nan"),
     (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--learning-rate", "nan"],
@@ -564,8 +594,8 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("given, omitted, name, default", [
         (["sample", "--two-pass", "--out", "o"], ["sample", "--out", "o"], "two_pass", False),
-        (["convert", "--to-global", "--in", "i", "--out", "o", "--root-pose=1,2,3,4,5,6"],
-         ["convert", "--to-global", "--in", "i", "--out", "o"], "root_pose", (0.0,) * 6),
+        (["convert", "--in", "i", "--out", "o", "--root-pose=1,2,3,4,5,6"],
+         ["convert", "--in", "i", "--out", "o"], "root_pose", (0.0,) * 6),
     ], ids=["sample", "convert"])
     def test_flag_does_not_carry_into_next_parse(self, given, omitted, name, default):
         assert getattr(build_parser().parse_args(given), name) != default
@@ -576,8 +606,8 @@ class TestParserReuse:
         monkeypatch.setattr(fileio, "read_mseq", lambda path: None)
         seen = []
 
-        def record(seq, grid, config):
-            seen.append(config.yaw_count)
+        def record(seq, grid, yaw_count):
+            seen.append(yaw_count)
             raise populate.SceneLessError("recorded")
 
         monkeypatch.setattr(populate, "optimize_placement", record)

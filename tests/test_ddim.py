@@ -93,11 +93,20 @@ class TestSampler:
             ddim_sample(bad, (4,), 10, seed=0)
 
     def test_two_pass_deterministic_and_shaped(self):
-        den = posterior(np.zeros(3), 0.3)
+        seen = []
+
+        def den(w, t, cond):
+            seen.append(cond)
+            return gaussian_posterior_denoiser(w, t, np.zeros(3), 0.3)
+
         a = two_pass_sample(den, (7, 3), 20, seed=5)
         b = two_pass_sample(den, (7, 3), 20, seed=5)
         assert a.shape == (7, 3)
         np.testing.assert_array_equal(a, b)
+        # unguided, the denoiser still always gets a Condition: an empty one in
+        # the first pass, one carrying the coarse track in the second
+        assert all(type(c) is Condition and c.text is None for c in seen)
+        assert [c.coarse is None for c in seen] == ([True] * 20 + [False] * 20) * 2
 
 
 class TestGuidance:

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +28,12 @@ from motok.fileio import (
     write_vae,
     write_vox,
 )
+from motok.lfq import TokenStream
 from motok.motion import FRAME_DIM, MAX_FRAMES, MotionSequence
 from motok.scene import SceneVoxelGrid
-from motok.tokens import TokenStream
 from motok.vae import ToyVaeConfig, ToyVaeParams, _shapes, init_params
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestMseq:
@@ -291,8 +297,7 @@ def _framing_offsets(suffix, blob):
 
 
 @pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
-# a flip can turn misread tensor bytes into signalling NaNs, which warn when cast
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # a warning is a leak too
 def test_header_corruption_returns_or_raises_a_motok_error(tmp_path, suffix):
     path = _golden_file(tmp_path, suffix)
     read, blob = _VALID_FILES[suffix][1], path.read_bytes()
@@ -322,6 +327,23 @@ def test_corrupt_header_exits_1_without_output(tmp_path, capsys):
                      "--out", str(out)]) == 1
     assert "expected 1 or 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_misread_nan_tensor_prints_one_error_line(tmp_path):
+    vae_path = _golden_file(tmp_path, ".vae")
+    blob = bytearray(vae_path.read_bytes())
+    # the first record's first dim grows from 2 to 253, so its tensor reads
+    # the records after it, signalling NaNs included
+    blob[_count_offsets(".vae", blob)[1]] ^= 0xFF
+    vae_path.write_bytes(bytes(blob))
+    motion = _golden_file(tmp_path, ".mseq")
+    # a fresh process: its stderr is what a user sees, warnings included
+    done = subprocess.run([sys.executable, "-m", "motok", "tokenize", "--vae", str(vae_path),
+                           "--in", str(motion), "--out", str(tmp_path / "m.mtok")],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def _motion(seed, num_frames, fps, canonical):

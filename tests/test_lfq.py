@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from motok.lfq import (
     LfqCodebook,
     QuantizerError,
+    TokenStream,
     bits_to_indices,
     codebook_utilization,
     entropy_loss,
@@ -28,6 +29,16 @@ class TestCodebook:
         for bad in (0, 1, 3, 100):
             with pytest.raises(QuantizerError):
                 LfqCodebook.from_vocab_size(bad)
+
+
+class TestTokenStream:
+    def test_rejects_out_of_range(self):
+        with pytest.raises(QuantizerError):
+            TokenStream(indices=np.array([8192]), vocab_size=8192)
+
+    def test_rejects_empty(self):
+        with pytest.raises(QuantizerError):
+            TokenStream(indices=np.array([], dtype=np.int64), vocab_size=64)
 
 
 class TestQuantize:

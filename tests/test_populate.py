@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motok import populate
-from motok.motion import to_global
+from motok.motion import SixDof, to_global
 from motok.populate import (
-    PlacementConfig,
-    PlacementOffset,
     REFINE_ROUNDS,
     STANDING_HEIGHT,
     SceneLessError,
@@ -65,7 +63,7 @@ def demo_room():
     return module.build_room()
 
 
-def _brute_force_placement(seq, grid, config=PlacementConfig()):
+def _brute_force_placement(seq, grid, yaw_count=16):
     """Reference search: score every lattice candidate at every yaw in full.
 
     This is the exhaustive scan optimize_placement must match bit for bit:
@@ -91,8 +89,8 @@ def _brute_force_placement(seq, grid, config=PlacementConfig()):
     best_yaw = 0.0
     best_score = float(score_offsets(best_xz[None, :], best_yaw)[0])
     evaluated = 1
-    for k in range(config.yaw_count):
-        yaw = wrap_angle(-np.pi + 2.0 * np.pi * k / config.yaw_count)
+    for k in range(yaw_count):
+        yaw = wrap_angle(-np.pi + 2.0 * np.pi * k / yaw_count)
         scores = score_offsets(lattice_xz, yaw)
         evaluated += scores.size
         idx = int(np.argmin(scores))
@@ -101,7 +99,7 @@ def _brute_force_placement(seq, grid, config=PlacementConfig()):
             best_xz = lattice_xz[idx].copy()
             best_yaw = yaw
 
-    step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / config.yaw_count
+    step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / yaw_count
     for _ in range(REFINE_ROUNDS):
         improved = True
         while improved:
@@ -120,17 +118,16 @@ def _brute_force_placement(seq, grid, config=PlacementConfig()):
         step_xz *= 0.5
         step_yaw *= 0.5
 
-    offset = PlacementOffset(xz_translation=best_xz, yaw=best_yaw)
+    offset = SixDof(np.array([best_xz[0], 0.0, best_xz[1]]), np.array([0.0, best_yaw, 0.0]))
     return SimpleNamespace(offset=offset, collision=best_score, candidates_evaluated=evaluated,
-                           placed=to_global(seq, offset.to_six_dof()))
+                           placed=to_global(seq, offset))
 
 
-def assert_matches_brute_force(seq, grid, config=PlacementConfig()):
-    result = optimize_placement(seq, grid, config)
-    expected = _brute_force_placement(seq, grid, config)
-    np.testing.assert_array_equal(result.offset.xz_translation,
-                                  expected.offset.xz_translation)
-    assert result.offset.yaw == expected.offset.yaw
+def assert_matches_brute_force(seq, grid, yaw_count=16):
+    result = optimize_placement(seq, grid, yaw_count)
+    expected = _brute_force_placement(seq, grid, yaw_count)
+    np.testing.assert_array_equal(result.offset.translation, expected.offset.translation)
+    np.testing.assert_array_equal(result.offset.orientation, expected.offset.orientation)
     assert result.collision == expected.collision
     assert result.candidates_evaluated == expected.candidates_evaluated
     np.testing.assert_array_equal(result.placed.frames, expected.placed.frames)
@@ -196,9 +193,8 @@ class TestOptimizePlacement:
         result = optimize_placement(seq, grid)
         seed = find_seed_position(grid, build_sdf(grid))
         assert result.collision == 0.0
-        assert result.feasible
-        np.testing.assert_allclose(result.offset.xz_translation, seed[[0, 2]])
-        assert result.offset.yaw == 0.0
+        np.testing.assert_allclose(result.offset.translation[[0, 2]], seed[[0, 2]])
+        assert result.offset.orientation[1] == 0.0
 
     def test_requires_canonical_sequence(self):
         seq = make_walk_sequence(num_frames=10)
@@ -212,23 +208,23 @@ class TestOptimizePlacement:
         a = optimize_placement(seq, grid)
         b = optimize_placement(seq, grid)
         assert a.collision == b.collision
-        assert a.offset.yaw == b.offset.yaw
-        np.testing.assert_array_equal(a.offset.xz_translation, b.offset.xz_translation)
+        np.testing.assert_array_equal(a.offset.orientation, b.offset.orientation)
+        np.testing.assert_array_equal(a.offset.translation, b.offset.translation)
 
     def test_corridor_selects_straight_heading(self):
         grid = corridor()
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        config = PlacementConfig()
-        result = optimize_placement(seq, grid, config)
-        step = 2.0 * np.pi / config.yaw_count
-        assert abs(result.offset.yaw) < step
+        yaw_count = 16
+        result = optimize_placement(seq, grid, yaw_count)
+        step = 2.0 * np.pi / yaw_count
+        assert abs(result.offset.orientation[1]) < step
 
         # exhaustive coarse-lattice oracle: every free standing cell x 16 yaws
         sdf = build_sdf(grid)
         kp = body_keypoints(seq)
         best = np.inf
-        for k in range(config.yaw_count):
-            yaw = wrap_angle(-np.pi + 2.0 * np.pi * k / config.yaw_count)
+        for k in range(yaw_count):
+            yaw = wrap_angle(-np.pi + 2.0 * np.pi * k / yaw_count)
             cos, sin = np.cos(yaw), np.sin(yaw)
             rot = np.array([[cos, 0.0, sin], [0.0, 1.0, 0.0], [-sin, 0.0, cos]])
             rotated = kp.reshape(-1, 3) @ rot.T
@@ -242,8 +238,7 @@ class TestOptimizePlacement:
         # always sinks into a wall
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
         result = optimize_placement(seq, too_small_pocket())
-        assert not result.feasible
-        assert result.collision > PlacementConfig().feasibility_threshold
+        assert result.collision > 1e-3  # above populate's default --threshold
 
     def test_reapplying_offset_reproduces_collision(self):
         grid = corridor()
@@ -301,7 +296,7 @@ class TestBranchAndBound:
            yaw_count=st.sampled_from([1, 5, 16]))
     def test_random_rooms_match_brute_force(self, grid, frames, speed, with_object, yaw_count):
         seq = make_walk_sequence(num_frames=frames, speed=speed, with_object=with_object)
-        assert_matches_brute_force(seq, grid, PlacementConfig(yaw_count=yaw_count))
+        assert_matches_brute_force(seq, grid, yaw_count)
 
     def test_scan_samples_through_scene_sample_sdf(self, monkeypatch):
         # perfbench's per-layer trace counts SDF points at populate.sample_sdf
@@ -321,11 +316,14 @@ class TestBranchAndBound:
 
 class TestPlacementOffset:
     def test_yaw_wraps_to_half_open_interval(self):
-        assert PlacementOffset(np.zeros(2), np.pi).yaw == -np.pi
-        assert PlacementOffset(np.zeros(2), 3 * np.pi).yaw == pytest.approx(-np.pi)
-        assert PlacementOffset(np.zeros(2), -0.5).yaw == -0.5
+        assert wrap_angle(np.pi) == -np.pi
+        assert wrap_angle(3 * np.pi) == pytest.approx(-np.pi)
+        assert wrap_angle(-0.5) == -0.5
 
     def test_to_six_dof_layout(self):
-        pose = PlacementOffset(np.array([1.0, 2.0]), 0.7).to_six_dof()
-        np.testing.assert_array_equal(pose.translation, [1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(pose.orientation, [0.0, 0.7, 0.0])
+        # the offset is the planar pose to_global applied: (x, 0, z) and a yaw about +Y
+        seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
+        result = optimize_placement(seq, corridor())
+        assert result.offset.translation[1] == 0.0
+        np.testing.assert_array_equal(result.offset.orientation[[0, 2]], [0.0, 0.0])
+        np.testing.assert_array_equal(to_global(seq, result.offset).frames, result.placed.frames)

@@ -150,10 +150,12 @@ class TestSignedDistanceFieldValidation:
         with pytest.raises(SceneError, match="non-finite"):
             SignedDistanceField(distances, np.zeros(3), 0.1)
 
-    @pytest.mark.parametrize("cell", [0.0, -0.1, np.nan])
+    @pytest.mark.parametrize("cell", [0.0, -0.1, np.nan, np.inf])
     def test_non_positive_cell_size_rejected(self, cell):
         with pytest.raises(SceneError, match="cell_size"):
             SignedDistanceField(np.zeros((2, 2, 2)), np.zeros(3), cell)
+        with pytest.raises(SceneError, match="cell_size"):
+            SceneVoxelGrid(np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(3), cell)
 
 
 def _reference_sample_sdf(sdf, points):
@@ -363,8 +365,7 @@ class TestContact:
 
 class TestBodyKeypoints:
     def test_zero_pose_is_offset_chain(self):
-        frames = np.zeros((1, FRAME_DIM))
-        kp = body_keypoints(frames)
+        kp = body_keypoints(MotionSequence(np.zeros((1, FRAME_DIM))))
         assert kp.shape == (1, 22, 3)
         expected = np.zeros((22, 3))
         for j in range(1, 22):
@@ -388,7 +389,7 @@ class TestObjectPoints:
         frames = np.zeros((2, FRAME_DIM))
         frames[1, 69:72] = [1.0, 2.0, 3.0]
         frames[1, 72:75] = [0.0, np.pi / 2.0, 0.0]
-        track = object_points_track(base, frames)
+        track = object_points_track(base, MotionSequence(frames))
         np.testing.assert_allclose(track[0], base, atol=1e-12)
         rot = rodrigues(np.array([0.0, np.pi / 2.0, 0.0]))
         np.testing.assert_allclose(track[1], base @ rot.T + [1.0, 2.0, 3.0], atol=1e-12)

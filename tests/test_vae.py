@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motok.lfq import LfqCodebook, codebook_utilization
-from motok.motion import FRAME_DIM
+from motok.motion import FRAME_DIM, MotionSequence
 from motok.synth import make_corpus
 from motok.vae import (
     SEGMENT_LEN,
@@ -184,7 +184,7 @@ class TestTraining:
         frames = np.tile(pose, (32, 1))
         config = ToyVaeConfig(vocab_size=64, hidden_width=16, lambda_commit=1e-2,
                               lambda_entropy=0.0, learning_rate=0.5, epochs=200, seed=0)
-        params, history = train(config, [frames])
+        params, history = train(config, [MotionSequence(frames)])
         assert reconstruction_mse(params, frames) < 1e-3
         assert history[-1]["total"] <= history[0]["total"]
 
