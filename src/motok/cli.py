@@ -12,9 +12,10 @@ output file is written atomically, so a failed write leaves no file behind.
 
 Two commands decide their outcome from their input.  ``convert`` takes its
 direction from the ``.mseq`` canonical flag: a canonical motion is placed
-into the world at ``--root-pose``, a global one is re-rooted.  ``populate``
-writes the best placement it finds, then exits 1 when its collision is above
-``--threshold``.
+into the world at ``--root-pose`` (zero when omitted), a global one is
+re-rooted, and ``--root-pose`` given with a global one is a usage error.
+``populate`` writes the best placement it finds, then exits 1 when its
+collision is above ``--threshold``.
 
 :func:`build_parser` builds the parser once per process, on the first call
 (not at import), and :func:`dispatch` reuses it for every command: parsing
@@ -72,9 +73,11 @@ def _write_csv(path, header: list[str], rows: list[list]):
 def _cmd_convert(args) -> int:
     seq = fileio.read_mseq(args.infile)
     if seq.is_canonical:
-        pose = motion.SixDof(translation=np.array(args.root_pose[:3]),
-                             orientation=np.array(args.root_pose[3:]))
+        root_pose = np.zeros(6) if args.root_pose is None else np.array(args.root_pose)
+        pose = motion.SixDof(translation=root_pose[:3], orientation=root_pose[3:])
         out = motion.to_global(seq, pose)
+    elif args.root_pose is not None:
+        raise UsageError(f"--root-pose applies to canonical input; {args.infile} is global")
     else:
         out = motion.to_canonical(seq)
     fileio.write_mseq(args.outfile, out)
@@ -350,9 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--root-pose", dest="root_pose", type=_parse_root_pose,
-                   default=(0.0,) * 6,  # a tuple: the cached parser shares its defaults
-                   help="x,y,z,rx,ry,rz world offset of a canonical input; a global "
-                        "input is re-rooted and ignores it "
+                   help="x,y,z,rx,ry,rz world offset of a canonical input (zero when "
+                        "omitted); a global input is re-rooted and rejects it "
                         "(use --root-pose=<v> when the first value is negative)")
     p.set_defaults(func=_cmd_convert)
 

@@ -18,6 +18,17 @@ per-point values, exactly as an exhaustive scan would score it, so the
 result matches the exhaustive scan bit for bit.  Once the best score is 0
 nothing can beat it (both passes accept only strict improvements), so the
 search stops there.
+
+Every lookup goes through :func:`scene.sample_sdf_shifted`, which factors
+the trilinear arithmetic by axis.  A grid axis's terms (corner, weight,
+overshoot) depend on one world coordinate of the shifted point: y on the
+point alone, since the y shift is 0, and x and z on the point and one
+coordinate of the shift.  Lattice x and z values come from one
+``origin + c * (i + 0.5)`` expression per cell column, so a few dozen
+distinct values cover hundreds of candidates.  The kernel computes each term
+once per distinct value and gathers it per candidate, performing the same
+operations on the same operands as the per-candidate lookup, so every value
+is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from .scene import (
     body_keypoints,
     build_sdf,
     sample_sdf,
+    sample_sdf_shifted,
 )
 
 # Frames per SDF lookup of the coarse scan.  On the 301-frame demo walk 4 and
@@ -155,10 +167,7 @@ def _rotate(kp: np.ndarray, yaw: float) -> np.ndarray:
 
 def _penetration(points: np.ndarray, sdf: SignedDistanceField, xz: np.ndarray) -> np.ndarray:
     """Per-point penetration (M, P) of ``points`` (P, 3) shifted by each (x, z) in ``xz`` (M, 2)."""
-    offsets = np.zeros((xz.shape[0], 1, 3))
-    offsets[:, 0, 0] = xz[:, 0]
-    offsets[:, 0, 2] = xz[:, 1]
-    return np.maximum(0.0, -sample_sdf(sdf, points[None, :, :] + offsets))
+    return np.maximum(0.0, -sample_sdf_shifted(sdf, points, xz))
 
 
 def _score_offsets(

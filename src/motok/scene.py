@@ -156,45 +156,84 @@ def sample_sdf(sdf: SignedDistanceField, points: np.ndarray) -> np.ndarray:
     grid keep growing (and stay non-negative once outside).  A single point
     of shape (3,) gives a scalar; any other last axis raises SceneError.
 
-    Each point gets one flat index into ``distances`` and its eight corners
-    are eight gathers at fixed offsets from it (offset 0 along an axis with
-    one cell).  The arithmetic is the per-axis trilinear formula, lerping x,
-    then z, then y, in the same order of operations, so values are
-    bit-identical to indexing the 3-D grid corner by corner.
+    This is :func:`sample_sdf_shifted` with one zero shift.  Adding 0.0 to a
+    coordinate changes at most the sign of a zero, and the first step of the
+    lookup (subtract the origin, divide by the cell, subtract 0.5) maps both
+    zeros to the same value, so no later bit moves.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 0 or points.shape[-1] != 3:
         raise SceneError(f"points must have shape (..., 3), got {points.shape}")
-    pts = points.reshape(-1, 3)
-    d = sdf.distances
-    cell = sdf.cell_size
-    index = overshoot_sq = None
-    weights = []
-    # index axes (x, z, y) are world columns 0, 2, 1
-    for column, n in zip((0, 2, 1), d.shape):
-        frac = np.subtract(pts[:, column], sdf.origin[column])
-        frac /= cell
-        frac -= 0.5  # 0 is the first cell center
-        clamped = np.clip(frac, 0.0, n - 1.0)
-        frac -= clamped
-        frac *= cell
-        frac *= frac
-        if overshoot_sq is None:
-            overshoot_sq = frac
-        else:
-            overshoot_sq += frac  # (x^2 + z^2) + y^2, as np.linalg.norm sums
-        lo = np.floor(clamped)
-        np.minimum(lo, max(n - 2, 0), out=lo)
-        clamped -= lo  # now the weight of the upper corner
-        weights.append(clamped)
-        if index is None:
-            index = lo
-        else:
-            index *= n
-            index += lo
-    index = index.astype(np.intp)
+    values = sample_sdf_shifted(sdf, points.reshape(-1, 3), np.zeros((1, 2)))[0]
+    return values[0] if points.ndim == 1 else values.reshape(points.shape[:-1])
 
+
+def _axis_terms(coords: np.ndarray, origin: float, cell: float, n: int):
+    """(lower corner index, upper-corner weight, squared overshoot) of one grid
+    axis with ``n`` cells at world coordinates ``coords``."""
+    frac = np.subtract(coords, origin)
+    frac /= cell
+    frac -= 0.5  # 0 is the first cell center
+    clamped = np.clip(frac, 0.0, n - 1.0)
+    frac -= clamped
+    frac *= cell
+    frac *= frac
+    lo = np.floor(clamped)
+    np.minimum(lo, max(n - 2, 0), out=lo)
+    clamped -= lo  # now the weight of the upper corner
+    return lo.astype(np.intp), clamped, frac
+
+
+def sample_sdf_shifted(sdf: SignedDistanceField, points: np.ndarray,
+                       shifts: np.ndarray) -> np.ndarray:
+    """SDF values (M, P) at ``points`` (P, 3) moved by each planar shift (x, z)
+    of ``shifts`` (M, 2).
+
+    Each grid axis depends on one world coordinate of a shifted point, so its
+    terms (lower corner, weight, overshoot) are computed once per distinct x
+    shift and point, once per distinct z shift and point, and once per point
+    for y, whose shift is 0.  Each candidate then gathers its rows.  A lattice
+    of a few hundred candidates has only a few dozen distinct x and z values.
+    The terms are the ones a lookup at ``points + [x, 0, z]`` computes, from
+    the same operands, so the values match it bit for bit.
+
+    Each point gets one flat index into ``distances``, summed in exact
+    integers, and its eight corners are eight gathers at fixed offsets from it
+    (offset 0 along an axis with one cell).  The arithmetic is the per-axis
+    trilinear formula, lerping x, then z, then y, with the squared overshoot
+    summed as (x^2 + z^2) + y^2 as ``np.linalg.norm`` sums it, so values are
+    bit-identical to indexing the 3-D grid corner by corner.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise SceneError(f"points must have shape (P, 3), got {pts.shape}")
+    if shifts.ndim != 2 or shifts.shape[1] != 2:
+        raise SceneError(f"shifts must have shape (M, 2), got {shifts.shape}")
+    d = sdf.distances
     nx, nz, ny = d.shape
+    cell, origin = sdf.cell_size, sdf.origin
+    if shifts.shape[0] == 1:
+        # one candidate needs no distinct values: its terms are its rows, and
+        # a basic slice gathers them without a copy
+        xs, zs, x_row, z_row = shifts[:, 0], shifts[:, 1], slice(None), slice(None)
+    else:
+        xs, x_row = np.unique(shifts[:, 0], return_inverse=True)
+        zs, z_row = np.unique(shifts[:, 1], return_inverse=True)
+    lo_x, fx, over_x = _axis_terms(pts[:, 0] + xs[:, None], origin[0], cell, nx)
+    lo_z, fz, over_z = _axis_terms(pts[:, 2] + zs[:, None], origin[2], cell, nz)
+    lo_y, fy, over_y = _axis_terms(pts[:, 1], origin[1], cell, ny)
+
+    # flat index (lo_x * nz + lo_z) * ny + lo_y, one row gather per axis
+    lo_x *= nz * ny
+    lo_z *= ny
+    index = lo_x[x_row]
+    index += lo_z[z_row]
+    index += lo_y
+    overshoot_sq = over_x[x_row]
+    overshoot_sq += over_z[z_row]
+    overshoot_sq += over_y
+
     step_x = nz * ny if nx > 1 else 0
     step_z = ny if nz > 1 else 0
     step_y = 1 if ny > 1 else 0
@@ -212,16 +251,15 @@ def sample_sdf(sdf: SignedDistanceField, points: np.ndarray) -> np.ndarray:
         a += b
         return a
 
-    fx, fz, fy = weights
-    gx = 1 - fx
+    gx, fx = (1 - fx)[x_row], fx[x_row]
     c00 = lerp(corner(0), corner(step_x), gx, fx)
     c01 = lerp(corner(step_y), corner(step_x + step_y), gx, fx)
     c10 = lerp(corner(step_z), corner(step_x + step_z), gx, fx)
     c11 = lerp(corner(step_z + step_y), corner(step_x + step_z + step_y), gx, fx)
-    gz = 1 - fz
+    gz, fz = (1 - fz)[z_row], fz[z_row]
     values = lerp(lerp(c00, c10, gz, fz), lerp(c01, c11, gz, fz), 1 - fy, fy)
     values += np.sqrt(overshoot_sq, out=overshoot_sq)
-    return values[0] if points.ndim == 1 else values.reshape(points.shape[:-1])
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ and keyword defaults) are counted too, and may not grow past a pinned count.
 
 import argparse
 import ast
+from collections import Counter
 from pathlib import Path
 
 from motok.cli import build_parser
@@ -32,20 +33,24 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _reads(node: ast.AST, skip: ast.AST = None) -> set[str]:
-    """Names and attribute names read under ``node``, leaving out the subtree ``skip``."""
-    found = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current is skip:
-            continue
+def _reads(node: ast.AST) -> Counter:
+    """How often each name and attribute name is read under ``node``."""
+    found = Counter()
+    for current in ast.walk(node):
         if isinstance(current, ast.Name):
-            found.add(current.id)
+            found[current.id] += 1
         elif isinstance(current, ast.Attribute):
-            found.add(current.attr)
-        stack.extend(ast.iter_child_nodes(current))
+            found[current.attr] += 1
     return found
+
+
+def _unread(definitions, reads: Counter):
+    """The (path, name, node) definitions whose name ``reads`` counts only
+    inside the definition itself; a method is matched by its own name."""
+    for path, name, node in definitions:
+        leaf = name.rpartition(".")[2]
+        if reads[leaf] == _reads(node)[leaf]:
+            yield path, name, node
 
 
 def _library() -> dict[Path, ast.Module]:
@@ -87,17 +92,13 @@ def _public_definitions(library: dict[Path, ast.Module]):
 
 def test_public_names_have_a_caller_outside_tests():
     library = _library()
-    outside = set()
+    reads = sum((_reads(tree) for tree in library.values()), Counter())
     for folder in ("scripts", "perfbench"):
         for path in sorted((ROOT / folder).glob("**/*.py")):
-            outside |= _reads(_parse(path))
-    unused = []
-    for path, name, node in _public_definitions(library):
-        used = set(outside)
-        for other, tree in library.items():
-            used |= _reads(tree, skip=node if other == path else None)
-        if name.rpartition(".")[2] not in used and name not in ALLOWED_UNUSED:
-            unused.append(f"{path.name}:{node.lineno} {name}")
+            reads += _reads(_parse(path))
+    unused = [f"{path.name}:{node.lineno} {name}"
+              for path, name, node in _unread(_public_definitions(library), reads)
+              if name not in ALLOWED_UNUSED]
     assert not unused, f"public names used only by tests: {unused}"
 
 
@@ -114,13 +115,9 @@ def _private_definitions(library: dict[Path, ast.Module]):
 
 def test_private_names_are_read_in_the_package():
     library = _library()
-    unused = []
-    for path, name, node in _private_definitions(library):
-        used = set()
-        for other, tree in library.items():
-            used |= _reads(tree, skip=node if other == path else None)
-        if name not in used:
-            unused.append(f"{path.name}:{node.lineno} {name}")
+    reads = sum((_reads(tree) for tree in library.values()), Counter())
+    unused = [f"{path.name}:{node.lineno} {name}"
+              for path, name, node in _unread(_private_definitions(library), reads)]
     assert not unused, f"private names nothing in src/motok reads: {unused}"
 
 

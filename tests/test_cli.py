@@ -98,6 +98,28 @@ class TestConvert:
         back_seq = fileio.read_mseq(back)
         np.testing.assert_allclose(back_seq.frames, seq.frames, atol=1e-5)
 
+    def test_root_pose_on_global_input_exits_2(self, tmp_path, capsys):
+        src, out = tmp_path / "global.mseq", tmp_path / "out.mseq"
+        walk = synth.make_walk_sequence(num_frames=9)
+        fileio.write_mseq(src, MotionSequence(walk.frames, is_canonical=False))
+        # a zero pose is still a pose given: it is rejected, not ignored
+        assert dispatch(["convert", "--in", str(src), "--out", str(out),
+                         "--root-pose=0,0,0,0,0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error:" in err
+        assert "--root-pose applies to canonical input" in err
+        assert not out.exists()
+
+    def test_omitted_root_pose_is_the_zero_pose(self, tmp_path):
+        src = tmp_path / "canon.mseq"
+        fileio.write_mseq(src, synth.make_walk_sequence(num_frames=9))
+        omitted, zero = tmp_path / "omitted.mseq", tmp_path / "zero.mseq"
+        assert dispatch(["convert", "--in", str(src), "--out", str(omitted)]) == 0
+        assert dispatch(["convert", "--in", str(src), "--out", str(zero),
+                         "--root-pose=0,0,0,0,0,0"]) == 0
+        assert omitted.read_bytes() == zero.read_bytes()
+        assert not fileio.read_mseq(omitted).is_canonical
+
 
 class TestTokenizeRoundTrip:
     def test_tokenize_detokenize_matches_vae_reconstruction(self, tmp_path):
@@ -595,7 +617,7 @@ class TestParserReuse:
     @pytest.mark.parametrize("given, omitted, name, default", [
         (["sample", "--two-pass", "--out", "o"], ["sample", "--out", "o"], "two_pass", False),
         (["convert", "--in", "i", "--out", "o", "--root-pose=1,2,3,4,5,6"],
-         ["convert", "--in", "i", "--out", "o"], "root_pose", (0.0,) * 6),
+         ["convert", "--in", "i", "--out", "o"], "root_pose", None),
     ], ids=["sample", "convert"])
     def test_flag_does_not_carry_into_next_parse(self, given, omitted, name, default):
         assert getattr(build_parser().parse_args(given), name) != default

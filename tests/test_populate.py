@@ -24,6 +24,7 @@ from motok.scene import (
     build_sdf,
     collision_score,
     sample_sdf,
+    sample_sdf_shifted,
 )
 from motok.synth import make_walk_sequence
 
@@ -298,16 +299,17 @@ class TestBranchAndBound:
         seq = make_walk_sequence(num_frames=frames, speed=speed, with_object=with_object)
         assert_matches_brute_force(seq, grid, yaw_count)
 
-    def test_scan_samples_through_scene_sample_sdf(self, monkeypatch):
-        # perfbench's per-layer trace counts SDF points at populate.sample_sdf
+    def test_scan_samples_through_sample_sdf_shifted(self, monkeypatch):
+        # the scan's SDF lookups pass through one seam that a trace can count
+        # points at: M candidates x P points per call
         points = []
 
-        def counting(sdf, pts):
-            values = sample_sdf(sdf, pts)
+        def counting(sdf, pts, shifts):
+            values = sample_sdf_shifted(sdf, pts, shifts)
             points.append(values.size)
             return values
 
-        monkeypatch.setattr(populate, "sample_sdf", counting)
+        monkeypatch.setattr(populate, "sample_sdf_shifted", counting)
         seq = make_walk_sequence(num_frames=11, speed=9.0, arm_swing=0.2, with_object=True)
         result = optimize_placement(seq, demo_room())
         frames, joints = _candidate_keypoints(seq).shape[:2]

@@ -20,6 +20,7 @@ from motok.scene import (
     contact_score,
     object_points_track,
     sample_sdf,
+    sample_sdf_shifted,
     voxelize_points,
 )
 from conftest import rodrigues
@@ -211,7 +212,38 @@ def sdf_queries(draw):
     return sdf, points
 
 
+@st.composite
+def planar_shifts(draw, sdf):
+    """1-12 (x, z) shifts: lattice values of ``sdf``'s grid, zeros of both
+    signs and arbitrary (also negative) floats, with repeated values and rows."""
+    c, origin = sdf.cell_size, sdf.origin
+    lattice = [origin[axis] + c * (i + 0.5) for axis in (0, 2) for i in range(-2, 7)]
+    value = st.one_of(st.sampled_from(lattice + [0.0, -0.0]), st.floats(-20.0, 20.0))
+    rows = draw(st.lists(st.tuples(value, value), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))
+    return np.array(rows)[picks]
+
+
 class TestSampleSdf:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_shifted_bit_identical_to_offset_points(self, data):
+        sdf, points = data.draw(sdf_queries())
+        shifts = data.draw(planar_shifts(sdf))
+        offset = np.zeros((shifts.shape[0], 1, 3))
+        offset[:, 0, 0], offset[:, 0, 2] = shifts[:, 0], shifts[:, 1]
+        shifted = points[None] + offset
+        got = sample_sdf_shifted(sdf, points, shifts)
+        assert got.shape == shifted.shape[:-1]
+        assert got.tobytes() == sample_sdf(sdf, shifted).tobytes()
+        assert got.tobytes() == _reference_sample_sdf(sdf, shifted).tobytes()
+
+    @pytest.mark.parametrize("points, shifts", [((5, 2), (1, 2)), ((4, 7, 3), (1, 2)),
+                                                ((5, 3), (2,)), ((5, 3), (4, 3))])
+    def test_shifted_malformed_shapes_rejected(self, points, shifts):
+        with pytest.raises(SceneError, match="must have shape"):
+            sample_sdf_shifted(plane_sdf(), np.zeros(points), np.zeros(shifts))
+
     @settings(max_examples=200, deadline=None)
     @given(query=sdf_queries())
     def test_bit_identical_to_reference(self, query):
