@@ -156,10 +156,13 @@ def sample_sdf(sdf: SignedDistanceField, points: np.ndarray) -> np.ndarray:
     grid keep growing (and stay non-negative once outside).  A single point
     of shape (3,) gives a scalar; any other last axis raises SceneError.
 
-    This is :func:`sample_sdf_shifted` with one zero shift.  Adding 0.0 to a
-    coordinate changes at most the sign of a zero, and the first step of the
-    lookup (subtract the origin, divide by the cell, subtract 0.5) maps both
-    zeros to the same value, so no later bit moves.
+    This is :func:`sample_sdf_shifted` with one zero shift; the placement
+    scan calls that kernel with many shifts, and it computes each axis's
+    terms once per distinct shift, bit-identical to a lookup here at the
+    shifted points.  Adding 0.0 to a coordinate changes at most the sign of
+    a zero, and the first step of the lookup (subtract the origin, divide by
+    the cell, subtract 0.5) maps both zeros to the same value, so no later
+    bit moves.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 0 or points.shape[-1] != 3:
