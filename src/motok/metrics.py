@@ -92,6 +92,24 @@ def _check_aligned(motion_feats: np.ndarray, text_feats: np.ndarray):
     return m, t
 
 
+def _distractor_pools(n: int, pool_size: int, seed: int) -> np.ndarray:
+    """Seeded distractor indices, (n, pool_size - 1): row i is a uniform subset of range(n) minus i.
+
+    Floyd's algorithm samples a k = pool_size - 1 subset of range(n - 1) in k
+    draws, vectorised over rows: the pass for j = n - pool_size .. n - 2 draws
+    one integer in [0, j] per row and takes j instead where the row already
+    holds the draw.  Indices at or past the query then shift up by one.
+    """
+    rng = np.random.default_rng(seed)
+    others = np.empty((n, pool_size - 1), dtype=np.intp)
+    for col, j in enumerate(range(n - pool_size, n - 1)):
+        draw = rng.integers(j + 1, size=n)
+        taken = (others[:, :col] == draw[:, None]).any(axis=1)
+        others[:, col] = np.where(taken, j, draw)
+    others += others >= np.arange(n)[:, None]
+    return others
+
+
 def r_precision(
     motion_feats: np.ndarray,
     text_feats: np.ndarray,
@@ -106,7 +124,11 @@ def r_precision(
     distance.  One pass counts, per query, the distractors strictly closer
     than the true text; the true text counts as retrieved at k when fewer
     than k are.  Entry ``k - 1`` of the result is the accuracy at k, so the
-    list is non-decreasing.  Pools depend only on (N, pool_size, seed).
+    list is non-decreasing.  Each pool is a uniform draw by Floyd's
+    algorithm, made for all rows at once (:func:`_distractor_pools`).  Pools
+    depend only on (N, pool_size, seed).  True and distractor distances are
+    the same last-axis reduction, so a distractor text equal to the true
+    text ties and is not closer.
     """
     m, t = _check_aligned(motion_feats, text_feats)
     n = m.shape[0]
@@ -114,14 +136,8 @@ def r_precision(
         raise MetricError(f"need at least pool_size={pool_size} rows, got {n}")
     if not 1 <= top_k <= pool_size:
         raise MetricError(f"top_k must be in [1, {pool_size}], got {top_k}")
-    rng = np.random.default_rng(seed)
-    others = np.empty((n, pool_size - 1), dtype=np.intp)
-    true_dist = np.empty(n)
-    for i in range(n):
-        others[i] = rng.permutation(n - 1)[: pool_size - 1]
-        # the per-row vector norm is a BLAS dot; a batched norm rounds differently
-        true_dist[i] = np.linalg.norm(m[i] - t[i])
-    others += others >= np.arange(n)[:, None]
+    others = _distractor_pools(n, pool_size, seed)
+    true_dist = np.sqrt(((m - t) ** 2).sum(axis=1))
     closer = np.empty(n, dtype=np.intp)
     # blocks of rows bound the gathered (rows, pool - 1, F) distractors; all N rows
     # at once would be 56 MB at N=1000, F=227
@@ -165,7 +181,8 @@ def diversity(feats: np.ndarray, seed: int = 0) -> float:
             f"only {n} rows for {DIVERSITY_PAIRS} diversity pairs; sampling with replacement",
             stacklevel=2,
         )
-        pairs = np.array([rng.choice(n, size=2, replace=False) for _ in range(DIVERSITY_PAIRS)])
-        first, second = pairs[:, 0], pairs[:, 1]
+        first = rng.integers(n, size=DIVERSITY_PAIRS)
+        second = rng.integers(n - 1, size=DIVERSITY_PAIRS)
+        second += second >= first
     return float(np.linalg.norm(f[first] - f[second], axis=1).mean())
 

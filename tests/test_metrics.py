@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motok.metrics import (
+    DIVERSITY_PAIRS,
     GaussianStats,
     MetricError,
+    _distractor_pools,
     diversity,
     fit_gaussian,
     frechet_distance,
@@ -70,6 +72,22 @@ class TestFrechetDistance:
                              GaussianStats(np.zeros(3), np.eye(3)))
 
 
+def _reference_pools(n, pool_size, seed):
+    """Floyd's algorithm one row at a time with a Python set, fed the draws ``_distractor_pools`` makes."""
+    rng = np.random.default_rng(seed)
+    passes = range(n - pool_size, n - 1)
+    draws = [rng.integers(j + 1, size=n) for j in passes]
+    pools = []
+    for i in range(n):
+        chosen, seen = [], set()
+        for j, draw in zip(passes, draws):
+            pick = j if int(draw[i]) in seen else int(draw[i])
+            seen.add(pick)
+            chosen.append(pick if pick < i else pick + 1)
+        pools.append(chosen)
+    return pools
+
+
 def _reference_r_precision(motion_feats, text_feats, pool_size=32, k=1, seed=0):
     """The per-k loop ``r_precision`` replaced: redraws every pool for one k."""
     m = np.asarray(motion_feats, dtype=np.float64)
@@ -81,16 +99,43 @@ def _reference_r_precision(motion_feats, text_feats, pool_size=32, k=1, seed=0):
         raise MetricError(f"need at least pool_size={pool_size} rows, got {n}")
     if not 1 <= k <= pool_size:
         raise MetricError(f"k must be in [1, {pool_size}], got {k}")
-    rng = np.random.default_rng(seed)
     hits = 0
-    for i in range(n):
-        others = rng.permutation(n - 1)[: pool_size - 1]
-        others = np.where(others >= i, others + 1, others)
-        true_dist = np.linalg.norm(m[i] - t[i])
-        distractor_dist = np.linalg.norm(t[others] - m[i], axis=1)
-        if (distractor_dist < true_dist).sum() < k:
+    for i, others in enumerate(_reference_pools(n, pool_size, seed)):
+        # true and distractor distances from one reduction, so equal texts tie exactly
+        dist = np.linalg.norm(t[[i, *others]] - m[i], axis=1)
+        if (dist[1:] < dist[0]).sum() < k:
             hits += 1
     return hits / n
+
+
+POOL_SHAPES = [(40, 10), (80, 32), (32, 32), (7, 1), (1, 1)]
+
+
+class TestDistractorPools:
+    @pytest.mark.parametrize("n, pool_size", POOL_SHAPES)
+    def test_distinct_and_exclude_the_query(self, n, pool_size):
+        for seed in range(5):
+            pools = _distractor_pools(n, pool_size, seed)
+            assert pools.shape == (n, pool_size - 1)
+            for i, row in enumerate(pools.tolist()):
+                assert len(set(row)) == pool_size - 1
+                assert set(row) <= set(range(n)) - {i}
+
+    @pytest.mark.parametrize("n, pool_size", POOL_SHAPES)
+    def test_equal_a_scalar_floyd_loop(self, n, pool_size):
+        for seed in range(5):
+            assert _distractor_pools(n, pool_size, seed).tolist() == _reference_pools(
+                n, pool_size, seed)
+
+    def test_index_frequencies_are_flat(self):
+        n, pool_size, seeds = 40, 10, 300
+        counts = np.zeros(n)
+        for seed in range(seeds):
+            counts += np.bincount(_distractor_pools(n, pool_size, seed).ravel(), minlength=n)
+        expected = seeds * (pool_size - 1)
+        chi_square = ((counts - expected) ** 2 / expected).sum()
+        # 96.1 is the 1e-6 upper tail of chi-square with n - 1 = 39 degrees of freedom
+        assert chi_square < 96.1
 
 
 @st.composite
@@ -111,6 +156,11 @@ class TestRPrecision:
     def test_identical_features_perfect_top1(self, rng):
         feats = rng.normal(size=(64, 8))
         assert r_precision(feats, feats, pool_size=32, top_k=1)[0] == 1.0
+
+    def test_text_equal_to_the_true_text_ties(self, rng):
+        motion = rng.normal(size=(64, 227))
+        text = np.tile(rng.normal(size=227), (64, 1))
+        assert r_precision(motion, text, pool_size=32, top_k=3) == [1.0, 1.0, 1.0]
 
     def test_chance_level_on_independent_features(self, rng):
         n = 1024
@@ -213,6 +263,25 @@ class TestDiversity:
         with pytest.warns(UserWarning):
             value = diversity(feats, seed=2)
         assert value > 0.0
+
+    @pytest.mark.parametrize("n", [2, 10, 2 * DIVERSITY_PAIRS - 1])
+    def test_small_set_pairs_are_distinct_rows(self, n):
+        # one-hot rows: distinct rows are sqrt(2) apart, a row is 0 from itself
+        with pytest.warns(UserWarning):
+            value = diversity(np.eye(n), seed=3)
+        assert value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    def test_small_set_matches_loop_over_the_same_draws(self, rng):
+        feats = rng.normal(size=(64, 5))
+        with pytest.warns(UserWarning):
+            got = diversity(feats, seed=4)
+        draws = np.random.default_rng(4)
+        first = draws.integers(64, size=DIVERSITY_PAIRS)
+        second = draws.integers(63, size=DIVERSITY_PAIRS)
+        total = 0.0
+        for a, b in zip(first, second):
+            total += np.linalg.norm(feats[a] - feats[b + (b >= a)])
+        assert got == pytest.approx(total / DIVERSITY_PAIRS, abs=1e-10)
 
     def test_needs_two_rows(self):
         with pytest.raises(MetricError):
