@@ -93,7 +93,7 @@ def _check_aligned(motion_feats: np.ndarray, text_feats: np.ndarray):
 
 
 def _distractor_pools(n: int, pool_size: int, seed: int) -> np.ndarray:
-    """Seeded distractor indices, (n, pool_size - 1): row i is a uniform subset of range(n) minus i.
+    """Seeded (n, pool_size - 1) distractor indices; row i is a uniform subset of range(n) - {i}.
 
     Floyd's algorithm samples a k = pool_size - 1 subset of range(n - 1) in k
     draws, vectorised over rows: the pass for j = n - pool_size .. n - 2 draws

@@ -73,7 +73,7 @@ class TestFrechetDistance:
 
 
 def _reference_pools(n, pool_size, seed):
-    """Floyd's algorithm one row at a time with a Python set, fed the draws ``_distractor_pools`` makes."""
+    """Floyd's algorithm row by row with a Python set, fed the draws of ``_distractor_pools``."""
     rng = np.random.default_rng(seed)
     passes = range(n - pool_size, n - 1)
     draws = [rng.integers(j + 1, size=n) for j in passes]
