@@ -112,9 +112,9 @@ def _predict_clean(
 def ddim_sample(
     denoiser: DenoiserFn,
     shape: tuple,
-    num_infer_steps: int = 20,
-    guidance: Optional[GuidanceConfig] = None,
-    seed: int = 0,
+    num_infer_steps: int,
+    guidance: Optional[GuidanceConfig],
+    seed: int,
 ) -> np.ndarray:
     """Draw one sample by deterministic DDIM over the strided step subset.
 
@@ -141,9 +141,9 @@ def ddim_sample(
 def two_pass_sample(
     denoiser: DenoiserFn,
     shape: tuple,
-    num_infer_steps: int = 20,
-    guidance: Optional[GuidanceConfig] = None,
-    seed: int = 0,
+    num_infer_steps: int,
+    guidance: Optional[GuidanceConfig],
+    seed: int,
 ) -> np.ndarray:
     """Optional coarse-to-fine sampling: a strided first pass conditions a full pass.
 

@@ -9,7 +9,8 @@ version alone: ``.mtok`` and ``.vae`` are at version 2, so a version 1 file
 of either is rejected.  Every reader raises :class:`FileFormatError` on a
 bad magic or version, a header or payload that runs past the end of the
 file (a corrupt count included), a tensor name that is not UTF-8, a tensor
-that is not 1-D or 2-D, or bytes after the payload.
+that is not 1-D or 2-D, or bytes after the payload.  The point and feature
+readers also reject a NaN or infinite value, which no later stage can use.
 """
 
 from __future__ import annotations
@@ -173,10 +174,17 @@ def write_pts(path, points: np.ndarray):
     _write(path, _PTS, points.shape[:1], points.astype("<f4").tobytes())
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as float64; checked before the cast, which warns on a signalling NaN."""
+    if not np.all(np.isfinite(values)):
+        raise FileFormatError(f"{what} contain non-finite values")
+    return values.astype(np.float64)
+
+
 def read_pts(path) -> np.ndarray:
     with _read(path, _PTS) as (body, (count,)):
         points = _array(body, "<f4", (count, 3), "points")
-    return points.astype(np.float64)
+    return _finite(points, "points")
 
 
 def write_feat(path, features: np.ndarray):
@@ -189,7 +197,7 @@ def write_feat(path, features: np.ndarray):
 def read_feat(path) -> np.ndarray:
     with _read(path, _FEAT) as (body, shape):
         features = _array(body, "<f4", shape, "features")
-    return features.astype(np.float64)
+    return _finite(features, "features")
 
 
 def write_vae(path, params: ToyVaeParams):

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Temperature tau of the soft sign pattern p_i = sigmoid(2 * z_i / tau) that
+# the entropy regularizer scores.
+ENTROPY_TEMPERATURE = 0.25
+
+
 class QuantizerError(ValueError):
     """Raised for dimension mismatches or out-of-range indices."""
 
@@ -108,42 +113,38 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     return -(_xlogx(p) + _xlogx(1.0 - p))
 
 
-def entropy_loss(batch_logits: np.ndarray, temperature: float = 1.0) -> float:
+def entropy_loss(batch_logits: np.ndarray) -> float:
     """Code-diversity regularizer over a batch of pre-quantization latents.
 
     Each latent row induces a factorized Bernoulli distribution over its sign
-    pattern, p_i = sigmoid(2 * z_i / temperature).  The loss is the mean
-    per-sample code entropy minus the entropy of the batch-mean code
-    distribution (both in nats, summed over dimensions).  Driving it down
-    makes individual codes confident while spreading usage across the batch;
-    its lower bound is -num_dims * ln(2).
+    pattern, p_i = sigmoid(2 * z_i / tau) with tau = ``ENTROPY_TEMPERATURE``.
+    The loss is the mean per-sample code entropy minus the entropy of the
+    batch-mean code distribution (both in nats, summed over dimensions).
+    Driving it down makes individual codes confident while spreading usage
+    across the batch; its lower bound is -num_dims * ln(2).
     """
     z = np.asarray(batch_logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
         raise QuantizerError(f"batch_logits must be (N, d) with N >= 1, got {z.shape}")
-    if not temperature > 0.0:
-        raise QuantizerError(f"temperature must be > 0, got {temperature}")
     if not np.all(np.isfinite(z)):
         raise QuantizerError("batch_logits contain non-finite values")
-    p = _sigmoid(2.0 * z / temperature)
+    p = _sigmoid(2.0 * z / ENTROPY_TEMPERATURE)
     per_sample = _binary_entropy(p).sum(axis=1).mean()
     marginal = _binary_entropy(p.mean(axis=0)).sum()
     return float(per_sample - marginal)
 
 
-def entropy_loss_grad(batch_logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def entropy_loss_grad(batch_logits: np.ndarray) -> np.ndarray:
     """Gradient of :func:`entropy_loss` with respect to the latents."""
     z = np.asarray(batch_logits, dtype=np.float64)
-    if not temperature > 0.0:
-        raise QuantizerError(f"temperature must be > 0, got {temperature}")
     n = z.shape[0]
-    p = _sigmoid(2.0 * z / temperature)
+    p = _sigmoid(2.0 * z / ENTROPY_TEMPERATURE)
     p_bar = np.clip(p.mean(axis=0), 1e-12, 1.0 - 1e-12)
     # dH(p)/dp = log((1-p)/p); for the per-sample term this is exactly the
     # negated logit, -2z/tau, which avoids log-of-zero at saturation.
-    dterm1 = -2.0 * z / temperature
+    dterm1 = -2.0 * z / ENTROPY_TEMPERATURE
     dterm2 = np.log((1.0 - p_bar) / p_bar)
-    return (dterm1 - dterm2) * (2.0 / temperature) * p * (1.0 - p) / n
+    return (dterm1 - dterm2) * (2.0 / ENTROPY_TEMPERATURE) * p * (1.0 - p) / n
 
 
 def codebook_utilization(indices: np.ndarray, codebook: LfqCodebook) -> tuple[float, float]:

@@ -113,9 +113,9 @@ def _distractor_pools(n: int, pool_size: int, seed: int) -> np.ndarray:
 def r_precision(
     motion_feats: np.ndarray,
     text_feats: np.ndarray,
-    pool_size: int = 32,
-    top_k: int = 3,
-    seed: int = 0,
+    pool_size: int,
+    top_k: int,
+    seed: int,
 ) -> list[float]:
     """Top-k retrieval accuracy of each motion against its paired text, for k = 1..top_k.
 
@@ -162,7 +162,7 @@ def diversity_with_replacement(num_rows: int) -> bool:
     return num_rows < 2 * DIVERSITY_PAIRS
 
 
-def diversity(feats: np.ndarray, seed: int = 0) -> float:
+def diversity(feats: np.ndarray, seed: int) -> float:
     """Mean distance over ``DIVERSITY_PAIRS`` seeded random pairs of distinct feature rows.
 
     With at least 2 * DIVERSITY_PAIRS rows the pairs are disjoint; smaller

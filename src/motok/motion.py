@@ -1,4 +1,4 @@
-"""Motion sequence types, rigid-frame conversions, and waypoint extraction.
+"""Motion sequence types and rigid-frame conversions.
 
 A motion frame is a 75-vector: human root translation (columns 0:3), human
 root orientation as an axis-angle rotation vector (3:6), 21 local joint
@@ -22,7 +22,8 @@ ROOT_ROT = slice(3, 6)
 JOINT_ROT = slice(6, 69)
 OBJ_POS = slice(69, 72)
 OBJ_ROT = slice(72, 75)
-# The frame columns of a 12-value waypoint row: root pose, then object pose.
+# The frame columns of one 12-value row of a sampled waypoint track (``motok
+# sample``): root pose, then object pose.
 WAYPOINT_COLUMNS = np.r_[ROOT_POS, ROOT_ROT, OBJ_POS, OBJ_ROT]
 
 # Dataset cap (300 frames at 30 fps) rounded up to a whole 8-frame segment,
@@ -193,37 +194,6 @@ class MotionSequence:
         return self.frames.shape[0]
 
 
-@dataclass(frozen=True)
-class WaypointTrack:
-    """Sparse per-second 6-DoF poses of the human root and object.
-
-    Each row is root translation ++ root orientation ++ object translation ++
-    object orientation (12 values) lifted verbatim from a source frame.
-    """
-
-    waypoints: np.ndarray
-    spacing_frames: int
-
-    def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=np.float64)
-        if wp.ndim != 2 or wp.shape[1] != 12:
-            raise MotionError(f"waypoints must be (W, 12), got {wp.shape}")
-        if wp.shape[0] < 1:
-            raise MotionError("waypoint track is empty")
-        if not np.all(np.isfinite(wp)):
-            raise MotionError("waypoints contain non-finite values")
-        if int(self.spacing_frames) < 1:
-            raise MotionError(f"spacing_frames must be >= 1, got {self.spacing_frames}")
-        wp = wp.copy()
-        wp.setflags(write=False)
-        object.__setattr__(self, "waypoints", wp)
-        object.__setattr__(self, "spacing_frames", int(self.spacing_frames))
-
-    @property
-    def num_waypoints(self) -> int:
-        return self.waypoints.shape[0]
-
-
 def _apply_rigid(frames: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """Left-compose a world-frame rigid transform onto root and object poses.
 
@@ -293,27 +263,3 @@ def to_canonical(seq: MotionSequence) -> MotionSequence:
     inv_trans = -inv_rot @ planar.translation
     frames = _apply_rigid(seq.frames, inv_rot, inv_trans)
     return MotionSequence(frames, fps=seq.fps, is_canonical=True)
-
-
-def extract_waypoints(seq: MotionSequence) -> WaypointTrack:
-    """Sample the root/object 6-DoF once per second of motion.
-
-    Waypoint ``i`` is frame ``i * fps`` verbatim; a trailing partial second
-    contributes the waypoint at its first frame, giving
-    ``ceil(T / fps)`` waypoints total.
-    """
-    if seq.is_canonical:
-        raise MotionError("extract_waypoints expects a global sequence")
-    spacing = seq.fps
-    waypoints = seq.frames[::spacing, WAYPOINT_COLUMNS]
-    return WaypointTrack(waypoints=waypoints, spacing_frames=spacing)
-
-
-def repeat_waypoints(track: WaypointTrack, segment_len: int) -> np.ndarray:
-    """Tile each waypoint ``segment_len`` times into a (W * segment_len, 12) block.
-
-    This aligns the sparse 6-DoF channel with fixed-length token segments.
-    """
-    if int(segment_len) < 1:
-        raise MotionError(f"segment_len must be >= 1, got {segment_len}")
-    return np.repeat(track.waypoints, int(segment_len), axis=0)

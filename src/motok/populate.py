@@ -216,7 +216,7 @@ def _scan_yaw(
 def optimize_placement(
     seq: MotionSequence,
     grid: SceneVoxelGrid,
-    yaw_count: int = 16,
+    yaw_count: int,
 ) -> PlacementResult:
     """Coarse lattice search plus coordinate-descent refinement.
 

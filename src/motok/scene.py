@@ -28,6 +28,12 @@ FREE_SENTINEL = 1e9
 CONTACT_THRESHOLD = 0.05
 # Frames per block of contact distances; a block's (J, n) buffers stay in cache.
 _CONTACT_BLOCK = 4
+# Free cells :func:`voxelize_points` leaves around a point cloud on each side.
+POINT_PADDING_CELLS = 2
+# Largest grid :func:`voxelize_points` builds.  ``build_sdf`` peaks near 42
+# bytes a cell, so this caps one object's SDF near 0.7 GB; at the 5 cm cell of
+# ``motok score`` it is a 12.8 m cube, larger than any object.
+MAX_POINT_GRID_CELLS = 1 << 24
 
 
 class SceneError(ValueError):
@@ -336,14 +342,23 @@ def object_points_track(base_points: np.ndarray, seq: MotionSequence) -> np.ndar
     return np.einsum("tab,nb->tna", rot, base) + frames[:, None, OBJ_POS]
 
 
-def voxelize_points(points: np.ndarray, cell_size: float, padding_cells: int = 2) -> SceneVoxelGrid:
-    """Occupancy grid marking every cell that contains at least one point."""
+def voxelize_points(points: np.ndarray, cell_size: float) -> SceneVoxelGrid:
+    """Occupancy grid marking every cell that contains at least one point.
+
+    Raises :class:`SceneError` when the grid would hold more than
+    ``MAX_POINT_GRID_CELLS`` cells, as it would for a non-finite point.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
         raise SceneError(f"points must be (n, 3) with n >= 1, got {points.shape}")
-    lo = points.min(axis=0) - padding_cells * cell_size
-    extent = points.max(axis=0) - lo + padding_cells * cell_size
-    counts = np.maximum(np.ceil(extent / cell_size).astype(int) + 1, 1)
+    lo = points.min(axis=0) - POINT_PADDING_CELLS * cell_size
+    extent = points.max(axis=0) - lo + POINT_PADDING_CELLS * cell_size
+    spans = np.maximum(np.ceil(extent / cell_size) + 1, 1)
+    cells = float(np.prod(spans))
+    if not cells <= MAX_POINT_GRID_CELLS:  # NaN fails the comparison too
+        raise SceneError(f"point cloud needs a grid of {cells:.3g} cells at cell_size "
+                         f"{cell_size}, more than {MAX_POINT_GRID_CELLS}")
+    counts = spans.astype(int)
     occ = np.zeros((counts[0], counts[2], counts[1]), dtype=np.uint8)
     idx = np.floor((points - lo) / cell_size).astype(int)
     occ[idx[:, 0], idx[:, 2], idx[:, 1]] = 1

@@ -13,6 +13,11 @@ _BASE_POSE = np.zeros(FRAME_DIM)
 _BASE_POSE[1] = 0.9   # pelvis height
 _BASE_POSE[70] = 0.7  # object height
 
+# Frame rate of every synthetic sequence.
+FPS = 30
+# Sinusoid patterns, and so binary attributes, behind each corpus segment, and
+# the geometric decay of their amplitudes.
+NUM_PATTERNS = 13
 PATTERN_DECAY = 0.85
 # Walking speed (m/s) of the toy walk track and the spread the toy denoiser
 # assumes around it.
@@ -20,33 +25,33 @@ WALK_SPEED = 1.0
 WALK_SIGMA = 0.15
 
 
-def _segment_patterns(rng: np.random.Generator, num_patterns: int) -> np.ndarray:
-    """Orthonormal 8-frame sinusoid patterns, (num_patterns, 8, 75)."""
-    t = np.arange(SEGMENT_LEN) / 30.0
-    raw = np.empty((num_patterns, SEGMENT_LEN, FRAME_DIM))
-    for i in range(num_patterns):
+def _segment_patterns(rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal 8-frame sinusoid patterns, (NUM_PATTERNS, 8, 75)."""
+    t = np.arange(SEGMENT_LEN) / FPS
+    raw = np.empty((NUM_PATTERNS, SEGMENT_LEN, FRAME_DIM))
+    for i in range(NUM_PATTERNS):
         freq = rng.uniform(0.5, 3.5, size=FRAME_DIM)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=FRAME_DIM)
         amp = rng.uniform(0.3, 1.0, size=FRAME_DIM)
         raw[i] = amp * np.sin(2.0 * np.pi * freq * t[:, None] + phase)
-    flat, _ = np.linalg.qr(raw.reshape(num_patterns, -1).T)
-    return flat.T.reshape(num_patterns, SEGMENT_LEN, FRAME_DIM)
+    flat, _ = np.linalg.qr(raw.reshape(NUM_PATTERNS, -1).T)
+    return flat.T.reshape(NUM_PATTERNS, SEGMENT_LEN, FRAME_DIM)
 
 
-def make_corpus(num_sequences: int = 16, num_frames: int = 96, seed: int = 0,
-                fps: int = 30, num_patterns: int = 13) -> list[MotionSequence]:
+def make_corpus(num_sequences: int = 16, num_frames: int = 96,
+                seed: int = 0) -> list[MotionSequence]:
     """A reproducible sinusoid-pattern corpus for tokenizer experiments.
 
     Every 8-frame segment is a random +/-1 mixture of shared orthonormal
     sinusoid patterns whose amplitudes decay geometrically, so each segment
-    carries ``num_patterns`` binary attributes of steeply decreasing
+    carries ``NUM_PATTERNS`` binary attributes of steeply decreasing
     importance.  Reconstruction error is then governed by how many attributes
     a code can resolve: room for a clean capacity ladder across vocabulary
     sizes.
     """
     rng = np.random.default_rng(seed)
-    patterns = _segment_patterns(rng, num_patterns)
-    amplitudes = 1.9 * PATTERN_DECAY ** np.arange(num_patterns)
+    patterns = _segment_patterns(rng)
+    amplitudes = 1.9 * PATTERN_DECAY ** np.arange(NUM_PATTERNS)
     weighted = amplitudes[:, None, None] * patterns
 
     # keep rotation channels comfortably inside (-2*pi, 2*pi)
@@ -59,21 +64,21 @@ def make_corpus(num_sequences: int = 16, num_frames: int = 96, seed: int = 0,
     per_seq = num_frames // SEGMENT_LEN
     corpus = []
     for _ in range(num_sequences):
-        bits = rng.choice([-1.0, 1.0], size=(per_seq, num_patterns))
+        bits = rng.choice([-1.0, 1.0], size=(per_seq, NUM_PATTERNS))
         segments = _BASE_POSE + np.einsum("sp,ptc->stc", bits, weighted)
         corpus.append(MotionSequence(segments.reshape(num_frames, FRAME_DIM),
-                                     fps=fps, is_canonical=False))
+                                     fps=FPS, is_canonical=False))
     return corpus
 
 
-def make_walk_sequence(num_frames: int = 61, fps: int = 30, speed: float = 1.0,
-                       arm_swing: float = 0.4, with_object: bool = False) -> MotionSequence:
+def make_walk_sequence(num_frames: int = 61, speed: float = 1.0, arm_swing: float = 0.4,
+                       with_object: bool = False) -> MotionSequence:
     """Canonical straight walk along +z with swinging arms.
 
     Starts at the XZ origin with zero yaw; handy for placement tests where
     the footprint of the motion matters.
     """
-    t = np.arange(num_frames) / fps
+    t = np.arange(num_frames) / FPS
     frames = np.zeros((num_frames, FRAME_DIM))
     frames[:, 1] = 0.9
     frames[:, 2] = speed * t
@@ -84,10 +89,10 @@ def make_walk_sequence(num_frames: int = 61, fps: int = 30, speed: float = 1.0,
         frames[:, 69] = 0.3
         frames[:, 70] = 0.8
         frames[:, 71] = speed * t + 0.4
-    return MotionSequence(frames, fps=fps, is_canonical=True)
+    return MotionSequence(frames, fps=FPS, is_canonical=True)
 
 
-def toy_walk_track(num_waypoints: int, heading: float = 0.0) -> np.ndarray:
+def toy_walk_track(num_waypoints: int, heading: float) -> np.ndarray:
     """Per-second waypoint mean track of a straight walk: (W, 12).
 
     Columns are root translation, root orientation, object translation,

@@ -22,8 +22,8 @@ from .lfq import LfqCodebook, bits_to_indices, entropy_loss, entropy_loss_grad, 
 from .motion import FRAME_DIM, MotionSequence
 
 # the three halving encoder rows of _LAYERS map each 8-frame segment to one
-# latent; the rest of the pipeline (token files, waypoint repetition) is built
-# around this segment length
+# latent; token files and the synthetic corpus are built around this segment
+# length
 SEGMENT_LEN = 8
 
 # starting the latent projection bias off-center makes initial code usage
@@ -67,22 +67,19 @@ class ToyVaeConfig:
     hidden_width: int = 32
     lambda_commit: float = 1e-2
     lambda_entropy: float = 1e-4  # flips no code under the fixed-step trainer (ROADMAP item 1)
-    entropy_temperature: float = 0.25
     learning_rate: float = 1e-3
     epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
         LfqCodebook.from_vocab_size(self.vocab_size)
-        for name in ("lambda_commit", "lambda_entropy", "entropy_temperature", "learning_rate"):
+        for name in ("lambda_commit", "lambda_entropy", "learning_rate"):
             if not np.isfinite(getattr(self, name)):
                 raise VaeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.hidden_width < 1:
             raise VaeError(f"hidden_width must be >= 1, got {self.hidden_width}")
         if self.lambda_commit < 0 or self.lambda_entropy < 0:
             raise VaeError("loss weights must be >= 0")
-        if self.entropy_temperature <= 0:
-            raise VaeError("entropy_temperature must be > 0")
         if self.learning_rate <= 0:
             raise VaeError("learning_rate must be > 0")
         if self.epochs < 1:
@@ -159,11 +156,11 @@ def channel_stats(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift, np.where(scale > 1e-8, scale, 1.0)
 
 
-def init_params(config: ToyVaeConfig, segments: np.ndarray | None = None) -> ToyVaeParams:
+def init_params(config: ToyVaeConfig, segments: np.ndarray) -> ToyVaeParams:
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in) per layer.
 
-    When a segment batch is given, its channel statistics seed the frozen
-    input standardization; otherwise it is the identity.
+    The channel statistics of ``segments`` seed the frozen input
+    standardization; an all-zero batch makes it the identity.
     """
     rng = np.random.default_rng(config.seed)
     shapes = _shapes(config.hidden_width, config.num_dims)
@@ -173,9 +170,7 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray | None = None) -> Toy
         tensors[f"{name}_w"] = rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
         tensors[f"{name}_b"] = np.zeros(n_out)
     tensors["lat_b"] = tensors["lat_b"] + LATENT_BIAS_INIT
-    tensors["in_shift"], tensors["in_scale"] = (
-        channel_stats(segments) if segments is not None
-        else (np.zeros(FRAME_DIM), np.ones(FRAME_DIM)))
+    tensors["in_shift"], tensors["in_scale"] = channel_stats(segments)
     return ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
                         hidden_width=config.hidden_width)
 
@@ -257,7 +252,7 @@ def loss_and_grads(
     params: ToyVaeParams,
     segments: np.ndarray,
     config: ToyVaeConfig,
-    quantize: bool = True,
+    quantize: bool,
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Total loss, per-term values, and analytic parameter gradients.
 
@@ -286,7 +281,7 @@ def loss_and_grads(
     recon = float((resid * resid).sum() / x.size)
     commit_diff = z - bits
     commit = float((commit_diff * commit_diff).sum() / s)
-    entropy = entropy_loss(z, config.entropy_temperature)
+    entropy = entropy_loss(z)
     total = recon + config.lambda_commit * commit + config.lambda_entropy * entropy
     parts = {"recon": recon, "commit": commit, "entropy": entropy, "total": total}
 
@@ -297,7 +292,7 @@ def loss_and_grads(
     # straight-through: reconstruction gradient reaches z as identity
     dz = dq + config.lambda_commit * 2.0 * commit_diff / s
     if config.lambda_entropy != 0.0:
-        dz += config.lambda_entropy * entropy_loss_grad(z, config.entropy_temperature)
+        dz += config.lambda_entropy * entropy_loss_grad(z)
     _backward(t, _ENCODER, enc_trace, dz, grads)
     return total, parts, grads
 

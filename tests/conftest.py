@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from motok.motion import FRAME_DIM
+from motok.vae import SEGMENT_LEN
+
+# An all-zero segment batch: vae.channel_stats maps it to shift 0 and scale 1,
+# so vae.init_params seeds an identity input standardization from it.
+ZERO_SEGMENTS = np.zeros((1, SEGMENT_LEN, FRAME_DIM))
+
 
 def rodrigues(axis_angle):
     """Independent axis-angle -> rotation matrix oracle (explicit formula)."""

@@ -11,7 +11,8 @@ helper left behind by a refactor fails here.  Names are matched by spelling alon
 can only hide an unused name, never flag a used one.
 
 The settable values a user can set (CLI options, defaulted dataclass fields
-and keyword defaults) are counted too, and may not grow past a pinned count.
+and keyword defaults) are counted too, and must equal a pinned count: a
+deletion lowers the pin, so no slack is left for a new option to take.
 """
 
 import argparse
@@ -23,10 +24,6 @@ from motok.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "motok"
-
-# Waypoint helpers kept for the mixed waypoint/token representation
-# (ROADMAP item 3), which will give them a caller.
-ALLOWED_UNUSED = {"WaypointTrack", "extract_waypoints", "repeat_waypoints"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -97,8 +94,7 @@ def test_public_names_have_a_caller_outside_tests():
         for path in sorted((ROOT / folder).glob("**/*.py")):
             reads += _reads(_parse(path))
     unused = [f"{path.name}:{node.lineno} {name}"
-              for path, name, node in _unread(_public_definitions(library), reads)
-              if name not in ALLOWED_UNUSED]
+              for path, name, node in _unread(_public_definitions(library), reads)]
     assert not unused, f"public names used only by tests: {unused}"
 
 
@@ -121,15 +117,10 @@ def test_private_names_are_read_in_the_package():
     assert not unused, f"private names nothing in src/motok reads: {unused}"
 
 
-def test_allowlist_names_still_exist():
-    defined = {name for _, name, _ in _public_definitions(_library())}
-    assert ALLOWED_UNUSED <= defined
-
-
 # Settable values: every value a user of motok can set.  One per CLI option
 # of each subcommand (not counting -h), one per defaulted field of a public
 # dataclass, and one per keyword default of a public function or method.
-MAX_SETTABLE = 98
+MAX_SETTABLE = 75
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -169,4 +160,4 @@ def test_settable_values_stay_within_the_pin():
     total = sum(len(names) for names in found.values())
     breakdown = "\n".join(f"{kind}: {len(names)}\n  " + "\n  ".join(names)
                           for kind, names in found.items())
-    assert total <= MAX_SETTABLE, f"{total} settable values, pinned {MAX_SETTABLE}:\n{breakdown}"
+    assert total == MAX_SETTABLE, f"{total} settable values, pinned {MAX_SETTABLE}:\n{breakdown}"

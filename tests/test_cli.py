@@ -17,6 +17,7 @@ from motok.cli import _vae_config, build_parser, dispatch
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.vae import pad_frames, reconstruction_mse
+from conftest import ZERO_SEGMENTS
 from test_fileio import _header_end
 from test_metrics import _reference_r_precision
 from test_populate import too_small_pocket
@@ -30,6 +31,13 @@ def write_corpus(tmp_path, num=3, frames=48, seed=0):
     for i, seq in enumerate(synth.make_corpus(num, frames, seed=seed)):
         fileio.write_mseq(data_dir / f"seq{i:02d}.mseq", seq)
     return data_dir
+
+
+def run_motok(argv, cwd):
+    """``motok`` in a fresh process: its stderr is what a user sees, warnings included."""
+    return subprocess.run([sys.executable, "-m", "motok", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
 
 
 def train_small_vae(tmp_path, data_dir):
@@ -185,7 +193,8 @@ class TestTokenizeRoundTrip:
         assert not out.exists()
 
     def test_vae_without_standardization_rejected(self, tmp_path, capsys):
-        params = vae.init_params(vae.ToyVaeConfig(vocab_size=64, hidden_width=4))
+        params = vae.init_params(vae.ToyVaeConfig(vocab_size=64, hidden_width=4),
+                                 ZERO_SEGMENTS)
         tensors = {name: t for name, t in params.tensors.items()
                    if name not in ("in_shift", "in_scale")}
         vae_path = tmp_path / "p16.vae"
@@ -336,6 +345,27 @@ def test_vox_cell_size_not_finite_exits_1(tmp_path, capsys, command, cell):
     assert err.startswith("error: cell_size must be finite and > 0") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "error: points contain non-finite values\n"),
+    (np.inf, "error: points contain non-finite values\n"),
+    (1e30, "error: point cloud needs a grid of"),
+], ids=["nan", "inf", "1e30"])
+def test_object_points_not_finite_or_too_far_exit_1(tmp_path, value, message):
+    walk = synth.make_walk_sequence(num_frames=9, with_object=True)
+    motion_path = tmp_path / "m.mseq"
+    fileio.write_mseq(motion_path, MotionSequence(walk.frames, is_canonical=False))
+    points = np.random.default_rng(0).uniform(-0.1, 0.1, (64, 3))
+    points[5, 1] = value
+    fileio.write_pts(tmp_path / "o.pts", points)
+    report = tmp_path / "score.json"
+    done = run_motok(["score", "--motion", str(motion_path), "--object",
+                      str(tmp_path / "o.pts"), "--report", str(report)], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert not report.exists()
+
+
 class TestScoreAndEval:
     def test_score_scene_and_object(self, tmp_path, capsys):
         scene = make_room(tmp_path)
@@ -411,12 +441,20 @@ class TestScoreAndEval:
         blob = bytearray((tmp_path / "gen.feat").read_bytes())
         blob[0:8] = struct.pack("<II", 1 << 31, 1 << 31)
         (tmp_path / "gen.feat").write_bytes(bytes(blob))
-        done = subprocess.run([sys.executable, "-m", "motok", *argv], cwd=tmp_path,
-                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                              capture_output=True, text=True, timeout=60)
+        done = run_motok(argv, tmp_path)
         assert done.returncode == 1
         assert done.stderr.startswith("error: truncated file")
         assert "Traceback" not in done.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_eval_text_features_not_finite_exit_1(self, tmp_path, rng, value):
+        _, _, text, argv = self.write_eval_inputs(tmp_path, rng, 64)
+        text[3, 2] = value
+        fileio.write_feat(tmp_path / "text.feat", text)
+        done = run_motok(argv, tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == "error: features contain non-finite values\n"
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("flag", ["--scene", "--object"])
@@ -522,9 +560,8 @@ def cli_inputs(tmp_path_factory):
      "learning_rate must be finite, got inf"),
     (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--lambda-commit", "nan"],
      "lambda_commit must be finite, got nan"),
-    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae",
-      "--entropy-temperature", "nan"],
-     "entropy_temperature must be finite, got nan"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--lambda-entropy", "nan"],
+     "lambda_entropy must be finite, got nan"),
     (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--seed", "-1"],
      "seed must be >= 0, got -1"),
     (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",

@@ -47,27 +47,27 @@ class TestSampler:
     def test_constant_denoiser_fixed_point(self):
         target = np.full((6, 2), 3.25)
         for seed in (0, 1, 99):
-            out = ddim_sample(lambda w, t, c: target, (6, 2), 20, seed=seed)
+            out = ddim_sample(lambda w, t, c: target, (6, 2), 20, guidance=None, seed=seed)
             np.testing.assert_allclose(out, target, atol=1e-6)
 
     def test_posterior_mean_denoiser_recovers_mean(self):
         # smaller replica of the acceptance check
         den = posterior(MU, 1.0)
-        outs = np.stack([ddim_sample(den, (4,), 20, seed=s) for s in range(300)])
+        outs = np.stack([ddim_sample(den, (4,), 20, guidance=None, seed=s) for s in range(300)])
         se = outs.std(axis=0, ddof=1) / np.sqrt(outs.shape[0])
         assert np.all(np.abs(outs.mean(axis=0) - MU) < 4.0 * se)
 
     def test_step_count_robustness_on_narrow_toy(self):
         den = posterior(MU, 0.005)
         for seed in range(5):
-            few = ddim_sample(den, (4,), 20, seed=seed)
-            full = ddim_sample(den, (4,), NUM_TRAIN_STEPS, seed=seed)
+            few = ddim_sample(den, (4,), 20, guidance=None, seed=seed)
+            full = ddim_sample(den, (4,), NUM_TRAIN_STEPS, guidance=None, seed=seed)
             np.testing.assert_allclose(few, full, atol=1e-3)
 
     def test_bit_identical_for_fixed_seed(self):
         den = posterior(MU, 0.5)
-        a = ddim_sample(den, (4,), 20, seed=11)
-        b = ddim_sample(den, (4,), 20, seed=11)
+        a = ddim_sample(den, (4,), 20, guidance=None, seed=11)
+        b = ddim_sample(den, (4,), 20, guidance=None, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_inference_steps_descending_from_top(self):
@@ -85,12 +85,12 @@ class TestSampler:
     def test_denoiser_shape_mismatch_rejected(self):
         bad = lambda w, t, c: np.zeros(3)  # noqa: E731
         with pytest.raises(SamplerError):
-            ddim_sample(bad, (4,), 10, seed=0)
+            ddim_sample(bad, (4,), 10, guidance=None, seed=0)
 
     def test_nonfinite_prediction_rejected(self):
         bad = lambda w, t, c: np.full_like(w, np.nan)  # noqa: E731
         with pytest.raises(SamplerError):
-            ddim_sample(bad, (4,), 10, seed=0)
+            ddim_sample(bad, (4,), 10, guidance=None, seed=0)
 
     def test_two_pass_deterministic_and_shaped(self):
         seen = []
@@ -99,8 +99,8 @@ class TestSampler:
             seen.append(cond)
             return gaussian_posterior_denoiser(w, t, np.zeros(3), 0.3)
 
-        a = two_pass_sample(den, (7, 3), 20, seed=5)
-        b = two_pass_sample(den, (7, 3), 20, seed=5)
+        a = two_pass_sample(den, (7, 3), 20, guidance=None, seed=5)
+        b = two_pass_sample(den, (7, 3), 20, guidance=None, seed=5)
         assert a.shape == (7, 3)
         np.testing.assert_array_equal(a, b)
         # unguided, the denoiser still always gets a Condition: an empty one in

@@ -32,6 +32,7 @@ from motok.lfq import TokenStream
 from motok.motion import FRAME_DIM, MAX_FRAMES, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.vae import ToyVaeConfig, ToyVaeParams, _shapes, init_params
+from conftest import ZERO_SEGMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -126,7 +127,7 @@ class TestPtsFeat:
 
 class TestVae:
     def test_round_trip(self, tmp_path):
-        params = init_params(ToyVaeConfig(vocab_size=64, hidden_width=6))
+        params = init_params(ToyVaeConfig(vocab_size=64, hidden_width=6), ZERO_SEGMENTS)
         path = tmp_path / "p.vae"
         write_vae(path, params)
         back = read_vae(path)
@@ -139,7 +140,8 @@ class TestVae:
     def test_version_1_rejected(self, tmp_path, rng, capsys):
         # version 1 had a downsample layer count (always 3) before num_tensors
         path = tmp_path / "p.vae"
-        write_vae(path, init_params(ToyVaeConfig(vocab_size=64, hidden_width=6)))
+        write_vae(path, init_params(ToyVaeConfig(vocab_size=64, hidden_width=6),
+                                    ZERO_SEGMENTS))
         blob = path.read_bytes()
         vocab, hidden, count = struct.unpack("<III", blob[8:20])
         path.write_bytes(b"MVAE" + struct.pack("<IIIII", 1, vocab, hidden, 3, count) + blob[20:])
@@ -166,7 +168,8 @@ _VALID_FILES = {
     ".pts": (write_pts, read_pts, lambda rng: rng.normal(size=(4, 3))),
     ".feat": (write_feat, read_feat, lambda rng: rng.normal(size=(2, 5))),
     ".vae": (write_vae, read_vae,
-             lambda rng: init_params(ToyVaeConfig(vocab_size=16, hidden_width=2))),
+             lambda rng: init_params(ToyVaeConfig(vocab_size=16, hidden_width=2),
+                                     ZERO_SEGMENTS)),
 }
 
 
@@ -232,7 +235,7 @@ def test_corrupt_count_rejected(tmp_path, rng, suffix):
 
 def test_vae_name_not_utf8_rejected(tmp_path):
     path = tmp_path / "p.vae"
-    write_vae(path, init_params(ToyVaeConfig(vocab_size=16, hidden_width=2)))
+    write_vae(path, init_params(ToyVaeConfig(vocab_size=16, hidden_width=2), ZERO_SEGMENTS))
     blob = bytearray(path.read_bytes())
     blob[_VAE_RECORDS + 2] = 0xFF  # first byte of the first tensor name
     path.write_bytes(bytes(blob))
@@ -366,7 +369,8 @@ def _table(seed, rows, cols):
 
 
 def _params(seed, vocab_size, hidden_width):
-    return init_params(ToyVaeConfig(vocab_size=vocab_size, hidden_width=hidden_width, seed=seed))
+    config = ToyVaeConfig(vocab_size=vocab_size, hidden_width=hidden_width, seed=seed)
+    return init_params(config, ZERO_SEGMENTS)
 
 
 _SEEDS = st.integers(0, 2**32 - 1)

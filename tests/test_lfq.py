@@ -111,25 +111,20 @@ class TestEntropyLoss:
             z = rng.normal(0.0, 3.0, size=(rng.integers(1, 9), 13))
             assert entropy_loss(z) >= bound - 1e-12
 
-    def test_requires_positive_temperature(self, rng):
-        with pytest.raises(QuantizerError):
-            entropy_loss(rng.normal(size=(2, 3)), temperature=0.0)
-
     def test_rejects_empty_batch(self):
         with pytest.raises(QuantizerError):
             entropy_loss(np.zeros((0, 3)))
 
     def test_gradient_matches_finite_differences(self, rng):
         z = rng.normal(0.0, 1.5, size=(4, 5))
-        tau = 0.7
-        grad = entropy_loss_grad(z, tau)
+        grad = entropy_loss_grad(z)
         eps = 1e-6
         for n in range(4):
             for i in range(5):
                 zp, zm = z.copy(), z.copy()
                 zp[n, i] += eps
                 zm[n, i] -= eps
-                fd = (entropy_loss(zp, tau) - entropy_loss(zm, tau)) / (2 * eps)
+                fd = (entropy_loss(zp) - entropy_loss(zm)) / (2 * eps)
                 np.testing.assert_allclose(grad[n, i], fd, rtol=1e-5, atol=1e-9)
 
     def test_grad_finite_at_saturation(self):

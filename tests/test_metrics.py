@@ -155,12 +155,12 @@ def retrieval_sets(draw):
 class TestRPrecision:
     def test_identical_features_perfect_top1(self, rng):
         feats = rng.normal(size=(64, 8))
-        assert r_precision(feats, feats, pool_size=32, top_k=1)[0] == 1.0
+        assert r_precision(feats, feats, pool_size=32, top_k=1, seed=0)[0] == 1.0
 
     def test_text_equal_to_the_true_text_ties(self, rng):
         motion = rng.normal(size=(64, 227))
         text = np.tile(rng.normal(size=227), (64, 1))
-        assert r_precision(motion, text, pool_size=32, top_k=3) == [1.0, 1.0, 1.0]
+        assert r_precision(motion, text, pool_size=32, top_k=3, seed=0) == [1.0, 1.0, 1.0]
 
     def test_chance_level_on_independent_features(self, rng):
         n = 1024
@@ -180,24 +180,26 @@ class TestRPrecision:
     def test_requires_pool_size_rows(self, rng):
         feats = rng.normal(size=(10, 4))
         with pytest.raises(MetricError):
-            r_precision(feats, feats, pool_size=32)
+            r_precision(feats, feats, pool_size=32, top_k=3, seed=0)
 
     def test_deterministic_per_seed(self, rng):
         motion = rng.normal(size=(64, 4))
         text = rng.normal(size=(64, 4))
-        a = r_precision(motion, text, seed=7)
-        b = r_precision(motion, text, seed=7)
+        a = r_precision(motion, text, pool_size=32, top_k=3, seed=7)
+        b = r_precision(motion, text, pool_size=32, top_k=3, seed=7)
         assert a == b
 
     @pytest.mark.parametrize("top_k", [0, -1, 5])
     def test_top_k_outside_pool_rejected(self, rng, top_k):
         feats = rng.normal(size=(10, 3))
         with pytest.raises(MetricError):
-            r_precision(feats, feats, pool_size=4, top_k=top_k)
+            r_precision(feats, feats, pool_size=4, top_k=top_k, seed=0)
 
     def test_matches_reference_on_eval_sized_features(self, rng):
+        # text noise of the benchmark's eval inputs: r1..r3 near 0.5 / 0.7 / 0.75,
+        # so a wrong pool moves them (at a noise of 1 every pool scores 1.0)
         motion = rng.normal(size=(300, 227))
-        text = motion + rng.normal(0, 1.0, size=(300, 227))
+        text = motion + rng.normal(0, 3.0, size=(300, 227))
         expected = [_reference_r_precision(motion, text, pool_size=32, k=k, seed=5)
                     for k in (1, 2, 3)]
         assert r_precision(motion, text, pool_size=32, top_k=3, seed=5) == expected
@@ -285,5 +287,5 @@ class TestDiversity:
 
     def test_needs_two_rows(self):
         with pytest.raises(MetricError):
-            diversity(np.zeros((1, 3)))
+            diversity(np.zeros((1, 3)), seed=0)
 

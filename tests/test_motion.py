@@ -12,9 +12,7 @@ from motok.motion import (
     SixDof,
     _matrix_to_rotvec,
     axis_angle_to_matrix,
-    extract_waypoints,
     normalize_rotations,
-    repeat_waypoints,
     root_pose_of,
     to_canonical,
     to_global,
@@ -241,64 +239,3 @@ class TestToCanonical:
         placed = to_global(neutral, pose)
         again = to_canonical(placed)
         np.testing.assert_allclose(again.frames, neutral.frames, atol=1e-9)
-
-
-class TestWaypoints:
-    def test_full_minute_counts(self):
-        seq = make_seq(np.zeros((300, FRAME_DIM)), fps=30)
-        track = extract_waypoints(seq)
-        assert track.num_waypoints == 10
-        assert track.spacing_frames == 30
-
-    def test_single_frame(self):
-        seq = make_seq(np.ones((1, FRAME_DIM)) * 0.1, fps=30)
-        track = extract_waypoints(seq)
-        assert track.num_waypoints == 1
-
-    def test_partial_second_enumeration(self, rng):
-        frames = random_frames(rng, 45)
-        seq = make_seq(frames, fps=30)
-        track = extract_waypoints(seq)
-        assert track.num_waypoints == 2  # ceil(45 / 30)
-        for i, frame_idx in enumerate([0, 30]):
-            np.testing.assert_array_equal(track.waypoints[i, 0:6], frames[frame_idx, 0:6])
-            np.testing.assert_array_equal(track.waypoints[i, 6:12], frames[frame_idx, 69:75])
-
-    def test_rejects_canonical(self):
-        seq = make_seq(np.zeros((4, FRAME_DIM)), is_canonical=True)
-        with pytest.raises(MotionError):
-            extract_waypoints(seq)
-
-    def test_repeat_tiles_blocks(self, rng):
-        frames = random_frames(rng, 61)
-        track = extract_waypoints(make_seq(frames, fps=30))
-        assert track.num_waypoints == 3
-        block = repeat_waypoints(track, 8)
-        assert block.shape == (24, 12)
-        np.testing.assert_array_equal(block[0:8], np.tile(track.waypoints[0], (8, 1)))
-        np.testing.assert_array_equal(block[8], track.waypoints[1])
-        np.testing.assert_array_equal(block[16], track.waypoints[2])
-
-    def test_repeat_identity(self, rng):
-        track = extract_waypoints(make_seq(random_frames(rng, 35), fps=30))
-        np.testing.assert_array_equal(repeat_waypoints(track, 1), track.waypoints)
-
-    def test_repeat_rejects_zero(self, rng):
-        track = extract_waypoints(make_seq(random_frames(rng, 5), fps=30))
-        with pytest.raises(MotionError):
-            repeat_waypoints(track, 0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 9))
-    def test_selected_frames_survive_bit_exact(self, seed, num, segment_len):
-        rng = np.random.default_rng(seed)
-        frames = random_frames(rng, num)
-        seq = make_seq(frames, fps=30)
-        track = extract_waypoints(seq)
-        assert track.num_waypoints == -(-num // 30)
-        block = repeat_waypoints(track, segment_len)
-        for i in range(track.num_waypoints):
-            source = frames[i * 30]
-            expected = np.concatenate([source[0:6], source[69:75]])
-            for j in range(segment_len):
-                assert np.array_equal(block[i * segment_len + j], expected)

@@ -191,7 +191,7 @@ class TestOptimizePlacement:
     def test_all_free_scene_is_seed_with_zero_collision(self):
         grid = empty_room(nx=9, nz=9, ny=12)
         seq = make_walk_sequence(num_frames=15, speed=0.3)
-        result = optimize_placement(seq, grid)
+        result = optimize_placement(seq, grid, 16)
         seed = find_seed_position(grid, build_sdf(grid))
         assert result.collision == 0.0
         np.testing.assert_allclose(result.offset.translation[[0, 2]], seed[[0, 2]])
@@ -201,13 +201,13 @@ class TestOptimizePlacement:
         seq = make_walk_sequence(num_frames=10)
         global_seq = seq.__class__(seq.frames, fps=seq.fps, is_canonical=False)
         with pytest.raises(ValueError):
-            optimize_placement(global_seq, empty_room())
+            optimize_placement(global_seq, empty_room(), 16)
 
     def test_deterministic(self):
         grid = corridor()
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        a = optimize_placement(seq, grid)
-        b = optimize_placement(seq, grid)
+        a = optimize_placement(seq, grid, 16)
+        b = optimize_placement(seq, grid, 16)
         assert a.collision == b.collision
         np.testing.assert_array_equal(a.offset.orientation, b.offset.orientation)
         np.testing.assert_array_equal(a.offset.translation, b.offset.translation)
@@ -238,13 +238,13 @@ class TestOptimizePlacement:
         # the pocket cannot hold the walk in any orientation, so something
         # always sinks into a wall
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        result = optimize_placement(seq, too_small_pocket())
+        result = optimize_placement(seq, too_small_pocket(), 16)
         assert result.collision > 1e-3  # above populate's default --threshold
 
     def test_reapplying_offset_reproduces_collision(self):
         grid = corridor()
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        result = optimize_placement(seq, grid)
+        result = optimize_placement(seq, grid, 16)
         placed_kp = body_keypoints(result.placed)
         pen, _ = collision_score(placed_kp, build_sdf(grid))
         assert pen == pytest.approx(result.collision, abs=1e-9)
@@ -252,7 +252,7 @@ class TestOptimizePlacement:
     def test_scene_less_propagates(self):
         grid = SceneVoxelGrid(np.ones((4, 4, 4), dtype=np.uint8), np.zeros(3), CELL)
         with pytest.raises(SceneLessError):
-            optimize_placement(make_walk_sequence(num_frames=9), grid)
+            optimize_placement(make_walk_sequence(num_frames=9), grid, 16)
 
 
 @st.composite
@@ -311,7 +311,7 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(populate, "sample_sdf_shifted", counting)
         seq = make_walk_sequence(num_frames=11, speed=9.0, arm_swing=0.2, with_object=True)
-        result = optimize_placement(seq, demo_room())
+        result = optimize_placement(seq, demo_room(), 16)
         frames, joints = _candidate_keypoints(seq).shape[:2]
         assert 0 < sum(points) < result.candidates_evaluated * frames * joints
 
@@ -325,7 +325,7 @@ class TestPlacementOffset:
     def test_to_six_dof_layout(self):
         # the offset is the planar pose to_global applied: (x, 0, z) and a yaw about +Y
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        result = optimize_placement(seq, corridor())
+        result = optimize_placement(seq, corridor(), 16)
         assert result.offset.translation[1] == 0.0
         np.testing.assert_array_equal(result.offset.orientation[[0, 2]], [0.0, 0.0])
         np.testing.assert_array_equal(to_global(seq, result.offset).frames, result.placed.frames)

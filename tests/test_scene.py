@@ -429,7 +429,7 @@ class TestObjectPoints:
     def test_voxelize_marks_point_cells(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
         cell = 0.25
-        grid = voxelize_points(pts, cell_size=cell, padding_cells=1)
+        grid = voxelize_points(pts, cell_size=cell)
         assert grid.occupancy.sum() == 2
         for p in pts:
             idx = np.floor((p - grid.origin) / cell).astype(int)

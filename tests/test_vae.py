@@ -25,6 +25,7 @@ from motok.vae import (
     tokenize_frames,
     train,
 )
+from conftest import ZERO_SEGMENTS
 
 SMALL = ToyVaeConfig(vocab_size=16, hidden_width=5, lambda_commit=0.05,
                      lambda_entropy=0.01, learning_rate=0.05, epochs=5, seed=3)
@@ -75,17 +76,17 @@ class TestConfig:
 
 class TestShapes:
     def test_single_segment(self, rng):
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         z = encode(params, rng.normal(size=(8, FRAME_DIM)))
         assert z.shape == (1, SMALL.num_dims)
 
     def test_max_length_pads_to_38_segments(self, rng):
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         z = encode(params, rng.normal(size=(300, FRAME_DIM)))
         assert z.shape == (38, SMALL.num_dims)
 
     def test_zero_params_give_zero_latents(self, rng):
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         tensors = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         tensors["in_scale"] = np.ones(FRAME_DIM)
         zeroed = ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
@@ -93,18 +94,18 @@ class TestShapes:
         np.testing.assert_array_equal(z, 0.0)
 
     def test_decode_one_code_gives_eight_frames(self):
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         frames = decode(params, np.ones((1, SMALL.num_dims)))
         assert frames.shape == (8, FRAME_DIM)
 
     def test_unknown_tensor_rejected(self):
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         tensors = dict(params.tensors, enc4_w=np.zeros((2, 2)))
         with pytest.raises(VaeError, match="enc4_w"):
             ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
 
     def test_zero_decoder_gives_zero_frames(self):
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         tensors = dict(params.tensors)
         for name in ("dec_w", "dec_b", "up3_w", "up3_b", "up2_w", "up2_b", "up1_w", "up1_b"):
             tensors[name] = np.zeros_like(tensors[name])
@@ -126,7 +127,7 @@ class TestGradients:
     def test_identity_bottleneck_matches_finite_differences(self, rng):
         segments = small_batch(rng)
         for config in (SMALL, TINY):
-            params = init_params(config)
+            params = init_params(config, ZERO_SEGMENTS)
             _, _, analytic = loss_and_grads(params, segments, config, quantize=False)
             numeric = finite_difference_grads(params, segments, config, quantize=False)
             assert max_relative_error(analytic, numeric) < 1e-4, config
@@ -137,7 +138,7 @@ class TestGradients:
         segments = small_batch(rng)
         decoder = ("dec_w", "dec_b", "up3_w", "up3_b", "up2_w", "up2_b", "up1_w", "up1_b")
         for config in (SMALL, TINY):
-            params = init_params(config)
+            params = init_params(config, ZERO_SEGMENTS)
             _, _, analytic = loss_and_grads(params, segments, config, quantize=True)
             numeric = finite_difference_grads(params, segments, config, quantize=True)
             worst = max_relative_error({k: analytic[k] for k in decoder},
@@ -150,7 +151,7 @@ class TestGradients:
         # frozen at its base value
         segments = small_batch(rng)
         config = dataclasses.replace(SMALL, lambda_commit=0.0, lambda_entropy=0.0)
-        params = init_params(config)
+        params = init_params(config, ZERO_SEGMENTS)
         _, _, analytic = loss_and_grads(params, segments, config, quantize=True)
 
         frames = segments.reshape(-1, FRAME_DIM)
@@ -220,7 +221,7 @@ class TestTraining:
 
     def test_recon_loss_matches_loop_oracle(self, rng):
         segments = small_batch(rng, segments=3)
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         _, parts, _ = loss_and_grads(params, segments, SMALL, quantize=True)
         z = encode(params, segments.reshape(-1, FRAME_DIM))
         bits = np.where(z > 0.0, 1.0, -1.0)
@@ -236,7 +237,7 @@ class TestTraining:
 
     def test_commit_loss_matches_loop_oracle(self, rng):
         segments = small_batch(rng, segments=3)
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         _, parts, _ = loss_and_grads(params, segments, SMALL, quantize=True)
         z = encode(params, segments.reshape(-1, FRAME_DIM))
         total = 0.0
@@ -259,7 +260,7 @@ class TestTraining:
             dataset_segments([])
 
     def test_reconstruct_round_trip_shapes(self, rng):
-        params = init_params(SMALL)
+        params = init_params(SMALL, ZERO_SEGMENTS)
         recon, tokens = reconstruct(params, rng.normal(size=(20, FRAME_DIM)))
         assert recon.shape == (24, FRAME_DIM)
         assert tokens.shape == (3,)
