@@ -141,13 +141,18 @@ def _cmd_train_vae(args) -> int:
     return 0
 
 
-def _corpus_utilization(params: vae.ToyVaeParams, dataset) -> tuple[float, float]:
-    all_tokens = np.concatenate([vae.tokenize_frames(params, s.frames) for s in dataset])
-    return lfq.codebook_utilization(all_tokens, params.codebook)
-
-
-def _corpus_mse(params: vae.ToyVaeParams, dataset) -> float:
-    return float(np.mean([vae.reconstruction_mse(params, s.frames) for s in dataset]))
+def _corpus_quality(params: vae.ToyVaeParams, dataset) -> tuple[float, float, float]:
+    """Mean per-sequence reconstruction MSE, then the distinct-token fraction and
+    usage entropy over the whole corpus, from one encode per sequence."""
+    mses, tokens = [], []
+    for seq in dataset:
+        padded = vae.pad_frames(seq.frames)
+        recon, indices = vae.reconstruct(params, padded)
+        diff = recon - padded
+        mses.append(float((diff * diff).mean()))
+        tokens.append(indices)
+    fraction, entropy = lfq.codebook_utilization(np.concatenate(tokens), params.codebook)
+    return float(np.mean(mses)), fraction, entropy
 
 
 def _cmd_sweep_vocab(args) -> int:
@@ -163,13 +168,8 @@ def _cmd_sweep_vocab(args) -> int:
     rows = []
     for k, cfg in zip(ks, configs):
         params, _ = vae.train(cfg, dataset)
-        mse = _corpus_mse(params, dataset)
-        fraction, entropy = _corpus_utilization(params, dataset)
-        plain_cfg = dataclasses.replace(cfg, lambda_entropy=0.0)
-        plain_params, _ = vae.train(plain_cfg, dataset)
-        plain_fraction, plain_entropy = _corpus_utilization(plain_params, dataset)
-        rows.append([k, mse, fraction, entropy,
-                     _corpus_mse(plain_params, dataset), plain_fraction, plain_entropy])
+        plain_params, _ = vae.train(dataclasses.replace(cfg, lambda_entropy=0.0), dataset)
+        rows.append([k, *_corpus_quality(params, dataset), *_corpus_quality(plain_params, dataset)])
     _write_csv(args.out,
                ["vocab_size", "final_mse", "utilization_fraction", "utilization_entropy",
                 "final_mse_noentropy", "utilization_fraction_noentropy",

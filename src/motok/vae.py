@@ -198,35 +198,49 @@ def _forward(t: dict[str, np.ndarray], layers: tuple, a: np.ndarray) -> tuple[np
     for name, _, _, squash in layers:
         w = t[f"{name}_w"]
         inp = a.reshape(-1, w.shape[0])
-        a = inp @ w + t[f"{name}_b"]
+        a = inp @ w
+        a += t[f"{name}_b"]
         if squash:
-            a = np.tanh(a)
+            np.tanh(a, out=a)
         trace.append((inp, a))
     return a, trace
 
 
 def _backward(t: dict[str, np.ndarray], layers: tuple, trace: list, grad_out: np.ndarray,
-              grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Reverse pass of :func:`_forward`: fills ``grads`` and returns the input gradient."""
+              grads: dict[str, np.ndarray]) -> np.ndarray | None:
+    """Reverse pass of :func:`_forward`: fills ``grads`` and returns the input gradient.
+
+    The input of the network's first row (``enc1``) is the standardized data,
+    which has no parameters upstream, so for ``layers`` that start there the
+    input gradient is skipped and None is returned.
+    """
     for (name, _, _, squash), (inp, out) in zip(reversed(layers), reversed(trace)):
         da = grad_out.reshape(out.shape)
         if squash:
-            da = da * (1.0 - out * out)
+            slope = out * out  # tanh' = 1 - out**2, in one temporary
+            np.subtract(1.0, slope, out=slope)
+            da = np.multiply(slope, da, out=slope)
         grads[f"{name}_w"] = inp.T @ da
         grads[f"{name}_b"] = da.sum(axis=0)
+        if name == _LAYERS[0][0]:
+            return None
         grad_out = da @ t[f"{name}_w"].T
     return grad_out
 
 
 def _encode(t: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, list]:
     """Latents of a segment batch, and the encoder trace for :func:`_backward`."""
-    return _forward(t, _ENCODER, (x - t["in_shift"]) / t["in_scale"])
+    xs = x - t["in_shift"]
+    xs /= t["in_scale"]
+    return _forward(t, _ENCODER, xs)
 
 
 def _decode(t: dict[str, np.ndarray], q: np.ndarray) -> tuple[np.ndarray, list]:
     """Segments decoded from codes, and the decoder trace for :func:`_backward`."""
     ys, trace = _forward(t, _DECODER, q)
-    return ys.reshape(-1, SEGMENT_LEN, FRAME_DIM) * t["in_scale"] + t["in_shift"], trace
+    y = ys.reshape(-1, SEGMENT_LEN, FRAME_DIM) * t["in_scale"]
+    y += t["in_shift"]
+    return y, trace
 
 
 def encode(params: ToyVaeParams, frames: np.ndarray) -> np.ndarray:
@@ -275,9 +289,9 @@ def loss_and_grads(
 
     z, enc_trace = _encode(t, x)
     bits = sign_bits(z).astype(np.float64)
-    y, dec_trace = _decode(t, bits if quantize else z)
-
-    resid = y - x
+    # the decoded segments are a fresh buffer; it becomes the residual in place
+    resid, dec_trace = _decode(t, bits if quantize else z)
+    resid -= x
     recon = float((resid * resid).sum() / x.size)
     commit_diff = z - bits
     commit = float((commit_diff * commit_diff).sum() / s)
@@ -286,9 +300,13 @@ def loss_and_grads(
     parts = {"recon": recon, "commit": commit, "entropy": entropy, "total": total}
 
     grads = {}
-    # the raw-space residual crosses the de-standardization into the decoder
-    dy = 2.0 * resid / x.size
-    dq = _backward(t, _DECODER, dec_trace, dy * t["in_scale"], grads)
+    # the raw-space residual, scaled in place, crosses the de-standardization
+    # into the decoder
+    dy = resid
+    dy *= 2.0
+    dy /= x.size
+    dy *= t["in_scale"]
+    dq = _backward(t, _DECODER, dec_trace, dy, grads)
     # straight-through: reconstruction gradient reaches z as identity
     dz = dq + config.lambda_commit * 2.0 * commit_diff / s
     if config.lambda_entropy != 0.0:
@@ -315,13 +333,13 @@ def train(
     epoch with the loss terms evaluated at the start of that epoch.
     """
     segments = dataset_segments(dataset)
+    # init_params validates once and returns fresh tensors, which the loop
+    # updates in place
     params = init_params(config, segments)
-    tensors = {k: v.copy() for k, v in params.tensors.items()}
+    tensors = params.tensors
     history = []
     for epoch in range(config.epochs):
-        working = ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
-                               hidden_width=config.hidden_width)
-        total, parts, grads = loss_and_grads(working, segments, config, quantize=True)
+        total, parts, grads = loss_and_grads(params, segments, config, quantize=True)
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}: "
@@ -330,7 +348,7 @@ def train(
             )
         history.append({"epoch": epoch, **parts})
         for name in _PARAM_NAMES:
-            tensors[name] = tensors[name] - config.learning_rate * grads[name]
+            tensors[name] -= config.learning_rate * grads[name]
     final = ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
                          hidden_width=config.hidden_width)
     return final, history

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from motok import vae
 from motok.lfq import LfqCodebook, codebook_utilization
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.synth import make_corpus
@@ -265,3 +266,114 @@ class TestTraining:
         assert recon.shape == (24, FRAME_DIM)
         assert tokens.shape == (3,)
         assert np.all((tokens >= 0) & (tokens < SMALL.vocab_size))
+
+
+# the two network sizes the trainer tests cover: narrow, and the CLI default
+SIZES = [(16, 8), (8192, 32)]
+
+
+def _row_bytes(row):
+    return {key: np.float64(value).tobytes() for key, value in row.items()}
+
+
+class TestTrainIsPublicLoop:
+    @pytest.mark.parametrize("vocab_size,hidden_width", SIZES)
+    @pytest.mark.parametrize("lambda_entropy", [0.0, 1e-2])
+    def test_train_matches_hand_loop_bit_for_bit(self, vocab_size, hidden_width,
+                                                 lambda_entropy):
+        dataset = make_corpus(2, 48, seed=2)
+        config = ToyVaeConfig(vocab_size=vocab_size, hidden_width=hidden_width,
+                              lambda_entropy=lambda_entropy, learning_rate=0.05, epochs=4,
+                              seed=1)
+        params, history = train(config, dataset)
+
+        segments = dataset_segments(dataset)
+        tensors = dict(init_params(config, segments).tensors)
+        expected = []
+        for epoch in range(config.epochs):
+            current = ToyVaeParams(tensors, vocab_size, hidden_width)
+            _, parts, grads = loss_and_grads(current, segments, config, quantize=True)
+            expected.append({"epoch": epoch, **parts})
+            tensors = {name: t - config.learning_rate * grads[name] if name in grads else t
+                       for name, t in tensors.items()}
+
+        assert params.tensors.keys() == tensors.keys()
+        for name, t in tensors.items():
+            assert params.tensors[name].tobytes() == t.tobytes(), name
+        assert [_row_bytes(r) for r in history] == [_row_bytes(r) for r in expected]
+
+    @pytest.mark.parametrize("lambda_entropy", [0.0, 1e-2])
+    def test_train_calls_public_functions_once_per_epoch(self, monkeypatch, lambda_entropy):
+        # perfbench/tracing.py wraps these module attributes; a private fast
+        # path in train would hide the trainer from it
+        calls = {"loss_and_grads": 0, "entropy_loss": 0, "entropy_loss_grad": 0}
+
+        def counted(name):
+            inner = getattr(vae, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(vae, name, counted(name))
+        config = dataclasses.replace(SMALL, lambda_entropy=lambda_entropy, epochs=7)
+        train(config, make_corpus(1, 32, seed=0))
+        assert calls["loss_and_grads"] == 7
+        assert calls["entropy_loss"] == 7
+        assert calls["entropy_loss_grad"] == (7 if lambda_entropy > 0 else 0)
+
+
+class TestNoInPlaceMutation:
+    CONFIG = dataclasses.replace(SMALL, hidden_width=8)
+
+    @pytest.fixture
+    def params(self):
+        return train(self.CONFIG, make_corpus(2, 48, seed=4))[0]
+
+    @staticmethod
+    def _snapshot(params, *arrays):
+        return ({name: t.tobytes() for name, t in params.tensors.items()},
+                [a.tobytes() for a in arrays])
+
+    @pytest.mark.parametrize("num_frames", [48, 45])
+    def test_frame_functions_leave_inputs_alone(self, params, rng, num_frames):
+        # at 48 frames pad_frames hands back the caller's own array
+        frames = rng.normal(size=(num_frames, FRAME_DIM))
+        if num_frames % SEGMENT_LEN == 0:
+            assert pad_frames(frames) is frames
+        before = self._snapshot(params, frames)
+        encode(params, frames)
+        reconstruct(params, frames)
+        tokenize_frames(params, frames)
+        reconstruction_mse(params, frames)
+        assert self._snapshot(params, frames) == before
+
+    def test_decode_leaves_float64_codes_alone(self, params, rng):
+        # C-contiguous float64 codes pass through np.asarray uncopied
+        codes = np.ascontiguousarray(rng.choice([-1.0, 1.0], size=(5, params.num_dims)))
+        assert np.asarray(codes, dtype=np.float64) is codes
+        before = self._snapshot(params, codes)
+        decode(params, codes)
+        assert self._snapshot(params, codes) == before
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_loss_and_grads_leaves_segments_and_params_alone(self, params, rng, quantize):
+        segments = small_batch(rng, segments=3)
+        before = self._snapshot(params, segments)
+        loss_and_grads(params, segments, self.CONFIG, quantize=quantize)
+        assert self._snapshot(params, segments) == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("vocab_size,hidden_width", SIZES)
+@pytest.mark.parametrize("learning_rate", [1e5, 1e8, 1e12, 1e20, 1e50, 1e100, 1e300])
+def test_divergence_ladder_raises_training_diverged(vocab_size, hidden_width, learning_rate):
+    # train validates its parameters only before and after the loop, so a
+    # runaway step must still surface as a non-finite loss, not as a
+    # VaeError or QuantizerError from non-finite tensors or latents
+    config = ToyVaeConfig(vocab_size=vocab_size, hidden_width=hidden_width,
+                          learning_rate=learning_rate, epochs=50, seed=0)
+    with pytest.raises(TrainingDiverged):
+        train(config, make_corpus(1, 32, seed=0))
