@@ -56,12 +56,13 @@ def too_small_pocket():
     return SceneVoxelGrid(occ, np.zeros(3), CELL)
 
 
-def demo_room():
+def demo_room(**size):
+    """``build_room`` of the demo script; ``size`` overrides its cell counts."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "demo_scene_pipeline.py"
     spec = importlib.util.spec_from_file_location("demo_scene_pipeline", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.build_room()
+    return module.build_room(**size)
 
 
 def _brute_force_placement(seq, grid, yaw_count=16):

@@ -46,6 +46,33 @@ def brute_force_sdf(occ, cell):
     return out.reshape(occ.shape)
 
 
+def brute_force_edt(features):
+    """numpy oracle for ``_distance_to``: per cell, the minimum over feature
+    cells of the squared integer offset, then ``sqrt``."""
+    cells = np.indices(features.shape).reshape(features.ndim, -1).T
+    targets = cells[features.reshape(-1)]
+    sq = np.empty(len(cells))
+    for start in range(0, len(cells), 256):  # (256, features) blocks stay small
+        block = cells[start:start + 256, None, :] - targets[None]
+        sq[start:start + 256] = (block * block).sum(axis=-1).min(axis=1)
+    return np.sqrt(sq).reshape(features.shape)
+
+
+@st.composite
+def feature_grids(draw):
+    """1-D to 3-D boolean grids with one axis of up to 40 cells, holding from
+    a single feature cell to all cells but one."""
+    ndim = draw(st.integers(1, 3))
+    shape = [draw(st.integers(1, 6)) for _ in range(ndim)]
+    shape[draw(st.integers(0, ndim - 1))] = draw(st.integers(2, 40))
+    size = int(np.prod(shape))
+    count = draw(st.one_of(st.just(1), st.just(size - 1), st.integers(1, size - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = np.zeros(size, dtype=bool)
+    features[rng.choice(size, count, replace=False)] = True
+    return features.reshape(shape)
+
+
 def plane_sdf(cell=0.1, dims=(12, 4, 8), x0=0.6):
     """Analytic linear field d(x) = x - x0 sampled at cell centers."""
     nx, nz, ny = dims
@@ -119,7 +146,8 @@ class TestBuildSdf:
 
 
 class TestDistanceTransform:
-    """The numpy EDT against scipy's ``distance_transform_edt`` as an oracle."""
+    """The numpy EDT against scipy's ``distance_transform_edt`` and a brute
+    force as oracles, bit for bit."""
 
     @staticmethod
     def assert_matches_scipy(occ):
@@ -136,6 +164,28 @@ class TestDistanceTransform:
 
     def test_bit_identical_to_scipy_on_demo_room(self):
         self.assert_matches_scipy(demo_room().occupancy.astype(bool))
+
+    @settings(max_examples=300, deadline=None)
+    @given(feature_grids())
+    def test_bit_identical_to_scipy_where_passes_stop_early(self, features):
+        self.assert_matches_scipy(features)
+
+    @settings(max_examples=300, deadline=None)
+    @given(feature_grids())
+    def test_bit_identical_to_brute_force(self, features):
+        # the same property without scipy, so it runs wherever tier-1 does
+        for f in (features, ~features):
+            assert _distance_to(f).tobytes() == brute_force_edt(f).tobytes()
+
+    @pytest.mark.parametrize("size", [60, 110])
+    def test_bit_identical_to_scipy_on_large_walled_rooms(self, size):
+        self.assert_matches_scipy(demo_room(nx=size, nz=size).occupancy.astype(bool))
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (4, 6, 3)])
+    def test_no_feature_is_inf_and_all_features_are_zero(self, shape):
+        none, every = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
+        assert _distance_to(none).tobytes() == np.full(shape, np.inf).tobytes()
+        assert _distance_to(every).tobytes() == np.zeros(shape).tobytes()
 
     def test_one_cell_axes(self):
         occ = np.zeros((1, 5, 1), dtype=bool)
