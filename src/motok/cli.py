@@ -178,26 +178,20 @@ def _cmd_sweep_vocab(args) -> int:
     return 0
 
 
-def _waypoints_to_frames(track: np.ndarray) -> np.ndarray:
-    frames = np.zeros((track.shape[0], motion.FRAME_DIM))
-    frames[:, motion.WAYPOINT_COLUMNS] = track
-    return frames
-
-
 def _cmd_sample(args) -> int:
-    guidance = None
+    if args.heading is None and args.cfg_scale is not None:
+        raise UsageError("--cfg-scale needs --heading")
+    cfg_scale = None
     if args.heading is not None:
-        guidance = ddim.GuidanceConfig(scale=args.cfg_scale,
-                                       condition=ddim.Condition(text=args.heading))
-    shape = (args.waypoints, 12)
-    if args.two_pass:
-        track = ddim.two_pass_sample(synth.toy_walk_denoiser, shape, args.steps, guidance,
-                                     args.seed)
-    else:
-        track = ddim.ddim_sample(synth.toy_walk_denoiser, shape, args.steps, guidance, args.seed)
-    frames = motion.normalize_rotations(_waypoints_to_frames(track))
+        # default guidance strength is an arbitrary starting point; sweep it
+        cfg_scale = 2.5 if args.cfg_scale is None else args.cfg_scale
+    sampler = ddim.two_pass_sample if args.two_pass else ddim.ddim_sample
+    track = sampler(synth.toy_walk_denoiser, (args.waypoints, 12), args.steps,
+                    ddim.Condition(text=args.heading), cfg_scale, args.seed)
+    frames = np.zeros((args.waypoints, motion.FRAME_DIM))
+    frames[:, motion.WAYPOINT_COLUMNS] = track
     # one waypoint per second of motion, hence fps = 1 for the emitted track
-    seq = motion.MotionSequence(frames, fps=1, is_canonical=False)
+    seq = motion.MotionSequence(motion.normalize_rotations(frames), fps=1, is_canonical=False)
     fileio.write_mseq(args.out, seq)
     return 0
 
@@ -389,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a waypoint track with the toy denoiser")
     p.add_argument("--steps", type=_bounded_int(1, ddim.NUM_TRAIN_STEPS), default=20)
-    # default guidance strength is an arbitrary starting point; sweep it
-    p.add_argument("--cfg-scale", dest="cfg_scale", type=_finite_float, default=2.5)
+    p.add_argument("--cfg-scale", dest="cfg_scale", type=_finite_float,
+                   help="guidance scale of --heading (default 2.5)")
     p.add_argument("--seed", type=_bounded_int(0), default=0)
     p.add_argument("--waypoints", type=_bounded_int(1, motion.MAX_FRAMES), default=10)
     p.add_argument("--heading", type=_finite_float, default=None,

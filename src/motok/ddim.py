@@ -1,11 +1,12 @@
 """Deterministic DDIM sampling with clean-sample prediction and guidance.
 
 The denoiser is any callable ``f(w_t, t, condition) -> w0_hat`` that predicts
-the clean sample directly.  ``condition`` is always a :class:`Condition`,
-an empty one when sampling is unguided.  Sampling walks an evenly strided,
-descending subset of the ``NUM_TRAIN_STEPS`` training steps of one fixed
-linear-beta schedule with eta = 0, so a (seed, denoiser) pair always
-reproduces the same output bit for bit.
+the clean sample directly.  ``condition`` is the :class:`Condition` the
+caller passed to the sampler, unchanged when sampling is unguided; guided
+sampling also queries it with the text slot cleared.  Sampling walks an
+evenly strided, descending subset of the ``NUM_TRAIN_STEPS`` training steps
+of one fixed linear-beta schedule with eta = 0, so a (seed, denoiser) pair
+always reproduces the same output bit for bit.
 """
 
 from __future__ import annotations
@@ -44,26 +45,6 @@ class Condition:
     coarse: Any = None
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Classifier-free guidance settings.
-
-    The unconditional branch always sees ``condition`` with its text slot
-    cleared (:attr:`null_condition`).
-    """
-
-    scale: float
-    condition: Condition
-
-    def __post_init__(self):
-        if not np.isfinite(self.scale):
-            raise SamplerError(f"guidance scale must be finite, got {self.scale}")
-
-    @property
-    def null_condition(self) -> Condition:
-        return replace(self.condition, text=None)
-
-
 def apply_cfg(w_uncond: np.ndarray, w_cond: np.ndarray, scale: float) -> np.ndarray:
     """Guided prediction: uncond + scale * (cond - uncond).
 
@@ -94,14 +75,13 @@ def _predict_clean(
     denoiser: DenoiserFn,
     w: np.ndarray,
     t: int,
-    guidance: Optional[GuidanceConfig],
+    condition: Condition,
+    cfg_scale: Optional[float],
 ) -> np.ndarray:
-    if guidance is None:
-        pred = np.asarray(denoiser(w, t, Condition()), dtype=np.float64)
-    else:
-        cond = np.asarray(denoiser(w, t, guidance.condition), dtype=np.float64)
-        uncond = np.asarray(denoiser(w, t, guidance.null_condition), dtype=np.float64)
-        pred = apply_cfg(uncond, cond, guidance.scale)
+    pred = np.asarray(denoiser(w, t, condition), dtype=np.float64)
+    if cfg_scale is not None:
+        uncond = np.asarray(denoiser(w, t, replace(condition, text=None)), dtype=np.float64)
+        pred = apply_cfg(uncond, pred, cfg_scale)
     if pred.shape != w.shape:
         raise SamplerError(f"denoiser returned shape {pred.shape}, expected {w.shape}")
     if not np.all(np.isfinite(pred)):
@@ -113,20 +93,24 @@ def ddim_sample(
     denoiser: DenoiserFn,
     shape: tuple,
     num_infer_steps: int,
-    guidance: Optional[GuidanceConfig],
+    condition: Condition,
+    cfg_scale: Optional[float],
     seed: int,
 ) -> np.ndarray:
     """Draw one sample by deterministic DDIM over the strided step subset.
 
-    Each step queries the (guided) clean-sample prediction, recovers the
-    implied noise, and re-noises to the next smaller step; the return value
-    is the clean prediction at the final step.
+    Each step queries the clean-sample prediction at ``condition``, guided
+    with scale ``cfg_scale`` against the text-free condition unless it is
+    None, recovers the implied noise, and re-noises to the next smaller
+    step; the return value is the clean prediction at the final step.
     """
+    if cfg_scale is not None and not np.isfinite(cfg_scale):
+        raise SamplerError(f"guidance scale must be finite, got {cfg_scale}")
     steps = inference_steps(num_infer_steps)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(shape)
     for i, t in enumerate(steps):
-        w0_hat = _predict_clean(denoiser, w, int(t), guidance)
+        w0_hat = _predict_clean(denoiser, w, int(t), condition, cfg_scale)
         if i == len(steps) - 1:
             return w0_hat
         ab_t = ALPHA_BARS[t]
@@ -142,29 +126,25 @@ def two_pass_sample(
     denoiser: DenoiserFn,
     shape: tuple,
     num_infer_steps: int,
-    guidance: Optional[GuidanceConfig],
+    condition: Condition,
+    cfg_scale: Optional[float],
     seed: int,
 ) -> np.ndarray:
     """Optional coarse-to-fine sampling: a strided first pass conditions a full pass.
 
     The first pass samples every ``COARSE_STRIDE``-th row with ``seed``; the
     result is nearest-neighbor upsampled and attached to the condition's
-    ``coarse`` slot (which both guidance branches see, or of a bare condition
-    when unguided) for a full pass with ``seed + 1``.  Denoisers that ignore
-    ``coarse`` reduce this to plain sampling with a different seed path.
+    ``coarse`` slot (which both guidance branches see) for a full pass with
+    ``seed + 1``.  Denoisers that ignore ``coarse`` reduce this to plain
+    sampling with a different seed path.
     """
     rows = shape[0]
     coarse_rows = (rows + COARSE_STRIDE - 1) // COARSE_STRIDE
     coarse = ddim_sample(denoiser, (coarse_rows,) + tuple(shape[1:]), num_infer_steps,
-                         guidance, seed)
+                         condition, cfg_scale, seed)
     upsampled = np.repeat(coarse, COARSE_STRIDE, axis=0)[:rows]
-    if guidance is None:
-        base = Condition(coarse=upsampled)
-        fine_denoiser = lambda w, t, c: denoiser(w, t, base)  # noqa: E731
-        return ddim_sample(fine_denoiser, shape, num_infer_steps, None, seed + 1)
-    fine_guidance = GuidanceConfig(scale=guidance.scale,
-                                   condition=replace(guidance.condition, coarse=upsampled))
-    return ddim_sample(denoiser, shape, num_infer_steps, fine_guidance, seed + 1)
+    return ddim_sample(denoiser, shape, num_infer_steps, replace(condition, coarse=upsampled),
+                       cfg_scale, seed + 1)
 
 
 def gaussian_posterior_denoiser(

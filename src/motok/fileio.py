@@ -131,7 +131,7 @@ def _array(body: _Body, dtype, shape: tuple, what: str) -> np.ndarray:
 
 def write_mseq(path, seq: MotionSequence):
     _write(path, _MSEQ, (seq.num_frames, seq.fps, int(seq.is_canonical)),
-           seq.frames.astype("<f4").tobytes())
+           _float32(seq.frames, "frames").tobytes())
 
 
 def read_mseq(path) -> MotionSequence:
@@ -157,7 +157,8 @@ def read_mtok(path) -> TokenStream:
 
 def write_vox(path, grid: SceneVoxelGrid):
     flat = grid.occupancy.transpose(2, 1, 0).reshape(-1)  # y, z, x order: x fastest
-    _write(path, _VOX, (*grid.shape, *grid.origin, grid.cell_size), np.packbits(flat).tobytes())
+    header = _float32([*grid.origin, grid.cell_size], "origin and cell size")
+    _write(path, _VOX, (*grid.shape, *header.tolist()), np.packbits(flat).tobytes())
 
 
 def read_vox(path) -> SceneVoxelGrid:
@@ -171,7 +172,19 @@ def write_pts(path, points: np.ndarray):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise FileFormatError(f"points must be (n, 3), got {points.shape}")
-    _write(path, _PTS, points.shape[:1], points.astype("<f4").tobytes())
+    _write(path, _PTS, points.shape[:1], _float32(points, "points").tobytes())
+
+
+def _float32(values, what: str) -> np.ndarray:
+    """``values`` as little-endian float32.  A finite value beyond float32's
+    range would be stored as an infinity, which the readers reject, so it
+    raises :class:`FileFormatError` here, before anything is written."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        cast = values.astype("<f4")
+    if np.any(np.isinf(cast) & np.isfinite(values)):
+        raise FileFormatError(f"{what} contain values beyond float32's range")
+    return cast
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -191,7 +204,7 @@ def write_feat(path, features: np.ndarray):
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise FileFormatError(f"features must be (N, F), got {features.shape}")
-    _write(path, _FEAT, features.shape, features.astype("<f4").tobytes())
+    _write(path, _FEAT, features.shape, _float32(features, "features").tobytes())
 
 
 def read_feat(path) -> np.ndarray:
@@ -206,7 +219,7 @@ def write_vae(path, params: ToyVaeParams):
         tensor, encoded = params.tensors[name], name.encode("utf-8")
         records += [struct.pack(_NAME_LEN, len(encoded)), encoded,
                     struct.pack(_NDIM, tensor.ndim), struct.pack(f"<{tensor.ndim}I", *tensor.shape),
-                    tensor.astype("<f4").tobytes()]
+                    _float32(tensor, f"tensor {name}").tobytes()]
     _write(path, _VAE, (params.vocab_size, params.hidden_width, len(params.tensors)), *records)
 
 

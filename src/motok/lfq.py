@@ -28,23 +28,19 @@ class QuantizerError(ValueError):
 class LfqCodebook:
     """Implicit binary codebook: ``vocab_size`` = 2 ** ``num_dims``."""
 
-    num_dims: int
+    vocab_size: int
 
     def __post_init__(self):
-        if not 1 <= int(self.num_dims) <= 62:
-            raise QuantizerError(f"num_dims must be in [1, 62], got {self.num_dims}")
-        object.__setattr__(self, "num_dims", int(self.num_dims))
-
-    @property
-    def vocab_size(self) -> int:
-        return 1 << self.num_dims
-
-    @classmethod
-    def from_vocab_size(cls, vocab_size: int) -> "LfqCodebook":
-        vocab_size = int(vocab_size)
+        vocab_size = int(self.vocab_size)
         if vocab_size < 2 or vocab_size & (vocab_size - 1) != 0:
             raise QuantizerError(f"vocab_size must be a power of two >= 2, got {vocab_size}")
-        return cls(num_dims=vocab_size.bit_length() - 1)
+        if vocab_size > 1 << 62:  # token indices are int64
+            raise QuantizerError(f"vocab_size must be at most 2**62, got {vocab_size}")
+        object.__setattr__(self, "vocab_size", vocab_size)
+
+    @property
+    def num_dims(self) -> int:
+        return self.vocab_size.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class TokenStream:
     vocab_size: int
 
     def __post_init__(self):
-        codebook = LfqCodebook.from_vocab_size(self.vocab_size)
+        codebook = LfqCodebook(self.vocab_size)
         idx = np.asarray(self.indices, dtype=np.int64).reshape(-1).copy()
         if idx.size < 1:
             raise QuantizerError("token stream is empty")

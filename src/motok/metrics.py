@@ -46,10 +46,12 @@ class GaussianStats:
 
 
 def fit_gaussian(features: np.ndarray) -> GaussianStats:
-    """Sample mean and unbiased covariance of an (N, F) matrix, N >= 2."""
+    """Sample mean and unbiased covariance of an (N, F) matrix, N >= 2, F >= 1."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 2:
         raise MetricError(f"need at least 2 rows to fit a Gaussian, got {feats.shape}")
+    if feats.shape[1] < 1:
+        raise MetricError("need at least 1 feature column to fit a Gaussian, got 0")
     mean = feats.mean(axis=0)
     centered = feats - mean
     cov = centered.T @ centered / (feats.shape[0] - 1)

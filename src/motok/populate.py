@@ -94,48 +94,32 @@ def wrap_angle(angle: float) -> float:
     return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def _standing_centers(grid: SceneVoxelGrid):
-    """Standing cell layer ``iy`` and its cell-center x and z, each (nx, nz)."""
-    nx, nz, ny = grid.shape
+def _standing_layer(grid: SceneVoxelGrid):
+    """Standing cell layer ``iy``, the (ix, iz) indices of its free cells in C
+    order, and their cell-center (x, z)."""
     c = grid.cell_size
-    iy = int(np.clip(np.floor(STANDING_HEIGHT / c), 0, ny - 1))
-    xs = grid.origin[0] + c * (np.arange(nx) + 0.5)
-    zs = grid.origin[2] + c * (np.arange(nz) + 0.5)
-    grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
-    return iy, grid_x, grid_z
-
-
-def _clearance_map(grid: SceneVoxelGrid, sdf: SignedDistanceField):
-    """Per-column clearance at standing height, and the standing cell layer.
-
-    Clearance is the smaller of the SDF value and the planar distance to the
-    grid boundary, so wide-open grids still prefer their centers.
-    """
-    nx, nz, _ = grid.shape
-    c = grid.cell_size
-    iy, grid_x, grid_z = _standing_centers(grid)
-    y = grid.origin[1] + c * (iy + 0.5)
-    centers = np.stack([grid_x, np.full((nx, nz), y), grid_z], axis=-1)
-    sdf_vals = sample_sdf(sdf, centers.reshape(-1, 3)).reshape(nx, nz)
-    edge_x = np.minimum(grid_x - grid.origin[0], grid.origin[0] + nx * c - grid_x)
-    edge_z = np.minimum(grid_z - grid.origin[2], grid.origin[2] + nz * c - grid_z)
-    return np.minimum(sdf_vals, np.minimum(edge_x, edge_z)), iy
+    iy = int(np.clip(np.floor(STANDING_HEIGHT / c), 0, grid.shape[2] - 1))
+    cells = np.argwhere(grid.occupancy[:, :, iy] == 0)
+    return iy, cells, grid.origin[[0, 2]] + c * (cells + 0.5)
 
 
 def find_seed_position(grid: SceneVoxelGrid, sdf: SignedDistanceField) -> np.ndarray:
     """Free cell center with the most clearance at standing height.
 
-    ``sdf`` is the grid's own SDF.  Ties break toward the lowest (x, then z)
-    index.  Raises :class:`SceneLessError` when no cell is free at standing
-    height.
+    Clearance is the smaller of the SDF value and the planar distance to the
+    grid boundary, so wide-open grids still prefer their centers.  ``sdf`` is
+    the grid's own SDF.  Ties break toward the lowest (x, then z) index.
+    Raises :class:`SceneLessError` when no cell is free at standing height.
     """
-    clearance, iy = _clearance_map(grid, sdf)
-    free = grid.occupancy[:, :, iy] == 0
-    if not free.any():
+    iy, cells, centers = _standing_layer(grid)
+    if not cells.size:
         raise SceneLessError("no free cell at standing height")
-    masked = np.where(free, clearance, -np.inf)
-    best = np.unravel_index(np.argmax(masked), masked.shape)  # argmax is first max in C order
-    return grid.cell_center(int(best[0]), int(best[1]), iy)
+    low = grid.origin[[0, 2]]
+    y = np.full((cells.shape[0], 1), grid.origin[1] + grid.cell_size * (iy + 0.5))
+    sdf_vals = sample_sdf(sdf, np.hstack([centers[:, :1], y, centers[:, 1:]]))
+    edge = np.minimum(centers - low, low + np.array(grid.shape[:2]) * grid.cell_size - centers)
+    clearance = np.minimum(sdf_vals, edge.min(axis=1))
+    return grid.cell_center(*cells[np.argmax(clearance)], iy)  # argmax is the first max
 
 
 def _candidate_keypoints(seq: MotionSequence) -> np.ndarray:
@@ -153,9 +137,7 @@ def placement_lattice(grid: SceneVoxelGrid) -> np.ndarray:
     This is the search lattice optimize_placement scans at every yaw, exposed
     so external checks can enumerate the identical candidate set.
     """
-    iy, grid_x, grid_z = _standing_centers(grid)
-    free = grid.occupancy[:, :, iy] == 0
-    return np.stack([grid_x[free], grid_z[free]], axis=-1)
+    return _standing_layer(grid)[2]
 
 
 def _rotate(kp: np.ndarray, yaw: float) -> np.ndarray:

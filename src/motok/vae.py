@@ -72,7 +72,7 @@ class ToyVaeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        LfqCodebook.from_vocab_size(self.vocab_size)
+        LfqCodebook(self.vocab_size)
         for name in ("lambda_commit", "lambda_entropy", "learning_rate"):
             if not np.isfinite(getattr(self, name)):
                 raise VaeError(f"{name} must be finite, got {getattr(self, name)}")
@@ -89,7 +89,7 @@ class ToyVaeConfig:
 
     @property
     def num_dims(self) -> int:
-        return LfqCodebook.from_vocab_size(self.vocab_size).num_dims
+        return LfqCodebook(self.vocab_size).num_dims
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class ToyVaeParams:
         unknown = sorted(set(tensors) - set(names))
         if unknown:
             raise VaeError(f"unknown parameter tensors: {unknown}")
-        expected = _shapes(self.hidden_width, LfqCodebook.from_vocab_size(self.vocab_size).num_dims)
+        expected = _shapes(self.hidden_width, LfqCodebook(self.vocab_size).num_dims)
         clean = {}
         for name in names:
             t = np.asarray(tensors[name], dtype=np.float64)
@@ -132,11 +132,11 @@ class ToyVaeParams:
 
     @property
     def num_dims(self) -> int:
-        return LfqCodebook.from_vocab_size(self.vocab_size).num_dims
+        return LfqCodebook(self.vocab_size).num_dims
 
     @property
     def codebook(self) -> LfqCodebook:
-        return LfqCodebook.from_vocab_size(self.vocab_size)
+        return LfqCodebook(self.vocab_size)
 
 
 def _shapes(hidden: int, dims: int) -> dict[str, tuple]:

@@ -128,6 +128,15 @@ class TestConvert:
         assert omitted.read_bytes() == zero.read_bytes()
         assert not fileio.read_mseq(omitted).is_canonical
 
+    def test_root_pose_beyond_float32_exits_1_without_output(self, tmp_path):
+        # the placed frames are finite in float64 but not in the file's float32
+        fileio.write_mseq(tmp_path / "walk.mseq", synth.make_walk_sequence(num_frames=9))
+        done = run_motok(["convert", "--in", "walk.mseq", "--out", "c.mseq",
+                          "--root-pose=1e300,0,0,0,0,0"], tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == "error: frames contain values beyond float32's range\n"
+        assert not (tmp_path / "c.mseq").exists()
+
 
 class TestTokenizeRoundTrip:
     def test_tokenize_detokenize_matches_vae_reconstruction(self, tmp_path):
@@ -473,6 +482,13 @@ class TestScoreAndEval:
         assert "geometry scores need --motion" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_eval_zero_feature_columns_exit_1(self, tmp_path, rng, capsys):
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
+        fileio.write_feat(tmp_path / "real.feat", np.zeros((64, 0)))
+        assert dispatch(argv) == 1
+        assert "need at least 1 feature column" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestSweepVocab:
     def test_csv_structure(self, tmp_path):
@@ -570,6 +586,8 @@ def cli_inputs(tmp_path_factory):
     (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
       "--report", "{out}/e.json", "--pool-size", "2"],
      "argument --pool-size: must be >= 3, got 2"),
+    (["sample", "--cfg-scale", "5", "--out", "{out}/s.mseq"],
+     "--cfg-scale needs --heading"),
 ])
 def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs, tmp_path,
                                                         capsys):

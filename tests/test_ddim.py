@@ -7,7 +7,6 @@ from motok.ddim import (
     ALPHA_BARS,
     NUM_TRAIN_STEPS,
     Condition,
-    GuidanceConfig,
     SamplerError,
     apply_cfg,
     ddim_sample,
@@ -47,27 +46,28 @@ class TestSampler:
     def test_constant_denoiser_fixed_point(self):
         target = np.full((6, 2), 3.25)
         for seed in (0, 1, 99):
-            out = ddim_sample(lambda w, t, c: target, (6, 2), 20, guidance=None, seed=seed)
+            out = ddim_sample(lambda w, t, c: target, (6, 2), 20, Condition(), None, seed=seed)
             np.testing.assert_allclose(out, target, atol=1e-6)
 
     def test_posterior_mean_denoiser_recovers_mean(self):
         # smaller replica of the acceptance check
         den = posterior(MU, 1.0)
-        outs = np.stack([ddim_sample(den, (4,), 20, guidance=None, seed=s) for s in range(300)])
+        outs = np.stack([ddim_sample(den, (4,), 20, Condition(), None, seed=s)
+                         for s in range(300)])
         se = outs.std(axis=0, ddof=1) / np.sqrt(outs.shape[0])
         assert np.all(np.abs(outs.mean(axis=0) - MU) < 4.0 * se)
 
     def test_step_count_robustness_on_narrow_toy(self):
         den = posterior(MU, 0.005)
         for seed in range(5):
-            few = ddim_sample(den, (4,), 20, guidance=None, seed=seed)
-            full = ddim_sample(den, (4,), NUM_TRAIN_STEPS, guidance=None, seed=seed)
+            few = ddim_sample(den, (4,), 20, Condition(), None, seed=seed)
+            full = ddim_sample(den, (4,), NUM_TRAIN_STEPS, Condition(), None, seed=seed)
             np.testing.assert_allclose(few, full, atol=1e-3)
 
     def test_bit_identical_for_fixed_seed(self):
         den = posterior(MU, 0.5)
-        a = ddim_sample(den, (4,), 20, guidance=None, seed=11)
-        b = ddim_sample(den, (4,), 20, guidance=None, seed=11)
+        a = ddim_sample(den, (4,), 20, Condition(), None, seed=11)
+        b = ddim_sample(den, (4,), 20, Condition(), None, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_inference_steps_descending_from_top(self):
@@ -85,12 +85,17 @@ class TestSampler:
     def test_denoiser_shape_mismatch_rejected(self):
         bad = lambda w, t, c: np.zeros(3)  # noqa: E731
         with pytest.raises(SamplerError):
-            ddim_sample(bad, (4,), 10, guidance=None, seed=0)
+            ddim_sample(bad, (4,), 10, Condition(), None, seed=0)
 
     def test_nonfinite_prediction_rejected(self):
         bad = lambda w, t, c: np.full_like(w, np.nan)  # noqa: E731
         with pytest.raises(SamplerError):
-            ddim_sample(bad, (4,), 10, guidance=None, seed=0)
+            ddim_sample(bad, (4,), 10, Condition(), None, seed=0)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_guidance_scale_rejected(self, scale):
+        with pytest.raises(SamplerError, match="guidance scale must be finite"):
+            ddim_sample(posterior(MU, 1.0), (4,), 10, Condition(text=1.0), scale, seed=0)
 
     def test_two_pass_deterministic_and_shaped(self):
         seen = []
@@ -99,14 +104,29 @@ class TestSampler:
             seen.append(cond)
             return gaussian_posterior_denoiser(w, t, np.zeros(3), 0.3)
 
-        a = two_pass_sample(den, (7, 3), 20, guidance=None, seed=5)
-        b = two_pass_sample(den, (7, 3), 20, guidance=None, seed=5)
+        a = two_pass_sample(den, (7, 3), 20, Condition(), None, seed=5)
+        b = two_pass_sample(den, (7, 3), 20, Condition(), None, seed=5)
         assert a.shape == (7, 3)
         np.testing.assert_array_equal(a, b)
         # unguided, the denoiser still always gets a Condition: an empty one in
         # the first pass, one carrying the coarse track in the second
         assert all(type(c) is Condition and c.text is None for c in seen)
         assert [c.coarse is None for c in seen] == ([True] * 20 + [False] * 20) * 2
+
+    def test_unguided_denoiser_sees_the_callers_condition(self):
+        seen = []
+
+        def den(w, t, cond):
+            seen.append(cond)
+            return np.zeros_like(w)
+
+        condition = Condition(text="walk")
+        two_pass_sample(den, (5, 2), 4, condition, None, seed=0)
+        first, fine = seen[:4], seen[4:]
+        assert len(fine) == 4
+        assert all(c is condition for c in first)
+        assert all(c.text == "walk" and c.coarse is fine[0].coarse for c in fine)
+        assert fine[0].coarse.shape == (5, 2)
 
 
 class TestGuidance:
@@ -140,8 +160,7 @@ class TestGuidance:
             seen.append(cond)
             return np.zeros_like(w)
 
-        g = GuidanceConfig(scale=2.0, condition=Condition(text="walk"))
-        two_pass_sample(denoiser, (5, 2), 4, guidance=g, seed=0)
+        two_pass_sample(denoiser, (5, 2), 4, Condition(text="walk"), 2.0, seed=0)
         first, fine = seen[:8], seen[8:]
         assert len(fine) == 8
         assert [c.text for c in first + fine] == ["walk", None] * 8
@@ -158,8 +177,7 @@ class TestGuidance:
             return np.full_like(w, shift)
 
         def sample(scale):
-            g = GuidanceConfig(scale=scale, condition=Condition(text=2.0))
-            return ddim_sample(denoiser, (3,), 20, guidance=g, seed=0)
+            return ddim_sample(denoiser, (3,), 20, Condition(text=2.0), scale, seed=0)
 
         np.testing.assert_allclose(sample(0.0), 0.0, atol=1e-12)
         np.testing.assert_allclose(sample(1.0), 2.0, atol=1e-12)

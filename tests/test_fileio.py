@@ -416,6 +416,38 @@ def test_round_trip_property(tmp_path_factory, suffix, data):
     np.testing.assert_equal(_STORED[suffix](read(path)), _STORED[suffix](value))
 
 
+def _motion_at(x):
+    frames = np.zeros((2, FRAME_DIM))
+    frames[:, 0] = x  # root x
+    return MotionSequence(frames)
+
+
+def _vae_with(value):
+    params = _GOLDEN[".vae"][0]()
+    return ToyVaeParams(tensors={**params.tensors, "enc1_b": params.tensors["enc1_b"] + value},
+                        vocab_size=params.vocab_size, hidden_width=params.hidden_width)
+
+
+# one value each writer casts to float32 set to 1e39, beyond float32's range
+_BEYOND_FLOAT32 = {
+    "mseq": (write_mseq, lambda: _motion_at(1e39)),
+    "vox-origin": (write_vox, lambda: SceneVoxelGrid(np.zeros((2, 2, 2)), [1e39, 0, 0], 0.5)),
+    "vox-cell-size": (write_vox, lambda: SceneVoxelGrid(np.zeros((2, 2, 2)), [0, 0, 0], 1e39)),
+    "pts": (write_pts, lambda: np.array([[0.0, 1e39, 0.0]])),
+    "feat": (write_feat, lambda: np.array([[1.0, -1e39]])),
+    "vae": (write_vae, lambda: _vae_with(1e39)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEYOND_FLOAT32))
+@pytest.mark.filterwarnings("error")  # numpy's cast warning is a leak too
+def test_writer_rejects_value_beyond_float32(tmp_path, name):
+    write, build = _BEYOND_FLOAT32[name]
+    with pytest.raises(FileFormatError, match="beyond float32's range"):
+        write(tmp_path / "out.bin", build())
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestAtomicWrite:
     def test_failure_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.bin"

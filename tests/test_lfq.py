@@ -16,8 +16,8 @@ from motok.lfq import (
     sign_bits,
 )
 
-CB8 = LfqCodebook.from_vocab_size(8)
-CB8192 = LfqCodebook.from_vocab_size(8192)
+CB8 = LfqCodebook(8)
+CB8192 = LfqCodebook(8192)
 
 
 class TestCodebook:
@@ -26,9 +26,9 @@ class TestCodebook:
         assert CB8192.vocab_size == 8192
 
     def test_rejects_non_power_of_two(self):
-        for bad in (0, 1, 3, 100):
+        for bad in (0, 1, 3, 100, 2**63):
             with pytest.raises(QuantizerError):
-                LfqCodebook.from_vocab_size(bad)
+                LfqCodebook(bad)
 
 
 class TestTokenStream:

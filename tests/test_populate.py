@@ -188,6 +188,62 @@ class TestSeedPosition:
         np.testing.assert_allclose(seed, grid.cell_center(*best_cell, iy))
 
 
+def _masked_argmax_seed(grid, sdf):
+    """Reference seed and lattice: clearance over the whole standing layer,
+    occupied cells masked to -inf, then the first argmax in C order."""
+    nx, nz, ny = grid.shape
+    c = grid.cell_size
+    iy = int(np.clip(np.floor(STANDING_HEIGHT / c), 0, ny - 1))
+    xs = grid.origin[0] + c * (np.arange(nx) + 0.5)
+    zs = grid.origin[2] + c * (np.arange(nz) + 0.5)
+    grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
+    y = grid.origin[1] + c * (iy + 0.5)
+    centers = np.stack([grid_x, np.full((nx, nz), y), grid_z], axis=-1)
+    sdf_vals = sample_sdf(sdf, centers.reshape(-1, 3)).reshape(nx, nz)
+    edge_x = np.minimum(grid_x - grid.origin[0], grid.origin[0] + nx * c - grid_x)
+    edge_z = np.minimum(grid_z - grid.origin[2], grid.origin[2] + nz * c - grid_z)
+    clearance = np.minimum(sdf_vals, np.minimum(edge_x, edge_z))
+    free = grid.occupancy[:, :, iy] == 0
+    lattice = np.stack([grid_x[free], grid_z[free]], axis=-1)
+    if not free.any():
+        return None, lattice
+    masked = np.where(free, clearance, -np.inf)
+    best = np.unravel_index(np.argmax(masked), masked.shape)
+    return grid.cell_center(int(best[0]), int(best[1]), iy), lattice
+
+
+@st.composite
+def standing_grids(draw):
+    """Small grids: random, all-free (ties everywhere) or one free cell, with
+    ny = 1 and cell sizes that put the standing layer past either end."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["random", "free", "one"]))
+    if mode == "random":
+        occ = (rng.random(shape) < draw(st.sampled_from([0.2, 0.5, 0.8]))).astype(np.uint8)
+    else:
+        occ = np.zeros(shape, np.uint8) if mode == "free" else np.ones(shape, np.uint8)
+    if mode == "one":
+        occ[tuple(int(rng.integers(n)) for n in shape)] = 0
+    origin = draw(st.tuples(*[st.floats(-5, 5, allow_nan=False)] * 3))
+    cell = draw(st.sampled_from([0.01, 0.1, 0.3, 0.9, 2.5]) | st.floats(0.01, 3.0))
+    return SceneVoxelGrid(occ, np.array(origin), cell)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=standing_grids())
+def test_seed_and_lattice_match_masked_argmax(grid):
+    sdf = build_sdf(grid)
+    seed, lattice = _masked_argmax_seed(grid, sdf)
+    found = placement_lattice(grid)
+    assert (found.shape, found.tobytes()) == (lattice.shape, lattice.tobytes())
+    if seed is None:
+        with pytest.raises(SceneLessError):
+            find_seed_position(grid, sdf)
+    else:
+        assert find_seed_position(grid, sdf).tobytes() == seed.tobytes()
+
+
 class TestOptimizePlacement:
     def test_all_free_scene_is_seed_with_zero_collision(self):
         grid = empty_room(nx=9, nz=9, ny=12)

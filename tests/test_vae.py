@@ -192,7 +192,7 @@ class TestTraining:
 
     def test_entropy_term_raises_usage_entropy(self):
         dataset = make_corpus(1, 96, seed=5)
-        cb = LfqCodebook.from_vocab_size(64)
+        cb = LfqCodebook(64)
         usage = {"plain": [], "entropy": []}
         for seed in range(10):
             base = ToyVaeConfig(vocab_size=64, hidden_width=16, lambda_commit=1e-2,
