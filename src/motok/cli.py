@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 domain failure (infeasible placement, diverged
 training, malformed data), 2 usage error (bad flags, missing files).  A flag
 value out of range is a usage error too, caught before any file is read or
 written, and so is an output path whose directory does not exist in the
-commands that work long before they write (``train-vae``, ``sweep-vocab``,
-``populate``, ``eval``).  A path that cannot be opened, read or written
-exits 2 as well: its ``OSError`` is caught once, in :func:`dispatch`, and
-the one-line message names the path given on the command line.  Every
-output file is written atomically, so a failed write leaves no file behind.
+commands that work long before they write (``train-vae``, ``populate``,
+``eval``).  A path that cannot be opened, read or written exits 2 as well:
+its ``OSError`` is caught once, in :func:`dispatch`, and the one-line
+message names the path given on the command line.  Every output file is
+written atomically, so a failed write leaves no file behind.
 
 Two commands decide their outcome from their input.  ``convert`` takes its
 direction from the ``.mseq`` canonical flag: a canonical motion is placed
@@ -56,16 +56,6 @@ def _write_json(path, payload: dict):
         out.write(b"\n")
 
 
-def _write_csv(path, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    for row in rows:
-        # float() first: repr of a numpy float is "np.float64(...)" under numpy 2
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row))
-    with fileio.atomic_write(path) as out:
-        out.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,8 +90,7 @@ def _cmd_detokenize(args) -> int:
         raise UsageError(
             f"token vocab {stream.vocab_size} does not match VAE vocab {params.vocab_size}"
         )
-    bits = lfq.indices_to_bits(stream.indices, params.num_dims)
-    frames = motion.normalize_rotations(vae.decode(params, bits.astype(np.float64)))
+    frames = vae.decode(params, lfq.indices_to_bits(stream.indices, params.num_dims))
     seq = motion.MotionSequence(frames, fps=args.fps, is_canonical=args.canonical)
     fileio.write_mseq(args.outfile, seq)
     return 0
@@ -114,20 +103,25 @@ def _load_dataset(data_dir: str) -> list[motion.MotionSequence]:
     return [fileio.read_mseq(p) for p in paths]
 
 
-def _vae_config(args, **overrides) -> vae.ToyVaeConfig:
-    """Defaults, then the trainer flags given, then ``overrides``."""
+def _vae_config(args) -> vae.ToyVaeConfig:
+    """Defaults, then the trainer flags given."""
     settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(vae.ToyVaeConfig)
-                if getattr(args, f.name, None) is not None}
+                if getattr(args, f.name) is not None}
     try:
-        return vae.ToyVaeConfig(**{**settings, **overrides})
+        return vae.ToyVaeConfig(**settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _history_csv(path, history: list[dict]):
-    rows = [[int(h["epoch"]), h["recon"], h["commit"], h["entropy"], h["total"]]
-            for h in history]
-    _write_csv(path, ["epoch", "recon", "commit", "entropy", "total"], rows)
+    """One column per key of the trainer's history rows, in their order."""
+    lines = [",".join(history[0])]
+    for row in history:
+        # float() first: repr of a numpy float is "np.float64(...)" under numpy 2
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row.values()))
+    with fileio.atomic_write(path) as out:
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _cmd_train_vae(args) -> int:
@@ -138,43 +132,6 @@ def _cmd_train_vae(args) -> int:
     fileio.write_vae(args.out, params)
     history_path = args.history or str(Path(args.out).parent / "loss_history.csv")
     _history_csv(history_path, history)
-    return 0
-
-
-def _corpus_quality(params: vae.ToyVaeParams, dataset) -> tuple[float, float, float]:
-    """Mean per-sequence reconstruction MSE, then the distinct-token fraction and
-    usage entropy over the whole corpus, from one encode per sequence."""
-    mses, tokens = [], []
-    for seq in dataset:
-        padded = vae.pad_frames(seq.frames)
-        recon, indices = vae.reconstruct(params, padded)
-        diff = recon - padded
-        mses.append(float((diff * diff).mean()))
-        tokens.append(indices)
-    fraction, entropy = lfq.codebook_utilization(np.concatenate(tokens), params.codebook)
-    return float(np.mean(mses)), fraction, entropy
-
-
-def _cmd_sweep_vocab(args) -> int:
-    try:
-        ks = [int(v) for v in args.ks.split(",") if v]
-    except ValueError:
-        raise UsageError(f"--ks must be a comma-separated integer list, got {args.ks!r}") from None
-    if not ks:
-        raise UsageError("--ks is empty")
-    configs = [_vae_config(args, vocab_size=k) for k in ks]
-    _check_output_dirs(args.out)
-    dataset = _load_dataset(args.data)
-    rows = []
-    for k, cfg in zip(ks, configs):
-        params, _ = vae.train(cfg, dataset)
-        plain_params, _ = vae.train(dataclasses.replace(cfg, lambda_entropy=0.0), dataset)
-        rows.append([k, *_corpus_quality(params, dataset), *_corpus_quality(plain_params, dataset)])
-    _write_csv(args.out,
-               ["vocab_size", "final_mse", "utilization_fraction", "utilization_entropy",
-                "final_mse_noentropy", "utilization_fraction_noentropy",
-                "utilization_entropy_noentropy"],
-               rows)
     return 0
 
 
@@ -328,12 +285,11 @@ def _bounded_int(low: int, high: int | None = None):
     return parse
 
 
-def _add_trainer_flags(p: argparse.ArgumentParser, skip: tuple = ()):
+def _add_trainer_flags(p: argparse.ArgumentParser):
     """One flag per ToyVaeConfig field, typed by its default; unset flags stay None."""
     for f in dataclasses.fields(vae.ToyVaeConfig):
-        if f.name not in skip:
-            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                           type=type(f.default), default=None)
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                       type=type(f.default), default=None)
 
 
 @functools.cache
@@ -372,14 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", help="loss history CSV path (default: next to --out)")
     _add_trainer_flags(p)
     p.set_defaults(func=_cmd_train_vae)
-
-    p = sub.add_parser("sweep-vocab", help="train across vocab sizes, with and without "
-                                           "the entropy term, and tabulate the results")
-    p.add_argument("--ks", required=True, help="comma-separated vocab sizes")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default="vocab_sweep.csv")
-    _add_trainer_flags(p, skip=("vocab_size",))
-    p.set_defaults(func=_cmd_sweep_vocab)
 
     p = sub.add_parser("sample", help="sample a waypoint track with the toy denoiser")
     p.add_argument("--steps", type=_bounded_int(1, ddim.NUM_TRAIN_STEPS), default=20)

@@ -157,8 +157,11 @@ def read_mtok(path) -> TokenStream:
 
 def write_vox(path, grid: SceneVoxelGrid):
     flat = grid.occupancy.transpose(2, 1, 0).reshape(-1)  # y, z, x order: x fastest
-    header = _float32([*grid.origin, grid.cell_size], "origin and cell size")
-    _write(path, _VOX, (*grid.shape, *header.tolist()), np.packbits(flat).tobytes())
+    *origin, cell_size = _float32([*grid.origin, grid.cell_size], "origin and cell size").tolist()
+    # the grid read_vox would return: float32 rounding can make it invalid
+    # (a cell size of 1e-46 is stored as 0.0), and SceneError says so here
+    SceneVoxelGrid(occupancy=grid.occupancy, origin=np.array(origin), cell_size=cell_size)
+    _write(path, _VOX, (*grid.shape, *origin, cell_size), np.packbits(flat).tobytes())
 
 
 def read_vox(path) -> SceneVoxelGrid:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lfq import LfqCodebook, bits_to_indices, entropy_loss, entropy_loss_grad, sign_bits
-from .motion import FRAME_DIM, MotionSequence
+from .motion import FRAME_DIM, MotionSequence, normalize_rotations
 
 # the three halving encoder rows of _LAYERS map each 8-frame segment to one
 # latent; token files and the synthetic corpus are built around this segment
@@ -252,14 +252,16 @@ def decode(params: ToyVaeParams, codes) -> np.ndarray:
     """Frames reconstructed from codes: shape (8 * num_codes, 75).
 
     ``codes`` is an (S, log2 K) array, normally the sign patterns of
-    :func:`motok.lfq.sign_bits` or :func:`motok.lfq.indices_to_bits`.
+    :func:`motok.lfq.sign_bits` or :func:`motok.lfq.indices_to_bits`.  Every
+    rotation is wrapped to magnitude < 2*pi, so the frames make a valid
+    :class:`~motok.motion.MotionSequence`.
     """
     q = np.asarray(codes, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != params.num_dims:
         raise VaeError(f"codes must be (S, {params.num_dims}), got {q.shape}")
     if q.shape[0] < 1:
         raise VaeError("need at least one code")
-    return _decode(params.tensors, q)[0].reshape(-1, FRAME_DIM)
+    return normalize_rotations(_decode(params.tensors, q)[0].reshape(-1, FRAME_DIM))
 
 
 def loss_and_grads(
@@ -367,8 +369,7 @@ def reconstruct(params: ToyVaeParams, frames: np.ndarray) -> tuple[np.ndarray, n
     """
     z = encode(params, frames)
     bits = sign_bits(z)
-    recon = decode(params, bits.astype(np.float64))
-    return recon, bits_to_indices(bits)
+    return decode(params, bits), bits_to_indices(bits)
 
 
 def reconstruction_mse(params: ToyVaeParams, frames: np.ndarray) -> float:

@@ -161,6 +161,25 @@ class TestTokenizeRoundTrip:
         mse_direct = reconstruction_mse(params, source.frames)
         assert mse_files == pytest.approx(mse_direct, rel=1e-3, abs=1e-6)
 
+    def test_detokenize_matches_reconstruct_when_a_rotation_wraps(self, tmp_path):
+        # a decoded root rotation of magnitude ~6.5 > 2*pi must be wrapped the
+        # same way by both paths
+        frames = np.zeros((16, FRAME_DIM))
+        params = vae.init_params(vae.ToyVaeConfig(vocab_size=16, hidden_width=8),
+                                 frames.reshape(-1, 8, FRAME_DIM))
+        params.tensors["in_shift"][3] = 6.5
+        vae_path, src = tmp_path / "p.vae", tmp_path / "z.mseq"
+        fileio.write_vae(vae_path, params)
+        fileio.write_mseq(src, MotionSequence(frames))
+        tok, out = tmp_path / "z.mtok", tmp_path / "z_back.mseq"
+        assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(src),
+                         "--out", str(tok)]) == 0
+        assert dispatch(["detokenize", "--vae", str(vae_path), "--in", str(tok),
+                         "--out", str(out)]) == 0
+        expected = vae.reconstruct(fileio.read_vae(vae_path), frames)[0]
+        np.testing.assert_array_equal(fileio.read_mseq(out).frames,
+                                      expected.astype(np.float32))
+
     def test_vocab_mismatch_rejected(self, tmp_path, capsys):
         data_dir = write_corpus(tmp_path)
         vae_path = train_small_vae(tmp_path, data_dir)
@@ -232,6 +251,18 @@ class TestTrainVae:
         history = (out / "loss_history.csv").read_text().splitlines()
         assert history[0] == "epoch,recon,commit,entropy,total"
         assert len(history) == 6
+
+    def test_history_columns_follow_the_trainer_rows(self, tmp_path, monkeypatch):
+        data_dir = write_corpus(tmp_path, num=1, frames=16)
+        rows = [{"epoch": 0, "recon": 0.5, "usage": 0.25}, {"epoch": 1, "recon": 0.125,
+                                                              "usage": 1.0}]
+        params = vae.init_params(vae.ToyVaeConfig(vocab_size=16, hidden_width=4),
+                                 ZERO_SEGMENTS)
+        monkeypatch.setattr(vae, "train", lambda config, dataset: (params, rows))
+        history = tmp_path / "h.csv"
+        assert dispatch(["train-vae", "--data", str(data_dir), "--out",
+                         str(tmp_path / "p.vae"), "--history", str(history)]) == 0
+        assert history.read_text() == "epoch,recon,usage\n0,0.5,0.25\n1,0.125,1.0\n"
 
 
 class TestSample:
@@ -490,30 +521,6 @@ class TestScoreAndEval:
         assert not (tmp_path / "report.json").exists()
 
 
-class TestSweepVocab:
-    def test_csv_structure(self, tmp_path):
-        data_dir = write_corpus(tmp_path, num=2, frames=32)
-        out = tmp_path / "sweep.csv"
-        code = dispatch(["sweep-vocab", "--ks", "4,16", "--data", str(data_dir),
-                         "--out", str(out), "--epochs", "4", "--hidden-width", "6",
-                         "--learning-rate", "0.1", "--seed", "0"])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("vocab_size,final_mse,utilization_fraction")
-        assert len(lines) == 3
-        assert lines[1].split(",")[0] == "4"
-        assert lines[2].split(",")[0] == "16"
-        for line in lines[1:]:
-            for cell in line.split(","):
-                float(cell)  # a numpy repr such as "np.float64(0.5)" raises here
-
-    def test_bad_ks_rejected(self, tmp_path, capsys):
-        data_dir = write_corpus(tmp_path, num=1, frames=16)
-        assert dispatch(["sweep-vocab", "--ks", "a,b", "--data", str(data_dir),
-                         "--out", str(tmp_path / "s.csv")]) == 2
-        capsys.readouterr()
-
-
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     """Valid inputs for every command, so only the flag under test is bad."""
@@ -546,9 +553,8 @@ def cli_inputs(tmp_path_factory):
      "vocab_size must be a power of two >= 2, got 100"),
     (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--epochs", "0"],
      "epochs must be >= 1, got 0"),
-    (["sweep-vocab", "--ks", "64,100", "--data", "{data}", "--out", "{out}/k.csv",
-      "--epochs", "1"],
-     "vocab_size must be a power of two >= 2, got 100"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--vocab-size", "1"],
+     "vocab_size must be a power of two >= 2, got 1"),
     (["detokenize", "--vae", "{vae}", "--in", "{mtok}", "--out", "{out}/d.mseq",
       "--fps", "0"],
      "argument --fps: must be >= 1, got 0"),
@@ -606,13 +612,12 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("argv", [
     ["train-vae", "--data", "{data}", "--out", "{missing}/p.vae"],
     ["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--history", "{missing}/h.csv"],
-    ["sweep-vocab", "--ks", "4", "--data", "{data}", "--out", "{missing}/s.csv"],
     ["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{missing}/p.mseq"],
     ["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
      "--report", "{missing}/r.json"],
     ["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
      "--report", "{missing}/e.json"],
-], ids=["train-vae", "train-vae-history", "sweep-vocab", "populate", "populate-report", "eval"])
+], ids=["train-vae", "train-vae-history", "populate", "populate-report", "eval"])
 def test_missing_output_directory_exits_2_before_any_work(argv, cli_inputs, tmp_path, capsys,
                                                           monkeypatch):
     for module, name in [(fileio, "read_mseq"), (fileio, "read_vox"), (fileio, "read_feat"),
@@ -712,7 +717,6 @@ def _non_default(value):
 
 @pytest.mark.parametrize("argv, fixed", [
     (["train-vae", "--data", "d", "--out", "o.vae"], ()),
-    (["sweep-vocab", "--ks", "4", "--data", "d"], ("vocab_size",)),
 ])
 def test_every_trainer_setting_has_its_own_flag(argv, fixed):
     fields = [f for f in dataclasses.fields(vae.ToyVaeConfig) if f.name not in fixed]

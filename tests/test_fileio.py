@@ -30,7 +30,7 @@ from motok.fileio import (
 )
 from motok.lfq import TokenStream
 from motok.motion import FRAME_DIM, MAX_FRAMES, MotionSequence
-from motok.scene import SceneVoxelGrid
+from motok.scene import SceneError, SceneVoxelGrid
 from motok.vae import ToyVaeConfig, ToyVaeParams, _shapes, init_params
 from conftest import ZERO_SEGMENTS
 
@@ -109,6 +109,13 @@ class TestVox:
         version, nx, nz, ny = struct.unpack("<IIII", blob[4:20])
         assert (version, nx, nz, ny) == (1, 2, 1, 1)
         assert blob[36:] == bytes([0b10000000])
+
+    def test_cell_size_that_rounds_to_zero_rejected(self, tmp_path):
+        # 1e-46 is below float32's smallest subnormal, so it would be stored as 0.0
+        grid = SceneVoxelGrid(np.zeros((2, 2, 2)), np.zeros(3), 1e-46)
+        with pytest.raises(SceneError, match="cell_size must be finite and > 0, got 0.0"):
+            write_vox(tmp_path / "a.vox", grid)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPtsFeat:

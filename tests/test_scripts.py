@@ -23,6 +23,14 @@ def run_script(name, *args, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
+def load_script(name):
+    """A script as a module, so a test can replace what it calls."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_demo_scene_pipeline(tmp_path):
     work = tmp_path / "demo"
     done = run_script("demo_scene_pipeline.py", "--workdir", str(work), cwd=tmp_path)
@@ -39,10 +47,7 @@ def test_demo_scene_pipeline(tmp_path):
     ("sample", 1, ["populate", "score", "sample"]),
 ])
 def test_demo_stops_at_first_failed_stage(failing, code, ran, tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("demo_scene_pipeline",
-                                                  ROOT / "scripts" / "demo_scene_pipeline.py")
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
+    demo = load_script("demo_scene_pipeline")
     real_dispatch, calls = demo.dispatch, []
 
     def dispatch(argv):
@@ -59,13 +64,46 @@ def test_demo_stops_at_first_failed_stage(failing, code, ran, tmp_path, monkeypa
 
 def test_run_vocab_sweep(tmp_path):
     out = tmp_path / "s.csv"
-    done = run_script("run_vocab_sweep.py", "--ks", "4", "--out", str(out), cwd=tmp_path)
+    done = run_script("run_vocab_sweep.py", "--ks", "4,8", "--out", str(out), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     with open(out, newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0][0] == "vocab_size" and len(rows) == 2
-    for cell in rows[1]:
-        float(cell)
+    assert rows[0] == ["vocab_size", "final_mse", "utilization_fraction",
+                       "utilization_entropy", "final_mse_noentropy",
+                       "utilization_fraction_noentropy", "utilization_entropy_noentropy"]
+    assert [row[0] for row in rows[1:]] == ["4", "8"]
+    for row in rows[1:]:
+        for cell in row:
+            float(cell)  # a numpy repr such as "np.float64(0.5)" raises here
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the flags were checked")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--ks", "a,b"], "--ks must be a comma-separated integer list, got 'a,b'"),
+    (["--ks", ","], "--ks is empty"),
+    (["--ks", "64,100"], "vocab_size must be a power of two >= 2, got 100"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--out", "{missing}/s.csv"], "{missing}/s.csv: not found"),
+], ids=["ks-not-integers", "ks-empty", "k-not-power-of-two", "negative-seed",
+        "missing-out-directory"])
+def test_run_vocab_sweep_bad_flag_exits_2_before_any_work(args, message, tmp_path,
+                                                          monkeypatch, capsys):
+    sweep = load_script("run_vocab_sweep")
+    monkeypatch.setattr(sweep, "make_corpus", _no_work)
+    monkeypatch.setattr(sweep.vae, "train", _no_work)
+    missing = tmp_path / "missing"
+    argv = ["--out", str(tmp_path / "s.csv"), *args]
+    monkeypatch.setattr(sys, "argv", ["run_vocab_sweep.py",
+                                      *(arg.format(missing=missing) for arg in argv)])
+    with pytest.raises(SystemExit) as exc:
+        sweep.main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"usage error: {message.format(missing=missing)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_make_synthetic_corpus(tmp_path):

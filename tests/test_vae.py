@@ -113,6 +113,17 @@ class TestShapes:
         zeroed = ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
         np.testing.assert_array_equal(decode(zeroed, np.ones((2, SMALL.num_dims))), 0.0)
 
+    def test_decoded_rotations_make_a_motion_sequence(self):
+        # a zero decoder emits in_shift: here a root rotation of magnitude 6.5 > 2*pi
+        params = init_params(SMALL, ZERO_SEGMENTS)
+        tensors = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+        tensors["in_scale"] = np.ones(FRAME_DIM)
+        tensors["in_shift"][3] = 6.5
+        shifted = ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
+        frames = decode(shifted, np.ones((1, SMALL.num_dims)))
+        MotionSequence(frames)
+        np.testing.assert_allclose(frames[:, 3], 6.5 - 2 * np.pi)
+
     def test_padding_repeats_final_frame(self, rng):
         frames = rng.normal(size=(45, FRAME_DIM))
         padded = pad_frames(frames)
