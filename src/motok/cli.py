@@ -63,9 +63,7 @@ def _write_json(path, payload: dict):
 def _cmd_convert(args) -> int:
     seq = fileio.read_mseq(args.infile)
     if seq.is_canonical:
-        root_pose = np.zeros(6) if args.root_pose is None else np.array(args.root_pose)
-        pose = motion.SixDof(translation=root_pose[:3], orientation=root_pose[3:])
-        out = motion.to_global(seq, pose)
+        out = motion.to_global(seq, args.root_pose or motion.SixDof(np.zeros(3), np.zeros(3)))
     elif args.root_pose is not None:
         raise UsageError(f"--root-pose applies to canonical input; {args.infile} is global")
     else:
@@ -186,36 +184,35 @@ def _cmd_populate(args) -> int:
     return 0
 
 
-def _geometry_scores(seq: motion.MotionSequence, grid=None, points=None) -> dict:
+def _geometry_scores(args) -> dict:
+    """``--motion`` scored against ``--scene`` and/or ``--object``, for ``score`` and ``eval``."""
+    if not (args.motion and (args.scene or args.object)):
+        raise UsageError("geometry scores need --motion with --scene and/or --object")
+    seq = fileio.read_mseq(args.motion)
     if seq.is_canonical:
         raise UsageError("geometry scoring expects a global motion (convert first)")
     keypoints = scene.body_keypoints(seq)
     report: dict = {}
-    if grid is not None:
-        pen, frac = scene.collision_score(keypoints, scene.build_sdf(grid))
+    if args.scene:
+        pen, frac = scene.collision_score(keypoints, scene.build_sdf(fileio.read_vox(args.scene)))
         report["collision_scene"] = pen
         report["collision_scene_fraction"] = frac
-    if points is not None:
-        # query human keypoints in the object's local frame against one static
-        # SDF of the base point cloud; exact for a rigidly moving object
+    if args.object:
+        points = fileio.read_pts(args.object)
+        # keypoints in the object's frame, R_t^T (k - t_t), against its static cloud
+        # and one SDF of it: exact for a rigidly moving object
         rot = motion.axis_angle_to_matrix(seq.frames[:, motion.OBJ_ROT])
         local = np.einsum("tba,tjb->tja", rot, keypoints - seq.frames[:, None, motion.OBJ_POS])
         object_sdf = scene.build_sdf(scene.voxelize_points(points, cell_size=0.05))
         pen, frac = scene.collision_score(local, object_sdf)
         report["collision"] = pen
         report["collision_fraction"] = frac
-        track = scene.object_points_track(points, seq)
-        report["contact"] = scene.contact_score(keypoints, track)
+        report["contact"] = scene.contact_score(local, points)
     return report
 
 
 def _cmd_score(args) -> int:
-    seq = fileio.read_mseq(args.motion)
-    grid = fileio.read_vox(args.scene) if args.scene else None
-    points = fileio.read_pts(args.object) if args.object else None
-    if grid is None and points is None:
-        raise UsageError("score needs --scene and/or --object")
-    report = _geometry_scores(seq, grid, points)
+    report = _geometry_scores(args)
     if args.report:
         _write_json(args.report, report)
     else:
@@ -224,27 +221,22 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if bool(args.motion) != bool(args.scene or args.object):
-        raise UsageError("geometry scores need --motion with --scene and/or --object")
     _check_output_dirs(args.report)
+    # geometry first, so that its usage errors come before any feature file is read
+    report = _geometry_scores(args) if args.motion or args.scene or args.object else {}
     real = fileio.read_feat(args.real)
     gen = fileio.read_feat(args.gen)
     text = fileio.read_feat(args.text)
-    report = {
+    report.update({
         "fid": metrics.frechet_distance(metrics.fit_gaussian(real),
                                         metrics.fit_gaussian(gen)),
         "mmd": metrics.multimodal_distance(gen, text),
         "diversity": metrics.diversity(gen, seed=args.seed),
         "diversity_with_replacement": metrics.diversity_with_replacement(gen.shape[0]),
-    }
+    })
     top = metrics.r_precision(gen, text, pool_size=args.pool_size, top_k=3, seed=args.seed)
     for k, acc in enumerate(top, start=1):
         report[f"r{k}"] = acc
-    if args.motion:
-        seq = fileio.read_mseq(args.motion)
-        grid = fileio.read_vox(args.scene) if args.scene else None
-        points = fileio.read_pts(args.object) if args.object else None
-        report.update(_geometry_scores(seq, grid, points))
     _write_json(args.report, report)
     return 0
 
@@ -264,11 +256,15 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
-def _parse_root_pose(text: str) -> list[float]:
+def _parse_root_pose(text: str) -> motion.SixDof:
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("root pose needs 6 comma-separated numbers")
-    return [_finite_float(p) for p in parts]
+    values = [_finite_float(p) for p in parts]
+    try:
+        return motion.SixDof(translation=values[:3], orientation=values[3:])
+    except motion.MotionError as exc:  # a rotation of magnitude >= 2*pi
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _bounded_int(low: int, high: int | None = None):
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vae", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--fps", type=_bounded_int(1), default=30)
+    p.add_argument("--fps", type=_bounded_int(1, fileio.MAX_FPS), default=30)
     p.add_argument("--canonical", action="store_true")
     p.set_defaults(func=_cmd_detokenize)
 

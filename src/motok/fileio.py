@@ -33,6 +33,7 @@ _VERSION = "<I"
 # (magic, version, header): header fields; payload.  A format without a
 # magic has no version either.
 _MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
+MAX_FPS = (1 << 32) - 1  # fps is a u32
 # vocab_size (<= _MAX_VOCAB), num_tokens; u16 indices, one per vae.SEGMENT_LEN frames
 _MTOK = (b"MTOK", 2, "<II")
 _MAX_VOCAB = 1 << 16  # every index fits a u16
@@ -75,10 +76,14 @@ def atomic_write(path):
 
 def _write(path, fmt, header, *payload):
     magic, version, layout = fmt
+    try:
+        packed = struct.pack(layout, *header)
+    except struct.error as exc:  # a value beyond its field, such as fps >= 2**32
+        raise FileFormatError(f"header does not fit {layout}: {exc}") from None
     with atomic_write(path) as out:
         if magic:
             out.write(magic + struct.pack(_VERSION, version))
-        out.write(struct.pack(layout, *header))
+        out.write(packed)
         out.writelines(payload)
 
 

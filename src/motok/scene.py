@@ -14,8 +14,6 @@ import numpy as np
 from .motion import (
     JOINT_ROT,
     MotionSequence,
-    OBJ_POS,
-    OBJ_ROT,
     ROOT_POS,
     ROOT_ROT,
     axis_angle_to_matrix,
@@ -38,7 +36,7 @@ MAX_POINT_GRID_CELLS = 1 << 24
 
 
 class SceneError(ValueError):
-    """Raised for malformed grids or mismatched frame counts."""
+    """Raised for malformed grids, point clouds or keypoint arrays."""
 
 
 @dataclass(frozen=True)
@@ -354,16 +352,6 @@ def body_keypoints(seq: MotionSequence) -> np.ndarray:
     return positions
 
 
-def object_points_track(base_points: np.ndarray, seq: MotionSequence) -> np.ndarray:
-    """Object surface points moved by the per-frame object pose: (T, n, 3)."""
-    frames = seq.frames
-    base = np.asarray(base_points, dtype=np.float64)
-    if base.ndim != 2 or base.shape[1] != 3:
-        raise SceneError(f"object points must be (n, 3), got {base.shape}")
-    rot = axis_angle_to_matrix(frames[:, OBJ_ROT])
-    return np.einsum("tab,nb->tna", rot, base) + frames[:, None, OBJ_POS]
-
-
 def voxelize_points(points: np.ndarray, cell_size: float) -> SceneVoxelGrid:
     """Occupancy grid marking every cell that contains at least one point.
 
@@ -402,45 +390,43 @@ def collision_score(keypoints: np.ndarray, sdf: SignedDistanceField) -> tuple[fl
     return penetration, colliding
 
 
-def _closest_pair_distances(keypoints: np.ndarray, object_points: np.ndarray) -> np.ndarray:
-    """Per-frame distance of the closest keypoint-object point pair, shape (T,).
+def _closest_pair_distances(keypoints: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per-frame closest distance, shape (T,), of keypoints (T, J, 3) to a static cloud (n, 3).
 
     Squared distances accumulate as (dx^2 + dy^2) + dz^2 over (J, n)
     differences, a block of frames at a time in two reused buffers, from
-    coordinate-major copies (3, T, J) and (3, T, n).  ``sqrt`` is monotone
-    and correctly rounded, so the root of each frame's minimum is its minimum
-    distance.
+    coordinate-major copies (3, T, J) and (3, n).  ``sqrt`` is monotone and
+    correctly rounded, so the root of each frame's minimum is its minimum.
     """
     kp = np.ascontiguousarray(np.moveaxis(keypoints, 2, 0))
-    op = np.ascontiguousarray(np.moveaxis(object_points, 2, 0))
+    op = np.ascontiguousarray(points.T)
     num = kp.shape[1]
-    squared = np.empty((min(_CONTACT_BLOCK, num), kp.shape[2], op.shape[2]))
+    squared = np.empty((min(_CONTACT_BLOCK, num), kp.shape[2], op.shape[1]))
     delta = np.empty_like(squared)
     closest = np.empty(num)
     for start in range(0, num, _CONTACT_BLOCK):
         stop = min(start + _CONTACT_BLOCK, num)
         block, diff = squared[:stop - start], delta[:stop - start]
-        np.subtract(kp[0, start:stop, :, None], op[0, start:stop, None, :], out=block)
+        np.subtract(kp[0, start:stop, :, None], op[0], out=block)
         block *= block
         for axis in (1, 2):
-            np.subtract(kp[axis, start:stop, :, None], op[axis, start:stop, None, :], out=diff)
+            np.subtract(kp[axis, start:stop, :, None], op[axis], out=diff)
             diff *= diff
             block += diff
         block.reshape(stop - start, -1).min(axis=1, out=closest[start:stop])
     return np.sqrt(closest, out=closest)
 
 
-def contact_score(keypoints: np.ndarray, object_points: np.ndarray) -> float:
-    """Fraction of frames whose closest human-object pair is under ``CONTACT_THRESHOLD``.
+def contact_score(keypoints: np.ndarray, points: np.ndarray) -> float:
+    """Fraction of frames whose closest keypoint-object pair is under ``CONTACT_THRESHOLD``.
 
-    The comparison is strict, so a pair at exactly the threshold distance does
-    not count as contact.
+    ``points`` (n, 3) is the object's static cloud and ``keypoints`` (T, J, 3)
+    are in its frame.  The comparison is strict, so a pair at exactly the
+    threshold distance does not count as contact.
     """
     kp = np.asarray(keypoints, dtype=np.float64)
-    op = np.asarray(object_points, dtype=np.float64)
-    if kp.ndim != 3 or op.ndim != 3:
-        raise SceneError("keypoints and object_points must be (T, ., 3) arrays")
-    if kp.shape[0] != op.shape[0]:
-        raise SceneError(f"frame counts differ: {kp.shape[0]} vs {op.shape[0]}")
+    op = np.asarray(points, dtype=np.float64)
+    if kp.ndim != 3 or op.ndim != 2:
+        raise SceneError("keypoints must be (T, J, 3) and points (n, 3)")
     closest = _closest_pair_distances(kp, op)
     return np.count_nonzero(closest < CONTACT_THRESHOLD) / kp.shape[0]

@@ -432,6 +432,13 @@ class TestScoreAndEval:
         assert dispatch(["score", "--motion", str(motion_path)]) == 2
         capsys.readouterr()
 
+    def test_score_without_scene_or_object_exits_2_before_reading(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(fileio, "read_mseq", _no_work)
+        assert dispatch(["score", "--motion", str(tmp_path / "m.mseq")]) == 2
+        assert ("geometry scores need --motion with --scene and/or --object"
+                in capsys.readouterr().err)
+
     @staticmethod
     def write_eval_inputs(tmp_path, rng, rows):
         real = rng.normal(size=(rows, 12))
@@ -513,6 +520,40 @@ class TestScoreAndEval:
         assert "geometry scores need --motion" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_eval_geometry_equals_score_report(self, tmp_path, rng):
+        seq = synth.make_walk_sequence(num_frames=9, speed=0.3, arm_swing=0.0,
+                                       with_object=True)
+        motion_path = tmp_path / "m.mseq"
+        fileio.write_mseq(motion_path, MotionSequence(
+            seq.frames + np.r_[[0.8, 0, 0.8], np.zeros(72)], fps=seq.fps, is_canonical=False))
+        pts = tmp_path / "o.pts"
+        fileio.write_pts(pts, np.random.default_rng(0).uniform(-0.6, 0.6, (256, 3)))
+        geometry = ["--motion", str(motion_path), "--scene", str(make_room(tmp_path)),
+                    "--object", str(pts)]
+        assert dispatch(["score", *geometry, "--report", str(tmp_path / "score.json")]) == 0
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
+        with pytest.warns(UserWarning, match="with replacement"):
+            assert dispatch(argv + geometry) == 0
+        score = json.loads((tmp_path / "score.json").read_text())
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert score["contact"] > 0.0
+        assert {key: payload[key] for key in score} == score
+        assert set(payload) - set(score) == {"fid", "r1", "r2", "r3", "mmd", "diversity",
+                                             "diversity_with_replacement"}
+
+    def test_eval_canonical_motion_exits_2_before_feature_work(self, tmp_path, rng, capsys,
+                                                              monkeypatch):
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
+        motion_path = tmp_path / "m.mseq"
+        fileio.write_mseq(motion_path, synth.make_walk_sequence(num_frames=9))
+        pts = tmp_path / "o.pts"
+        fileio.write_pts(pts, rng.uniform(-0.1, 0.1, (8, 3)))
+        monkeypatch.setattr(fileio, "read_feat", _no_work)
+        monkeypatch.setattr(metrics, "fit_gaussian", _no_work)
+        assert dispatch(argv + ["--motion", str(motion_path), "--object", str(pts)]) == 2
+        assert "geometry scoring expects a global motion" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_eval_zero_feature_columns_exit_1(self, tmp_path, rng, capsys):
         _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
         fileio.write_feat(tmp_path / "real.feat", np.zeros((64, 0)))
@@ -557,7 +598,7 @@ def cli_inputs(tmp_path_factory):
      "vocab_size must be a power of two >= 2, got 1"),
     (["detokenize", "--vae", "{vae}", "--in", "{mtok}", "--out", "{out}/d.mseq",
       "--fps", "0"],
-     "argument --fps: must be >= 1, got 0"),
+     "argument --fps: must be in [1, 4294967295], got 0"),
     (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
       "--report", "{out}/r.json", "--yaw-count", "0"],
      "argument --yaw-count: must be >= 1, got 0"),
@@ -594,6 +635,11 @@ def cli_inputs(tmp_path_factory):
      "argument --pool-size: must be >= 3, got 2"),
     (["sample", "--cfg-scale", "5", "--out", "{out}/s.mseq"],
      "--cfg-scale needs --heading"),
+    (["convert", "--in", "{motion}", "--out", "{out}/c.mseq", "--root-pose=0,0,0,0,0,7"],
+     "argument --root-pose: orientation rotation magnitude must be < 2*pi, got max 7.000000"),
+    (["detokenize", "--vae", "{vae}", "--in", "{mtok}", "--out", "{out}/d.mseq",
+      "--fps", "4294967296"],
+     "argument --fps: must be in [1, 4294967295], got 4294967296"),
 ])
 def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs, tmp_path,
                                                         capsys):
@@ -676,7 +722,7 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("given, omitted, name, default", [
         (["sample", "--two-pass", "--out", "o"], ["sample", "--out", "o"], "two_pass", False),
-        (["convert", "--in", "i", "--out", "o", "--root-pose=1,2,3,4,5,6"],
+        (["convert", "--in", "i", "--out", "o", "--root-pose=1,2,3,0.4,0.5,0.6"],
          ["convert", "--in", "i", "--out", "o"], "root_pose", None),
     ], ids=["sample", "convert"])
     def test_flag_does_not_carry_into_next_parse(self, given, omitted, name, default):

@@ -53,6 +53,11 @@ class TestMseq:
         with pytest.raises(FileFormatError):
             read_mseq(path)
 
+    def test_fps_beyond_u32_rejected_without_a_file(self, tmp_path):
+        with pytest.raises(FileFormatError, match="does not fit"):
+            write_mseq(tmp_path / "a.mseq", MotionSequence(np.zeros((4, FRAME_DIM)), fps=2**32))
+        assert not any(tmp_path.iterdir())
+
     def test_truncated(self, tmp_path, rng):
         seq = MotionSequence(rng.uniform(-1, 1, (4, FRAME_DIM)))
         path = tmp_path / "t.mseq"

@@ -1,9 +1,21 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from motok.motion import FRAME_DIM, MotionSequence, SixDof, to_global
+from motok import cli, fileio, scene
+from motok.motion import (
+    FRAME_DIM,
+    OBJ_POS,
+    OBJ_ROT,
+    MotionSequence,
+    SixDof,
+    axis_angle_to_matrix,
+    to_global,
+)
 from motok.scene import (
     BONE_OFFSETS,
     CONTACT_THRESHOLD,
@@ -18,12 +30,10 @@ from motok.scene import (
     build_sdf,
     collision_score,
     contact_score,
-    object_points_track,
     sample_sdf,
     sample_sdf_shifted,
     voxelize_points,
 )
-from conftest import rodrigues
 from test_populate import demo_room
 
 
@@ -390,28 +400,43 @@ class TestCollision:
         assert pen1 >= pen0
 
 
+def world_frame_closest(keypoints, base, frames):
+    """Oracle: the object cloud moved to each frame's object pose, then each
+    frame's ``cdist`` minimum against the world keypoints."""
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
+    rot = axis_angle_to_matrix(frames[:, OBJ_ROT])
+    track = np.einsum("tab,nb->tna", rot, base) + frames[:, None, OBJ_POS]
+    return np.array([cdist(k, p).min() for k, p in zip(keypoints, track)])
+
+
+def random_vectors(rng, num, max_norm):
+    """``num`` vectors with uniform directions and norms uniform in [0, max_norm)."""
+    axes = rng.normal(size=(num, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True) * rng.uniform(0, max_norm, (num, 1))
+
+
 class TestContact:
     def test_coincident_every_frame(self, rng):
         kp = rng.normal(size=(5, 3, 3))
-        obj = kp[:, :1, :].copy()
+        obj = kp[:, 0, :].copy()
         assert contact_score(kp, obj) == 1.0
 
     def test_meter_away_never(self, rng):
         kp = np.zeros((4, 2, 3))
-        obj = np.full((4, 5, 3), 2.0)
+        obj = np.full((5, 3), 2.0)
         assert contact_score(kp, obj) == 0.0
 
     def test_three_of_ten_frames(self):
-        kp = np.zeros((10, 1, 3))
-        obj = np.full((10, 1, 3), 10.0)
+        kp = np.full((10, 1, 3), 10.0)
         for t in (1, 4, 7):
-            obj[t] = [0.04, 0.0, 0.0]
+            kp[t] = [0.04, 0.0, 0.0]
+        obj = np.zeros((1, 3))
         assert contact_score(kp, obj) == pytest.approx(0.3)
 
     def test_strict_threshold_boundary(self):
         kp = np.zeros((1, 1, 3))
-        at = np.array([[[0.05, 0.0, 0.0]]])
-        under = np.array([[[0.05 - 1e-9, 0.0, 0.0]]])
+        at = np.array([[0.05, 0.0, 0.0]])
+        under = np.array([[0.05 - 1e-9, 0.0, 0.0]])
         assert contact_score(kp, at) == 0.0
         assert contact_score(kp, under) == 1.0
 
@@ -422,27 +447,48 @@ class TestContact:
         cdist = pytest.importorskip("scipy.spatial.distance").cdist
         rng = np.random.default_rng(seed)
         kp = rng.normal(size=(num, joints, 3))
-        obj = rng.normal(size=(num, points, 3))
-        want = np.array([cdist(a, b).min() for a, b in zip(kp, obj)])
+        obj = rng.normal(size=(points, 3))
+        want = np.array([cdist(a, obj).min() for a in kp])
         assert _closest_pair_distances(kp, obj).tobytes() == want.tobytes()
 
     def test_pair_at_threshold_on_every_axis_is_not_contact(self):
         kp = np.zeros((3, 1, 3))
-        at = np.zeros((3, 1, 3))
-        at[[0, 1, 2], 0, [0, 1, 2]] = -CONTACT_THRESHOLD
-        np.testing.assert_array_equal(_closest_pair_distances(kp, at), CONTACT_THRESHOLD)
-        assert contact_score(kp, at) == 0.0
-        assert contact_score(kp, np.nextafter(at, 0.0)) == 1.0
+        kp[[0, 1, 2], 0, [0, 1, 2]] = -CONTACT_THRESHOLD
+        obj = np.zeros((1, 3))
+        np.testing.assert_array_equal(_closest_pair_distances(kp, obj), CONTACT_THRESHOLD)
+        assert contact_score(kp, obj) == 0.0
+        assert contact_score(np.nextafter(kp, 0.0), obj) == 1.0
 
     def test_invariant_to_point_relabeling(self, rng):
         kp = rng.normal(size=(6, 4, 3))
-        obj = rng.normal(size=(6, 9, 3))
-        shuffled = obj[:, rng.permutation(9), :]
+        obj = rng.normal(size=(9, 3))
+        shuffled = obj[rng.permutation(9)]
         assert contact_score(kp, obj) == contact_score(kp, shuffled)
 
-    def test_frame_count_mismatch(self, rng):
-        with pytest.raises(SceneError):
-            contact_score(np.zeros((3, 2, 3)), np.zeros((4, 2, 3)))
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 20),
+           st.integers(0, 2**32 - 1))
+    def test_object_frame_contact_matches_world_frame_oracle(self, num, joints, points, seed):
+        """``score``'s contact, from keypoints moved into the object's frame,
+        equals contact against the cloud moved into the world."""
+        rng = np.random.default_rng(seed)
+        frames = np.zeros((num, FRAME_DIM))
+        frames[:, OBJ_POS] = rng.uniform(-2.0, 2.0, (num, 3))
+        frames[:, OBJ_ROT] = random_vectors(rng, num, np.pi)
+        base = rng.normal(scale=0.2, size=(points, 3))
+        # each keypoint sits 0 to 3 thresholds from a random point of the moved cloud
+        rot = axis_angle_to_matrix(frames[:, OBJ_ROT])
+        near = np.einsum("tab,tjb->tja", rot, base[rng.integers(0, points, (num, joints))])
+        offsets = random_vectors(rng, num * joints, 3.0 * CONTACT_THRESHOLD)
+        keypoints = near + frames[:, None, OBJ_POS] + offsets.reshape(num, joints, 3)
+        closest = world_frame_closest(keypoints, base, frames)
+        assume(np.all(np.abs(closest - CONTACT_THRESHOLD) > 1e-9))
+        args = SimpleNamespace(motion="m.mseq", scene=None, object="o.pts")
+        with mock.patch.object(fileio, "read_mseq", return_value=MotionSequence(frames)), \
+                mock.patch.object(fileio, "read_pts", return_value=base), \
+                mock.patch.object(scene, "body_keypoints", return_value=keypoints):
+            report = cli._geometry_scores(args)
+        assert report["contact"] == np.count_nonzero(closest < CONTACT_THRESHOLD) / num
 
 
 class TestBodyKeypoints:
@@ -466,16 +512,6 @@ class TestBodyKeypoints:
 
 
 class TestObjectPoints:
-    def test_track_applies_pose(self, rng):
-        base = rng.normal(size=(6, 3))
-        frames = np.zeros((2, FRAME_DIM))
-        frames[1, 69:72] = [1.0, 2.0, 3.0]
-        frames[1, 72:75] = [0.0, np.pi / 2.0, 0.0]
-        track = object_points_track(base, MotionSequence(frames))
-        np.testing.assert_allclose(track[0], base, atol=1e-12)
-        rot = rodrigues(np.array([0.0, np.pi / 2.0, 0.0]))
-        np.testing.assert_allclose(track[1], base @ rot.T + [1.0, 2.0, 3.0], atol=1e-12)
-
     def test_voxelize_marks_point_cells(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
         cell = 0.25
