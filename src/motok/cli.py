@@ -76,7 +76,7 @@ def _cmd_tokenize(args) -> int:
     params = fileio.read_vae(args.vae)
     seq = fileio.read_mseq(args.infile)
     indices = vae.tokenize_frames(params, seq.frames)
-    stream = lfq.TokenStream(indices=indices, vocab_size=params.vocab_size)
+    stream = lfq.TokenStream(indices, params.vocab_size, seq.fps, seq.is_canonical)
     fileio.write_mtok(args.outfile, stream)
     return 0
 
@@ -89,7 +89,7 @@ def _cmd_detokenize(args) -> int:
             f"token vocab {stream.vocab_size} does not match VAE vocab {params.vocab_size}"
         )
     frames = vae.decode(params, lfq.indices_to_bits(stream.indices, params.num_dims))
-    seq = motion.MotionSequence(frames, fps=args.fps, is_canonical=args.canonical)
+    seq = motion.MotionSequence(frames, fps=stream.fps, is_canonical=stream.is_canonical)
     fileio.write_mseq(args.outfile, seq)
     return 0
 
@@ -310,12 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_tokenize)
 
-    p = sub.add_parser("detokenize", help="decode token indices back to motion")
+    p = sub.add_parser("detokenize", help="decode tokens to motion at the .mtok's fps and "
+                                          "representation, padding kept: 8*ceil(T/8) frames")
     p.add_argument("--vae", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--fps", type=_bounded_int(1, fileio.MAX_FPS), default=30)
-    p.add_argument("--canonical", action="store_true")
     p.set_defaults(func=_cmd_detokenize)
 
     p = sub.add_parser("train-vae", help="train the toy tokenizer autoencoder")

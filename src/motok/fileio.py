@@ -5,11 +5,12 @@ header table below: its magic, its version, its ``struct`` header, and the
 payload that follows the header.  A file is the magic, the format's version
 as a u32 (neither is present when the magic is empty), the header, then the
 payload.  Each format has its own version, and each reader reads that
-version alone: ``.mtok`` and ``.vae`` are at version 2, so a version 1 file
-of either is rejected.  Every reader raises :class:`FileFormatError` on a
-bad magic or version, a header or payload that runs past the end of the
-file (a corrupt count included), a tensor name that is not UTF-8, a tensor
-that is not 1-D or 2-D, or bytes after the payload.  The point and feature
+version alone: ``.mtok`` is at version 3 and ``.vae`` at version 2, so an
+older file of either is rejected.  Every reader raises
+:class:`FileFormatError` on a bad magic or version, a header or payload that
+runs past the end of the file (a corrupt count included), an is_canonical
+byte other than 0 or 1, a tensor name that is not UTF-8, a tensor that is
+not 1-D or 2-D, or bytes after the payload.  The point and feature
 readers also reject a NaN or infinite value, which no later stage can use.
 """
 
@@ -33,9 +34,9 @@ _VERSION = "<I"
 # (magic, version, header): header fields; payload.  A format without a
 # magic has no version either.
 _MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
-MAX_FPS = (1 << 32) - 1  # fps is a u32
-# vocab_size (<= _MAX_VOCAB), num_tokens; u16 indices, one per vae.SEGMENT_LEN frames
-_MTOK = (b"MTOK", 2, "<II")
+# vocab_size (<= _MAX_VOCAB), num_tokens, then the source motion's fps and
+# is_canonical; u16 indices, one per vae.SEGMENT_LEN frames
+_MTOK = (b"MTOK", 3, "<IIIB")
 _MAX_VOCAB = 1 << 16  # every index fits a u16
 # H, W, D, origin[3], cell_size; occupancy bit-packed MSB-first, flattened
 # x-fastest (y, then z, then x order)
@@ -139,25 +140,32 @@ def write_mseq(path, seq: MotionSequence):
            _float32(seq.frames, "frames").tobytes())
 
 
+def _is_canonical(flag: int) -> bool:
+    if flag not in (0, 1):
+        raise FileFormatError(f"is_canonical byte must be 0 or 1, got {flag:#04x}")
+    return bool(flag)
+
+
 def read_mseq(path) -> MotionSequence:
     with _read(path, _MSEQ) as (body, (num, fps, canonical)):
         frames = _array(body, "<f4", (num, FRAME_DIM), "frames")
-    return MotionSequence(frames.astype(np.float64), fps=fps, is_canonical=bool(canonical))
+    return MotionSequence(frames.astype(np.float64), fps=fps, is_canonical=_is_canonical(canonical))
 
 
 def write_mtok(path, stream: TokenStream):
     if stream.vocab_size > _MAX_VOCAB:
         raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}")
-    _write(path, _MTOK, (stream.vocab_size, stream.num_tokens),
+    _write(path, _MTOK, (stream.vocab_size, stream.indices.size, stream.fps, stream.is_canonical),
            stream.indices.astype("<u2").tobytes())
 
 
 def read_mtok(path) -> TokenStream:
-    with _read(path, _MTOK) as (body, (vocab, num)):
+    with _read(path, _MTOK) as (body, (vocab, num, fps, canonical)):
         if vocab > _MAX_VOCAB:
             raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}, got {vocab}")
         indices = _array(body, "<u2", (num,), "tokens")
-    return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab)
+    return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab, fps=fps,
+                       is_canonical=_is_canonical(canonical))
 
 
 def write_vox(path, grid: SceneVoxelGrid):

@@ -4,8 +4,8 @@ The codebook is implicit: each latent dimension quantizes independently to
 the nearer of +1/-1, and the token index is the little-endian bit pattern of
 the signs.  No code vectors are stored anywhere.  Every function takes a
 batch of latents, sign patterns or token indices.  A :class:`TokenStream`
-holds the indices of one motion, as ``motok tokenize`` writes them to a
-``.mtok`` file and ``motok detokenize`` reads them back.
+holds one motion's indices, fps and is_canonical flag: ``motok tokenize``
+writes them to a ``.mtok`` file and ``motok detokenize`` reads them back.
 """
 
 from __future__ import annotations
@@ -45,10 +45,12 @@ class LfqCodebook:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Token indices, one per ``vae.SEGMENT_LEN``-frame motion segment."""
+    """A motion's fps, is_canonical flag and token indices, one per ``vae.SEGMENT_LEN`` frames."""
 
     indices: np.ndarray
     vocab_size: int
+    fps: int
+    is_canonical: bool
 
     def __post_init__(self):
         codebook = LfqCodebook(self.vocab_size)
@@ -57,13 +59,13 @@ class TokenStream:
             raise QuantizerError("token stream is empty")
         if np.any(idx < 0) or np.any(idx >= codebook.vocab_size):
             raise QuantizerError("token index out of range")
+        if int(self.fps) < 1:
+            raise QuantizerError(f"fps must be >= 1, got {self.fps}")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "vocab_size", codebook.vocab_size)
-
-    @property
-    def num_tokens(self) -> int:
-        return self.indices.size
+        object.__setattr__(self, "fps", int(self.fps))
+        object.__setattr__(self, "is_canonical", bool(self.is_canonical))
 
 
 def sign_bits(latents: np.ndarray) -> np.ndarray:

@@ -161,6 +161,27 @@ class TestTokenizeRoundTrip:
         mse_direct = reconstruction_mse(params, source.frames)
         assert mse_files == pytest.approx(mse_direct, rel=1e-3, abs=1e-6)
 
+    def test_detokenize_keeps_the_source_fps_and_representation(self, tmp_path):
+        data_dir = write_corpus(tmp_path)
+        vae_path = train_small_vae(tmp_path, data_dir)
+        walk = tmp_path / "walk.mseq"
+        fileio.write_mseq(walk, MotionSequence(synth.make_walk_sequence(num_frames=20).frames,
+                                               fps=20, is_canonical=True))
+        for src, fps, canonical in [(walk, 20, True), (data_dir / "seq00.mseq", 30, False)]:
+            tok, out = tmp_path / f"{src.stem}.mtok", tmp_path / f"{src.stem}_back.mseq"
+            assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(src),
+                             "--out", str(tok)]) == 0
+            assert dispatch(["detokenize", "--vae", str(vae_path), "--in", str(tok),
+                             "--out", str(out)]) == 0
+            decoded = fileio.read_mseq(out)
+            assert (decoded.fps, decoded.is_canonical) == (fps, canonical)
+        assert fileio.read_mseq(tmp_path / "walk_back.mseq").num_frames == 24
+        # the decoded walk is local motion, so populate places it
+        assert dispatch(["populate", "--scene", str(make_room(tmp_path)), "--motion",
+                         str(tmp_path / "walk_back.mseq"), "--out", str(tmp_path / "placed.mseq"),
+                         "--report", str(tmp_path / "placement.json")]) == 0
+        assert not fileio.read_mseq(tmp_path / "placed.mseq").is_canonical
+
     def test_detokenize_matches_reconstruct_when_a_rotation_wraps(self, tmp_path):
         # a decoded root rotation of magnitude ~6.5 > 2*pi must be wrapped the
         # same way by both paths
@@ -186,22 +207,22 @@ class TestTokenizeRoundTrip:
         stream_path = tmp_path / "w.mtok"
         from motok.lfq import TokenStream
         fileio.write_mtok(stream_path, TokenStream(indices=np.array([0, 1]),
-                                                   vocab_size=128))
+                                                   vocab_size=128, fps=30, is_canonical=False))
         assert dispatch(["detokenize", "--vae", str(vae_path), "--in",
                          str(stream_path), "--out", str(tmp_path / "o.mseq")]) == 2
         capsys.readouterr()
 
-    def test_version_1_mtok_rejected(self, tmp_path, capsys):
+    def test_version_2_mtok_rejected(self, tmp_path, capsys):
         data_dir = write_corpus(tmp_path)
         vae_path = train_small_vae(tmp_path, data_dir)
-        # version 1: magic, version, vocab_size, num_tokens, segment_len (8), u16 indices
-        stream_path = tmp_path / "v1.mtok"
-        stream_path.write_bytes(b"MTOK" + struct.pack("<IIII", 1, 64, 3, 8)
+        # version 2: magic, version, vocab_size, num_tokens, u16 indices (no fps or flag)
+        stream_path = tmp_path / "v2.mtok"
+        stream_path.write_bytes(b"MTOK" + struct.pack("<III", 2, 64, 3)
                                 + struct.pack("<3H", 0, 1, 2))
         out = tmp_path / "o.mseq"
         assert dispatch(["detokenize", "--vae", str(vae_path), "--in",
                          str(stream_path), "--out", str(out)]) == 1
-        assert "unsupported MTOK version 1" in capsys.readouterr().err
+        assert "unsupported MTOK version 2, expected version 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_hidden_width_rejected(self, tmp_path, capsys):
@@ -570,14 +591,11 @@ def cli_inputs(tmp_path_factory):
     vae_path = root / "p.vae"
     assert dispatch(["train-vae", "--data", str(data_dir), "--out", str(vae_path),
                      "--vocab-size", "16", "--hidden-width", "4", "--epochs", "1"]) == 0
-    mtok = root / "t.mtok"
-    assert dispatch(["tokenize", "--vae", str(vae_path),
-                     "--in", str(data_dir / "seq00.mseq"), "--out", str(mtok)]) == 0
     motion_path = root / "walk.mseq"
     fileio.write_mseq(motion_path, synth.make_walk_sequence(num_frames=9))
     feat_path = root / "f.feat"
     fileio.write_feat(feat_path, np.random.default_rng(0).normal(size=(64, 8)))
-    return {"data": data_dir, "vae": vae_path, "mtok": mtok,
+    return {"data": data_dir, "vae": vae_path,
             "scene": make_room(root), "motion": motion_path, "feat": feat_path}
 
 
@@ -596,9 +614,8 @@ def cli_inputs(tmp_path_factory):
      "epochs must be >= 1, got 0"),
     (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--vocab-size", "1"],
      "vocab_size must be a power of two >= 2, got 1"),
-    (["detokenize", "--vae", "{vae}", "--in", "{mtok}", "--out", "{out}/d.mseq",
-      "--fps", "0"],
-     "argument --fps: must be in [1, 4294967295], got 0"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--hidden-width", "0"],
+     "hidden_width must be >= 1, got 0"),
     (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
       "--report", "{out}/r.json", "--yaw-count", "0"],
      "argument --yaw-count: must be >= 1, got 0"),
@@ -637,9 +654,6 @@ def cli_inputs(tmp_path_factory):
      "--cfg-scale needs --heading"),
     (["convert", "--in", "{motion}", "--out", "{out}/c.mseq", "--root-pose=0,0,0,0,0,7"],
      "argument --root-pose: orientation rotation magnitude must be < 2*pi, got max 7.000000"),
-    (["detokenize", "--vae", "{vae}", "--in", "{mtok}", "--out", "{out}/d.mseq",
-      "--fps", "4294967296"],
-     "argument --fps: must be in [1, 4294967295], got 4294967296"),
 ])
 def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs, tmp_path,
                                                         capsys):

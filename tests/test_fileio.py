@@ -69,21 +69,24 @@ class TestMseq:
 
 class TestMtok:
     def test_round_trip(self, tmp_path, rng):
-        stream = TokenStream(indices=rng.integers(0, 8192, 40), vocab_size=8192)
+        stream = TokenStream(indices=rng.integers(0, 8192, 40), vocab_size=8192, fps=20,
+                             is_canonical=True)
         path = tmp_path / "a.mtok"
         write_mtok(path, stream)
         back = read_mtok(path)
         np.testing.assert_array_equal(back.indices, stream.indices)
-        assert back.vocab_size == 8192
+        assert (back.vocab_size, back.fps, back.is_canonical) == (8192, 20, True)
 
     def test_vocab_limit(self, tmp_path):
-        stream = TokenStream(indices=np.array([0]), vocab_size=1 << 17)
+        stream = TokenStream(indices=np.array([0]), vocab_size=1 << 17, fps=30,
+                             is_canonical=False)
         with pytest.raises(FileFormatError):
             write_mtok(tmp_path / "big.mtok", stream)
 
     def test_reader_rejects_vocab_the_writer_refuses(self, tmp_path):
         path = tmp_path / "big.mtok"
-        write_mtok(path, TokenStream(indices=np.array([0, 3]), vocab_size=1 << 16))
+        write_mtok(path, TokenStream(indices=np.array([0, 3]), vocab_size=1 << 16, fps=30,
+                                     is_canonical=False))
         blob = bytearray(path.read_bytes())
         blob[8:12] = struct.pack("<I", 1 << 17)  # after the magic and the version
         path.write_bytes(bytes(blob))
@@ -173,7 +176,8 @@ _VALID_FILES = {
     ".mseq": (write_mseq, read_mseq,
               lambda rng: MotionSequence(rng.uniform(-1, 1, (3, FRAME_DIM)))),
     ".mtok": (write_mtok, read_mtok,
-              lambda rng: TokenStream(indices=rng.integers(0, 64, 5), vocab_size=64)),
+              lambda rng: TokenStream(indices=rng.integers(0, 64, 5), vocab_size=64, fps=30,
+                                      is_canonical=False)),
     ".vox": (write_vox, read_vox,
              lambda rng: SceneVoxelGrid((rng.random((3, 2, 2)) < 0.5).astype(np.uint8),
                                         np.zeros(3), 0.1)),
@@ -257,14 +261,16 @@ def test_vae_name_not_utf8_rejected(tmp_path):
 
 # one value per format from deterministic inputs (no generator draws, whose
 # streams may change with the numpy version), and the sha256 of its file.  The
-# .mtok and .vae pins are their version 1 files with the version set to 2 and
-# the segment length or downsample layer count field cut out.
+# .mtok pin was derived by hand: the magic, version 3, <IIIB (64, 8, 30, 1) and
+# the u16 indices.  The .vae pin is its version 1 file with the version set to
+# 2 and the downsample layer count field cut out.
 _GOLDEN = {
     ".mseq": (lambda: MotionSequence(np.linspace(-1, 1, 3 * FRAME_DIM).reshape(3, FRAME_DIM),
                                      fps=30, is_canonical=True),
               "aa5983d7b56b44b091995e2bb7fc3594ccff2eec0f6281d51151e82901b4a268"),
-    ".mtok": (lambda: TokenStream(indices=np.arange(0, 64, 9), vocab_size=64),
-              "5d129e5ea4bf267cd01f5f8dcbe58c5cf15f20109be2b492d382b78812710ce6"),
+    ".mtok": (lambda: TokenStream(indices=np.arange(0, 64, 9), vocab_size=64, fps=30,
+                                  is_canonical=True),
+              "4444cfee5dcf42f6b6017fbea74bb19ffb3a5922ec8869f66d6c10c086b9b3a3"),
     ".vox": (lambda: SceneVoxelGrid((np.arange(12).reshape(3, 2, 2) % 3 == 0).astype(np.uint8),
                                     np.array([0.5, -1.0, 2.0]), 0.25),
              "6b6c66f8c7a5978a961a979d1cb454637c06156c4f333d95aaaf8113e3412a23"),
@@ -330,6 +336,17 @@ def test_header_corruption_returns_or_raises_a_motok_error(tmp_path, suffix):
     assert not leaks
 
 
+@pytest.mark.parametrize("suffix", [".mseq", ".mtok"])
+@pytest.mark.parametrize("flag", [0x02, 0x80], ids=hex)
+def test_is_canonical_byte_other_than_0_or_1_rejected(tmp_path, suffix, flag):
+    path = _golden_file(tmp_path, suffix)
+    blob = bytearray(path.read_bytes())
+    blob[_header_end(_FORMATS[suffix]) - 1] = flag  # is_canonical, the last header byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError, match=f"is_canonical byte must be 0 or 1, got {flag:#04x}"):
+        _VALID_FILES[suffix][1](path)
+
+
 def test_corrupt_header_exits_1_without_output(tmp_path, capsys):
     vae_path = _golden_file(tmp_path, ".vae")
     blob = bytearray(vae_path.read_bytes())
@@ -366,9 +383,9 @@ def _motion(seed, num_frames, fps, canonical):
     return MotionSequence(frames, fps=fps, is_canonical=canonical)
 
 
-def _stream(seed, vocab_size, num_tokens):
+def _stream(seed, vocab_size, num_tokens, fps, canonical):
     indices = np.random.default_rng(seed).integers(0, vocab_size, num_tokens)
-    return TokenStream(indices=indices, vocab_size=vocab_size)
+    return TokenStream(indices=indices, vocab_size=vocab_size, fps=fps, is_canonical=canonical)
 
 
 def _grid(seed, shape, origin, cell_size):
@@ -396,7 +413,7 @@ _GRID_SHAPES = st.just((1, 1, 1)) | st.tuples(*[st.integers(1, 9)] * 3)
 
 _DRAWN = {
     ".mseq": st.builds(_motion, _SEEDS, _FRAMES, _U32, st.booleans()),
-    ".mtok": st.builds(_stream, _SEEDS, _VOCABS, st.integers(1, 64)),
+    ".mtok": st.builds(_stream, _SEEDS, _VOCABS, st.integers(1, 64), _U32, st.booleans()),
     ".vox": st.builds(_grid, _SEEDS, _GRID_SHAPES, st.tuples(*[_COORD] * 3),
                       st.floats(0.125, 10, width=32)),
     ".pts": st.builds(_table, _SEEDS, _ROWS, st.just(3)),
@@ -407,7 +424,7 @@ _DRAWN = {
 # what each file stores, float data at float32
 _STORED = {
     ".mseq": lambda seq: (seq.frames.astype(np.float32), seq.fps, seq.is_canonical),
-    ".mtok": lambda stream: (stream.indices, stream.vocab_size),
+    ".mtok": lambda stream: (stream.indices, stream.vocab_size, stream.fps, stream.is_canonical),
     ".vox": lambda grid: (grid.occupancy, grid.origin.astype(np.float32),
                           np.float32(grid.cell_size)),
     ".pts": lambda points: points.astype(np.float32),

@@ -34,11 +34,12 @@ class TestCodebook:
 class TestTokenStream:
     def test_rejects_out_of_range(self):
         with pytest.raises(QuantizerError):
-            TokenStream(indices=np.array([8192]), vocab_size=8192)
+            TokenStream(indices=np.array([8192]), vocab_size=8192, fps=30, is_canonical=False)
 
     def test_rejects_empty(self):
         with pytest.raises(QuantizerError):
-            TokenStream(indices=np.array([], dtype=np.int64), vocab_size=64)
+            TokenStream(indices=np.array([], dtype=np.int64), vocab_size=64, fps=30,
+                        is_canonical=False)
 
 
 class TestQuantize:
