@@ -10,6 +10,13 @@ order, the forward pass and the hand-written backward all loop over the table.
 It splits at the quantizer seam between ``lat`` and ``dec``: the decoder sees
 the sign pattern of the latent, and the straight-through rule passes the
 reconstruction gradient back through the sign function as identity.
+
+:func:`train` works in float32, the precision a ``.vae`` file stores, so the
+written file holds exactly the trained tensors; a fixed seed gives the same
+bytes at a fixed BLAS thread count.  :func:`loss_and_grads`
+computes in its parameters' dtype.  Inference (``encode``, ``decode``,
+``reconstruct``) computes in float64 for either dtype: its frames and codes
+are float64, and float32 weights upcast exactly.
 """
 
 from __future__ import annotations
@@ -101,6 +108,9 @@ class ToyVaeParams:
     ``in_shift``/``in_scale`` standardize each of the 75 channels before the
     encoder (and undo it after the decoder); they are dataset statistics,
     not trainable weights.
+
+    All tensors share one :attr:`dtype`: float32 when every given tensor is
+    float32 (as :func:`train` makes them), float64 otherwise.
     """
 
     tensors: dict[str, np.ndarray]
@@ -118,9 +128,11 @@ class ToyVaeParams:
         if unknown:
             raise VaeError(f"unknown parameter tensors: {unknown}")
         expected = _shapes(self.hidden_width, LfqCodebook(self.vocab_size).num_dims)
+        arrays = {name: np.asarray(tensors[name]) for name in names}
+        dtype = np.float32 if all(a.dtype == np.float32 for a in arrays.values()) else np.float64
         clean = {}
         for name in names:
-            t = np.asarray(tensors[name], dtype=np.float64)
+            t = arrays[name].astype(dtype, copy=False)
             if t.shape != expected[name]:
                 raise VaeError(f"{name} has shape {t.shape}, expected {expected[name]}")
             if not np.all(np.isfinite(t)):
@@ -133,6 +145,10 @@ class ToyVaeParams:
     @property
     def num_dims(self) -> int:
         return LfqCodebook(self.vocab_size).num_dims
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.tensors["enc1_w"].dtype
 
     @property
     def codebook(self) -> LfqCodebook:
@@ -160,7 +176,8 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray) -> ToyVaeParams:
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in) per layer.
 
     The channel statistics of ``segments`` seed the frozen input
-    standardization; an all-zero batch makes it the identity.
+    standardization; an all-zero batch makes it the identity.  The draws and
+    statistics are float64; the tensors are float32 when ``segments`` is.
     """
     rng = np.random.default_rng(config.seed)
     shapes = _shapes(config.hidden_width, config.num_dims)
@@ -171,6 +188,8 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray) -> ToyVaeParams:
         tensors[f"{name}_b"] = np.zeros(n_out)
     tensors["lat_b"] = tensors["lat_b"] + LATENT_BIAS_INIT
     tensors["in_shift"], tensors["in_scale"] = channel_stats(segments)
+    if np.asarray(segments).dtype == np.float32:
+        tensors = {name: t.astype(np.float32) for name, t in tensors.items()}
     return ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
                         hidden_width=config.hidden_width)
 
@@ -282,15 +301,24 @@ def loss_and_grads(
     differences can check.  With ``quantize=True`` the decoder sees the sign
     pattern and the reconstruction gradient crosses the node via the
     straight-through rule.
+
+    It computes in ``params.dtype``: the segments are cast to it, and the
+    gradients come back in it.  Only the entropy term works in float64 (the
+    latents upcast exactly); its gradient is added in ``params.dtype``.  A
+    non-finite latent, which only an overflowing update inside :func:`train`
+    can produce, gives a NaN loss and no gradients.
     """
     t = params.tensors
-    x = np.asarray(segments, dtype=np.float64)
+    x = np.asarray(segments, dtype=params.dtype)
     if x.ndim != 3 or x.shape[1:] != (SEGMENT_LEN, FRAME_DIM):
         raise VaeError(f"segments must be (S, {SEGMENT_LEN}, {FRAME_DIM}), got {x.shape}")
     s = x.shape[0]
 
     z, enc_trace = _encode(t, x)
-    bits = sign_bits(z).astype(np.float64)
+    if not np.all(np.isfinite(z)):
+        nan = float("nan")
+        return nan, {"recon": nan, "commit": nan, "entropy": nan, "total": nan}, {}
+    bits = sign_bits(z).astype(x.dtype)
     # the decoded segments are a fresh buffer; it becomes the residual in place
     resid, dec_trace = _decode(t, bits if quantize else z)
     resid -= x
@@ -328,15 +356,20 @@ def train(
     config: ToyVaeConfig,
     dataset: list[MotionSequence],
 ) -> tuple[ToyVaeParams, list[dict[str, float]]]:
-    """Full-batch gradient descent on the combined quantizer loss.
+    """Full-batch gradient descent on the combined quantizer loss, in float32.
 
-    Deterministic for a fixed config: seeded init, fixed learning rate, no
-    optimizer state.  Returns the trained parameters and one history row per
-    epoch with the loss terms evaluated at the start of that epoch.
+    The segment batch, the parameters, the gradients and the update step are
+    float32, the precision ``fileio.write_vae`` stores, so the returned
+    parameters (float32) are written without a second rounding.  Deterministic
+    for a fixed config: seeded init, fixed learning rate, no optimizer state;
+    the bytes of the parameters and the history are the same for a fixed seed
+    at a fixed BLAS thread count.  Returns the trained parameters and one
+    history row per epoch with the loss terms evaluated at the start of that
+    epoch.  A loss that becomes non-finite raises :class:`TrainingDiverged`.
     """
-    segments = dataset_segments(dataset)
-    # init_params validates once and returns fresh tensors, which the loop
-    # updates in place
+    segments = dataset_segments(dataset).astype(np.float32)
+    # init_params validates once and returns fresh float32 tensors, which the
+    # loop updates in place
     params = init_params(config, segments)
     tensors = params.tensors
     history = []

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -160,6 +161,27 @@ class TestTokenizeRoundTrip:
         mse_files = float(((decoded.frames - padded) ** 2).mean())
         mse_direct = reconstruction_mse(params, source.frames)
         assert mse_files == pytest.approx(mse_direct, rel=1e-3, abs=1e-6)
+
+    def test_tokenize_detokenize_bytes_from_a_fixed_vae(self, tmp_path):
+        # inference computes in float64 whatever precision the trainer uses,
+        # and this .vae is the float64 init of a fixed corpus, which no trainer
+        # wrote.  Its lat_b[0] puts the first segment's first latent at
+        # -2.3e-9, inside float32 rounding of zero, so a float32 encode flips
+        # that token bit; a float32 decode changes the decoded frames' bytes.
+        seq = synth.make_corpus(1, 48, seed=3)[0]
+        params = vae.init_params(vae.ToyVaeConfig(seed=2), vae.segment_frames(seq.frames))
+        params.tensors["lat_b"][0] = np.float32(-0.039205156)
+        vae_path, src = tmp_path / "p.vae", tmp_path / "s.mseq"
+        fileio.write_vae(vae_path, params)
+        fileio.write_mseq(src, seq)
+        tok, out = tmp_path / "s.mtok", tmp_path / "s_back.mseq"
+        assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(src),
+                         "--out", str(tok)]) == 0
+        assert dispatch(["detokenize", "--vae", str(vae_path), "--in", str(tok),
+                         "--out", str(out)]) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (tok, out)]
+        assert digests == ["62f5d4a421552cfc1043f125ce9b81db6b3f041156dc79ea34555604d31b8f14",
+                           "c7dd0ee03c4bafc9d855979d83f8f36c926c28489489249b363d89e9f7b01de3"]
 
     def test_detokenize_keeps_the_source_fps_and_representation(self, tmp_path):
         data_dir = write_corpus(tmp_path)

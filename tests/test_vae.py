@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motok import vae
+from motok.fileio import read_vae, write_vae
 from motok.lfq import LfqCodebook, codebook_utilization
 from motok.motion import FRAME_DIM, MotionSequence
 from motok.synth import make_corpus
@@ -298,7 +299,8 @@ class TestTrainIsPublicLoop:
                               seed=1)
         params, history = train(config, dataset)
 
-        segments = dataset_segments(dataset)
+        # train works in float32: float32 segments give float32 init tensors
+        segments = dataset_segments(dataset).astype(np.float32)
         tensors = dict(init_params(config, segments).tensors)
         expected = []
         for epoch in range(config.epochs):
@@ -334,6 +336,70 @@ class TestTrainIsPublicLoop:
         assert calls["loss_and_grads"] == 7
         assert calls["entropy_loss"] == 7
         assert calls["entropy_loss_grad"] == (7 if lambda_entropy > 0 else 0)
+
+
+class TestFloat32Training:
+    # the default network size: K=8192 at hidden width 32, as train-vae runs it
+    CONFIG = ToyVaeConfig(lambda_entropy=1e-2, epochs=6, seed=4)
+
+    def test_written_vae_holds_the_trained_tensors(self, tmp_path):
+        params, _ = train(self.CONFIG, make_corpus(2, 48, seed=2))
+        assert params.dtype == np.float32
+        write_vae(tmp_path / "p.vae", params)
+        stored = read_vae(tmp_path / "p.vae")
+        assert stored.tensors.keys() == params.tensors.keys()
+        for name, t in params.tensors.items():
+            assert t.dtype == np.float32, name
+            assert stored.tensors[name].astype(np.float32).tobytes() == t.tobytes(), name
+
+    def test_same_config_gives_the_same_bytes(self, tmp_path):
+        dataset = make_corpus(2, 48, seed=2)
+        files = []
+        for run in range(2):
+            params, history = train(self.CONFIG, dataset)
+            write_vae(tmp_path / f"{run}.vae", params)
+            files.append(((tmp_path / f"{run}.vae").read_bytes(),
+                          [_row_bytes(row) for row in history]))
+        assert files[0] == files[1]
+
+
+class TestLossAndGradsDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("segments_dtype", [np.float32, np.float64])
+    def test_gradients_come_back_in_the_params_dtype(self, rng, dtype, segments_dtype):
+        params = init_params(SMALL, ZERO_SEGMENTS.astype(dtype))
+        assert params.dtype == dtype
+        segments = small_batch(rng).astype(segments_dtype)
+        total, parts, grads = loss_and_grads(params, segments, SMALL, quantize=True)
+        assert grads.keys() == set(_PARAM_NAMES)
+        assert all(g.dtype == dtype for g in grads.values())
+        assert np.isfinite(total) and type(total) is float
+        assert all(type(v) is float for v in parts.values())
+
+    def test_mixed_tensor_dtypes_make_float64_params(self):
+        tensors = dict(init_params(SMALL, ZERO_SEGMENTS.astype(np.float32)).tensors)
+        tensors["in_scale"] = tensors["in_scale"].astype(np.float64)
+        params = ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
+        assert all(t.dtype == np.float64 for t in params.tensors.values())
+
+    @pytest.mark.parametrize("config", [SMALL, ToyVaeConfig(lambda_entropy=1e-2)])
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_float32_gradients_agree_with_float64(self, config, quantize):
+        # at float32-representable params and segments, the two precisions
+        # differ by rounding only.  The bound, 1e-5 of each tensor's largest
+        # gradient, is ~80 float32 eps (1.2e-7), room for the GEMM sums
+        segments = dataset_segments(make_corpus(2, 48, seed=2)).astype(np.float32)
+        p32 = init_params(config, segments)
+        p64 = ToyVaeParams({name: t.astype(np.float64) for name, t in p32.tensors.items()},
+                           config.vocab_size, config.hidden_width)
+        total32, _, g32 = loss_and_grads(p32, segments, config, quantize=quantize)
+        total64, _, g64 = loss_and_grads(p64, segments.astype(np.float64), config,
+                                         quantize=quantize)
+        assert total32 == pytest.approx(total64, rel=1e-6)
+        for name in _PARAM_NAMES:
+            scale = float(np.abs(g64[name]).max())
+            np.testing.assert_allclose(g32[name], g64[name], rtol=0, atol=1e-5 * scale,
+                                       err_msg=name)
 
 
 class TestNoInPlaceMutation:
