@@ -6,7 +6,9 @@ caller passed to the sampler, unchanged when sampling is unguided; guided
 sampling also queries it with the text slot cleared.  Sampling walks an
 evenly strided, descending subset of the ``NUM_TRAIN_STEPS`` training steps
 of one fixed linear-beta schedule with eta = 0, so a (seed, denoiser) pair
-always reproduces the same output bit for bit.
+always reproduces the same output bit for bit.  What is fixed for a run (the
+text-free condition and the step coefficients) is built once per
+:func:`ddim_sample` call, not at every step.
 """
 
 from __future__ import annotations
@@ -76,11 +78,12 @@ def _predict_clean(
     w: np.ndarray,
     t: int,
     condition: Condition,
+    text_free: Optional[Condition],
     cfg_scale: Optional[float],
 ) -> np.ndarray:
     pred = np.asarray(denoiser(w, t, condition), dtype=np.float64)
     if cfg_scale is not None:
-        uncond = np.asarray(denoiser(w, t, replace(condition, text=None)), dtype=np.float64)
+        uncond = np.asarray(denoiser(w, t, text_free), dtype=np.float64)
         pred = apply_cfg(uncond, pred, cfg_scale)
     if pred.shape != w.shape:
         raise SamplerError(f"denoiser returned shape {pred.shape}, expected {w.shape}")
@@ -102,21 +105,25 @@ def ddim_sample(
     Each step queries the clean-sample prediction at ``condition``, guided
     with scale ``cfg_scale`` against the text-free condition unless it is
     None, recovers the implied noise, and re-noises to the next smaller
-    step; the return value is the clean prediction at the final step.
+    step; the return value is the clean prediction at the final step.  The
+    text-free condition and sqrt(alpha_bar), sqrt(1 - alpha_bar) of the step
+    subset are built once per call; every step still checks the prediction's
+    shape and finiteness and the finiteness of the re-noised sample.
     """
     if cfg_scale is not None and not np.isfinite(cfg_scale):
         raise SamplerError(f"guidance scale must be finite, got {cfg_scale}")
     steps = inference_steps(num_infer_steps)
+    text_free = None if cfg_scale is None else replace(condition, text=None)
+    alpha_bars = ALPHA_BARS[steps]
+    signal, noise = np.sqrt(alpha_bars), np.sqrt(1.0 - alpha_bars)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(shape)
     for i, t in enumerate(steps):
-        w0_hat = _predict_clean(denoiser, w, int(t), condition, cfg_scale)
+        w0_hat = _predict_clean(denoiser, w, int(t), condition, text_free, cfg_scale)
         if i == len(steps) - 1:
             return w0_hat
-        ab_t = ALPHA_BARS[t]
-        ab_next = ALPHA_BARS[steps[i + 1]]
-        eps_hat = (w - np.sqrt(ab_t) * w0_hat) / np.sqrt(1.0 - ab_t)
-        w = np.sqrt(ab_next) * w0_hat + np.sqrt(1.0 - ab_next) * eps_hat
+        eps_hat = (w - signal[i] * w0_hat) / noise[i]
+        w = signal[i + 1] * w0_hat + noise[i + 1] * eps_hat
         if not np.all(np.isfinite(w)):
             raise SamplerError(f"non-finite intermediate at step {int(t)}")
     raise AssertionError("unreachable")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .ddim import Condition, gaussian_posterior_denoiser
@@ -23,6 +26,11 @@ PATTERN_DECAY = 0.85
 # assumes around it.
 WALK_SPEED = 1.0
 WALK_SIGMA = 0.15
+# Bound of the toy_walk_track memo: 65 headings (a conditional track plus a
+# 64-heading text-free mixture, ROADMAP item 8) at each of up to three widths;
+# a two-pass sample uses two.  An LRU smaller than a cyclic working set never
+# hits, and random headings must not grow it without limit.
+TRACK_MEMO_SIZE = 256
 
 
 def _segment_patterns(rng: np.random.Generator) -> np.ndarray:
@@ -93,11 +101,20 @@ def make_walk_sequence(num_frames: int = 61, speed: float = 1.0, arm_swing: floa
 
 
 def toy_walk_track(num_waypoints: int, heading: float) -> np.ndarray:
-    """Per-second waypoint mean track of a straight walk: (W, 12).
+    """Per-second waypoint mean track of a straight walk: (W, 12), read-only.
 
     Columns are root translation, root orientation, object translation,
-    object orientation; the object rides slightly ahead of the root.
+    object orientation; the object rides slightly ahead of the root.  Tracks
+    are memoized (at most ``TRACK_MEMO_SIZE``, least recently used first out)
+    and shared between callers, so a sampling run builds each one once; copy
+    before writing.  The sign of a zero heading is part of the key, since it
+    reaches the track's bytes.
     """
+    return _walk_track(num_waypoints, heading, math.copysign(1.0, heading))
+
+
+@functools.lru_cache(maxsize=TRACK_MEMO_SIZE)
+def _walk_track(num_waypoints: int, heading: float, _sign: float) -> np.ndarray:
     steps = np.arange(num_waypoints, dtype=np.float64)
     cos, sin = np.cos(heading), np.sin(heading)
     track = np.zeros((num_waypoints, 12))
@@ -109,6 +126,7 @@ def toy_walk_track(num_waypoints: int, heading: float) -> np.ndarray:
     track[:, 6] = track[:, 0] + carry[0] * cos + carry[2] * sin
     track[:, 7] = track[:, 1] + carry[1]
     track[:, 8] = track[:, 2] - carry[0] * sin + carry[2] * cos
+    track.setflags(write=False)
     return track
 
 

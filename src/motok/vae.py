@@ -365,7 +365,8 @@ def train(
     the bytes of the parameters and the history are the same for a fixed seed
     at a fixed BLAS thread count.  Returns the trained parameters and one
     history row per epoch with the loss terms evaluated at the start of that
-    epoch.  A loss that becomes non-finite raises :class:`TrainingDiverged`.
+    epoch.  A loss that becomes non-finite raises :class:`TrainingDiverged`;
+    numpy's overflow and invalid-value warnings on the way there are held back.
     """
     segments = dataset_segments(dataset).astype(np.float32)
     # init_params validates once and returns fresh float32 tensors, which the
@@ -373,17 +374,20 @@ def train(
     params = init_params(config, segments)
     tensors = params.tensors
     history = []
-    for epoch in range(config.epochs):
-        total, parts, grads = loss_and_grads(params, segments, config, quantize=True)
-        if not np.isfinite(total):
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}: "
-                f"recon={parts['recon']:.3e} commit={parts['commit']:.3e} "
-                f"entropy={parts['entropy']:.3e}"
-            )
-        history.append({"epoch": epoch, **parts})
-        for name in _PARAM_NAMES:
-            tensors[name] -= config.learning_rate * grads[name]
+    # a diverging step overflows before the loss turns non-finite; the check
+    # below reports that as one error, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            total, parts, grads = loss_and_grads(params, segments, config, quantize=True)
+            if not np.isfinite(total):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}: "
+                    f"recon={parts['recon']:.3e} commit={parts['commit']:.3e} "
+                    f"entropy={parts['entropy']:.3e}"
+                )
+            history.append({"epoch": epoch, **parts})
+            for name in _PARAM_NAMES:
+                tensors[name] -= config.learning_rate * grads[name]
     final = ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
                          hidden_width=config.hidden_width)
     return final, history

@@ -307,6 +307,16 @@ class TestTrainVae:
                          str(tmp_path / "p.vae"), "--history", str(history)]) == 0
         assert history.read_text() == "epoch,recon,usage\n0,0.5,0.25\n1,0.125,1.0\n"
 
+    @pytest.mark.parametrize("learning_rate", ["1e5", "1e50"])
+    def test_divergence_prints_one_error_line(self, tmp_path, learning_rate):
+        # a fresh process: pytest would capture a numpy RuntimeWarning in-process
+        data_dir = write_corpus(tmp_path, num=1, frames=32)
+        done = run_motok(["train-vae", "--data", str(data_dir), "--out", str(tmp_path / "p.vae"),
+                          "--learning-rate", learning_rate], cwd=tmp_path)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite loss"), done.stderr
+
 
 class TestSample:
     def test_writes_waypoint_track(self, tmp_path):

@@ -1,10 +1,15 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motok import synth
 from motok.ddim import (
     ALPHA_BARS,
+    COARSE_STRIDE,
     NUM_TRAIN_STEPS,
     Condition,
     SamplerError,
@@ -182,3 +187,100 @@ class TestGuidance:
         np.testing.assert_allclose(sample(0.0), 0.0, atol=1e-12)
         np.testing.assert_allclose(sample(1.0), 2.0, atol=1e-12)
         np.testing.assert_allclose(sample(2.5), 5.0, atol=1e-9)
+
+
+def _fresh_walk_track(num_waypoints, heading):
+    """``synth.toy_walk_track`` built anew on every call, with no memo."""
+    steps = np.arange(num_waypoints, dtype=np.float64)
+    cos, sin = np.cos(heading), np.sin(heading)
+    track = np.zeros((num_waypoints, 12))
+    track[:, 0] = synth.WALK_SPEED * steps * sin
+    track[:, 1] = 0.9
+    track[:, 2] = synth.WALK_SPEED * steps * cos
+    track[:, 4] = heading
+    carry = np.array([0.3, -0.1, 0.4])
+    track[:, 6] = track[:, 0] + carry[0] * cos + carry[2] * sin
+    track[:, 7] = track[:, 1] + carry[1]
+    track[:, 8] = track[:, 2] - carry[0] * sin + carry[2] * cos
+    return track
+
+
+def _fresh_walk_denoiser(w_t, t, condition):
+    heading = 0.0 if condition.text is None else float(condition.text)
+    mean = _fresh_walk_track(w_t.shape[0], heading)
+    if condition.coarse is not None:
+        mean = 0.5 * (mean + np.asarray(condition.coarse, dtype=np.float64))
+    return gaussian_posterior_denoiser(w_t, t, mean, synth.WALK_SIGMA)
+
+
+def _oracle_ddim(denoiser, shape, num_infer_steps, condition, cfg_scale, seed):
+    """The sampler with nothing hoisted: the text-free condition and the step
+    coefficients are rebuilt at every step."""
+    steps = inference_steps(num_infer_steps)
+    w = np.random.default_rng(seed).standard_normal(shape)
+    for i, t in enumerate(steps):
+        w0_hat = np.asarray(denoiser(w, int(t), condition), dtype=np.float64)
+        if cfg_scale is not None:
+            uncond = np.asarray(denoiser(w, int(t), replace(condition, text=None)))
+            w0_hat = apply_cfg(uncond, w0_hat, cfg_scale)
+        if i == len(steps) - 1:
+            return w0_hat
+        ab_t = ALPHA_BARS[t]
+        ab_next = ALPHA_BARS[steps[i + 1]]
+        eps_hat = (w - np.sqrt(ab_t) * w0_hat) / np.sqrt(1.0 - ab_t)
+        w = np.sqrt(ab_next) * w0_hat + np.sqrt(1.0 - ab_next) * eps_hat
+
+
+def _oracle_two_pass(denoiser, shape, num_infer_steps, condition, cfg_scale, seed):
+    rows = shape[0]
+    coarse_rows = (rows + COARSE_STRIDE - 1) // COARSE_STRIDE
+    coarse = _oracle_ddim(denoiser, (coarse_rows,) + tuple(shape[1:]), num_infer_steps,
+                          condition, cfg_scale, seed)
+    upsampled = np.repeat(coarse, COARSE_STRIDE, axis=0)[:rows]
+    return _oracle_ddim(denoiser, shape, num_infer_steps, replace(condition, coarse=upsampled),
+                        cfg_scale, seed + 1)
+
+
+class TestSamplerOracle:
+    """The memoized walk track, the once-built text-free condition and the
+    coefficient table leave every sample's bytes as the unhoisted loop's."""
+
+    @pytest.mark.parametrize("two_pass", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_unhoisted_loop(self, seed, two_pass):
+        sampler, oracle = ((two_pass_sample, _oracle_two_pass) if two_pass
+                           else (ddim_sample, _oracle_ddim))
+        for heading, scale, steps, width in itertools.product(
+                [None, 0.0, -0.0, 0.6, -2.5], [None, 1.0, 2.5, 5.0], [1, 2, 20, 50], [1, 7, 8]):
+            condition = Condition(text=heading)
+            got = sampler(synth.toy_walk_denoiser, (width, 12), steps, condition, scale, seed)
+            want = oracle(_fresh_walk_denoiser, (width, 12), steps, condition, scale, seed)
+            case = (heading, scale, steps, width)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
+
+
+class TestWalkTrackMemo:
+    def test_tracks_are_read_only(self):
+        track = synth.toy_walk_track(5, 0.6)
+        with pytest.raises(ValueError):
+            track[0, 0] = 1.0
+
+    def test_sign_of_a_zero_heading_is_kept(self):
+        positive = synth.toy_walk_track(4, 0.0)
+        negative = synth.toy_walk_track(4, -0.0)
+        for heading, track in ((0.0, positive), (-0.0, negative)):
+            np.testing.assert_array_equal(track.view(np.int64),
+                                          _fresh_walk_track(4, heading).view(np.int64))
+        assert not np.array_equal(positive.view(np.int64), negative.view(np.int64))
+
+    def test_bounded_and_rebuilt_bit_identical_after_eviction(self):
+        synth._walk_track.cache_clear()
+        first = synth.toy_walk_track(6, 0.25)
+        headings = np.linspace(1.0, 2.0, synth.TRACK_MEMO_SIZE + 10)
+        for heading in headings:
+            synth.toy_walk_track(6, float(heading))
+        assert synth._walk_track.cache_info().currsize == synth.TRACK_MEMO_SIZE
+        again = synth.toy_walk_track(6, 0.25)
+        assert again is not first  # evicted, so built again
+        np.testing.assert_array_equal(again.view(np.int64), first.view(np.int64))
+        np.testing.assert_array_equal(again, _fresh_walk_track(6, 0.25))

@@ -260,7 +260,7 @@ class TestTraining:
                 total += (z[s, i] - target) ** 2
         assert abs(parts["commit"] - total / z.shape[0]) < 1e-10
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # train keeps overflow to itself
     def test_divergence_raises(self):
         dataset = make_corpus(1, 32, seed=0)
         config = ToyVaeConfig(vocab_size=16, hidden_width=8, learning_rate=1e12,
@@ -443,7 +443,7 @@ class TestNoInPlaceMutation:
         assert self._snapshot(params, segments) == before
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # train keeps overflow to itself
 @pytest.mark.parametrize("vocab_size,hidden_width", SIZES)
 @pytest.mark.parametrize("learning_rate", [1e5, 1e8, 1e12, 1e20, 1e50, 1e100, 1e300])
 def test_divergence_ladder_raises_training_diverged(vocab_size, hidden_width, learning_rate):
