@@ -17,6 +17,12 @@ import numpy as np
 DIVERSITY_PAIRS = 300
 #: query rows :func:`r_precision` scores per block
 _R_PRECISION_BLOCK = 16
+#: tolerances relative to the covariances' magnitude: asymmetry against the largest
+#: entry, eigenvalue rounding noise against the largest eigenvalue, a negative
+#: Fréchet distance against the two traces
+_SYMMETRY_RTOL = 1e-10
+_EIGENVALUE_RTOL = 1e-10
+_COLLAPSE_RTOL = 1e-6
 
 
 class MetricError(ValueError):
@@ -37,7 +43,7 @@ class GaussianStats:
             raise MetricError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise MetricError("non-finite Gaussian statistics")
-        if np.abs(cov - cov.T).max() > 1e-10:
+        if np.abs(cov - cov.T).max() > _SYMMETRY_RTOL * np.abs(cov).max():
             raise MetricError("covariance is not symmetric")
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -58,10 +64,14 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, covariance=0.5 * (cov + cov.T))
 
 
+def _drop_noise(vals: np.ndarray) -> np.ndarray:
+    """Zero the eigenvalues of a PSD spectrum below ``_EIGENVALUE_RTOL`` of its largest."""
+    return np.where(vals < _EIGENVALUE_RTOL * max(vals.max(), 0.0), 0.0, vals)
+
+
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    vals = np.where(vals < 1e-10, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(_drop_noise(vals))) @ vecs.T
 
 
 def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
@@ -69,19 +79,30 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
 
     ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^(1/2)).
 
-    The cross square root is evaluated by eigendecomposition of the
-    symmetrized product sqrt(S_a) S_b sqrt(S_a); tiny negative results from
-    rounding are clipped to zero.
+    With the Cholesky factor S_a = L L^T, S_a S_b = L (L^T S_b L) L^-1 has
+    the eigenvalues of the symmetric PSD matrix L^T S_b L, so
+    tr (S_a S_b)^(1/2) is the sum of the square roots of its eigenvalues:
+    one factorization and one ``eigvalsh``.  Only an S_a that is not
+    positive definite (N <= F rows, or a constant feature column), where
+    Cholesky fails, is eigendecomposed instead, and its symmetric square
+    root takes the place of L.  Eigenvalues below 1e-10 of the largest are
+    rounding noise and count as zero, and a negative result down to
+    -1e-6 (tr S_a + tr S_b) reads as 0: every tolerance follows the scale
+    of the covariances, so features scaled by c give c^2 times the distance.
     """
     if a.mean.shape != b.mean.shape:
         raise MetricError(f"dimension mismatch: {a.mean.shape} vs {b.mean.shape}")
     diff = a.mean - b.mean
-    root_a = _psd_sqrt(a.covariance)
-    inner = root_a @ b.covariance @ root_a
+    try:
+        factor = np.linalg.cholesky(a.covariance)
+    except np.linalg.LinAlgError:
+        factor = _psd_sqrt(a.covariance)
+    inner = factor.T @ b.covariance @ factor
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    tr_cross = np.sqrt(np.where(vals < 1e-10, 0.0, vals)).sum()
-    fid = float(diff @ diff + np.trace(a.covariance) + np.trace(b.covariance) - 2.0 * tr_cross)
-    if fid < -1e-6:
+    tr_cross = np.sqrt(_drop_noise(vals)).sum()
+    tr_a, tr_b = np.trace(a.covariance), np.trace(b.covariance)
+    fid = float(diff @ diff + tr_a + tr_b - 2.0 * tr_cross)
+    if fid < -_COLLAPSE_RTOL * (abs(tr_a) + abs(tr_b)):
         raise MetricError(f"Fréchet distance collapsed to {fid}; statistics are inconsistent")
     return max(fid, 0.0)
 

@@ -20,7 +20,7 @@ from motok.scene import SceneVoxelGrid
 from motok.vae import pad_frames, reconstruction_mse
 from conftest import ZERO_SEGMENTS
 from test_fileio import _header_end
-from test_metrics import _reference_r_precision
+from test_metrics import _reference_frechet_distance, _reference_r_precision
 from test_populate import too_small_pocket
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -493,16 +493,21 @@ class TestScoreAndEval:
                 in capsys.readouterr().err)
 
     @staticmethod
-    def write_eval_inputs(tmp_path, rng, rows):
+    def write_features(tmp_path, real, gen, text):
+        """Write the three feature files; return the ``eval`` argv that reads them."""
+        for name, feats in (("real", real), ("gen", gen), ("text", text)):
+            fileio.write_feat(tmp_path / f"{name}.feat", feats)
+        return ["eval", "--real", str(tmp_path / "real.feat"),
+                "--gen", str(tmp_path / "gen.feat"),
+                "--text", str(tmp_path / "text.feat"),
+                "--report", str(tmp_path / "report.json")]
+
+    @classmethod
+    def write_eval_inputs(cls, tmp_path, rng, rows):
         real = rng.normal(size=(rows, 12))
         gen = rng.normal(size=(rows, 12)) * 1.2 + 0.1
         text = gen + rng.normal(0, 0.5, size=(rows, 12))
-        for name, feats in (("real", real), ("gen", gen), ("text", text)):
-            fileio.write_feat(tmp_path / f"{name}.feat", feats)
-        return real, gen, text, ["eval", "--real", str(tmp_path / "real.feat"),
-                                 "--gen", str(tmp_path / "gen.feat"),
-                                 "--text", str(tmp_path / "text.feat"),
-                                 "--report", str(tmp_path / "report.json")]
+        return real, gen, text, cls.write_features(tmp_path, real, gen, text)
 
     @classmethod
     def run_eval(cls, tmp_path, rng, rows):
@@ -535,6 +540,34 @@ class TestScoreAndEval:
         for k in (1, 2, 3):
             assert payload[f"r{k}"] == _reference_r_precision(gen, text, pool_size=32,
                                                               k=k, seed=4)
+
+    def test_eval_fid_with_singular_real_covariance(self, tmp_path, rng, monkeypatch):
+        # 40 rows of 64 features: S_real is singular, so FID takes the eigendecomposition
+        gen = rng.normal(size=(40, 64)) * 1.2 + 0.1
+        argv = self.write_features(tmp_path, rng.normal(size=(40, 64)), gen, gen)
+        calls = []
+        psd_sqrt = metrics._psd_sqrt
+        monkeypatch.setattr(metrics, "_psd_sqrt",
+                            lambda matrix: calls.append(matrix) or psd_sqrt(matrix))
+        with pytest.warns(UserWarning, match="with replacement"):
+            assert dispatch(argv) == 0
+        assert len(calls) == 1
+        stats_real = metrics.fit_gaussian(fileio.read_feat(tmp_path / "real.feat"))
+        stats_gen = metrics.fit_gaussian(fileio.read_feat(tmp_path / "gen.feat"))
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["fid"] == pytest.approx(
+            _reference_frechet_distance(stats_real, stats_gen), rel=1e-9)
+
+    def test_eval_identical_large_scale_features_fid_zero(self, tmp_path):
+        # at this seed and scale the rounding of tr S_a + tr S_b - 2 tr (S_a S_b)^(1/2)
+        # lands below an absolute -1e-6
+        feats = np.random.default_rng(0).normal(size=(300, 40)) * 1e4
+        argv = self.write_features(tmp_path, feats, feats, feats)
+        with pytest.warns(UserWarning, match="with replacement"):
+            assert dispatch(argv) == 0
+        stats = metrics.fit_gaussian(fileio.read_feat(tmp_path / "real.feat"))
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["fid"] <= 1e-12 * np.trace(stats.covariance)
 
     def test_eval_corrupt_feature_count_is_domain_error(self, tmp_path, rng):
         _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motok import metrics
 from motok.metrics import (
     DIVERSITY_PAIRS,
     GaussianStats,
@@ -32,6 +33,63 @@ class TestGaussianStats:
         cov = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(MetricError):
             GaussianStats(mean=np.zeros(2), covariance=cov)
+
+    def test_rejects_asymmetric_covariance_at_small_scale(self):
+        cov = np.array([[1.0, 0.5], [0.2, 1.0]]) * 2.0**-40
+        with pytest.raises(MetricError, match="not symmetric"):
+            GaussianStats(mean=np.zeros(2), covariance=cov)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_accepts_rotated_covariance_at_large_scale(self, seed):
+        rng = np.random.default_rng(seed)
+        stats = fit_gaussian(rng.normal(size=(300, 40)) * 1e4)
+        rot, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        GaussianStats(rot @ stats.mean, rot @ stats.covariance @ rot.T)
+
+
+def _reference_psd_sqrt(matrix):
+    vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    vals = np.where(vals < 1e-10, 0.0, vals)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def _reference_frechet_distance(a, b):
+    """The eigendecomposition route ``frechet_distance`` replaced, with its absolute tolerances."""
+    if a.mean.shape != b.mean.shape:
+        raise MetricError(f"dimension mismatch: {a.mean.shape} vs {b.mean.shape}")
+    diff = a.mean - b.mean
+    root_a = _reference_psd_sqrt(a.covariance)
+    inner = root_a @ b.covariance @ root_a
+    vals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
+    tr_cross = np.sqrt(np.where(vals < 1e-10, 0.0, vals)).sum()
+    fid = float(diff @ diff + np.trace(a.covariance) + np.trace(b.covariance) - 2.0 * tr_cross)
+    if fid < -1e-6:
+        raise MetricError(f"Fréchet distance collapsed to {fid}; statistics are inconsistent")
+    return max(fid, 0.0)
+
+
+def _trace_sum(a, b):
+    return np.trace(a.covariance) + np.trace(b.covariance)
+
+
+def _singular_pairs(seed):
+    """Feature pairs, by name, whose covariance S_a or S_b is singular."""
+    rng = np.random.default_rng(seed)
+    few_rows = rng.normal(size=(40, 64))
+    constant = rng.normal(size=(100, 12))
+    constant[:, 3] = 2.5
+    return {
+        "a_rows_le_features": (few_rows, rng.normal(size=(50, 64)) * 1.3 + 0.2),
+        "a_constant_column": (constant, rng.normal(size=(90, 12))),
+        "a_singular_identical": (few_rows, few_rows),
+        "b_rows_le_features": (rng.normal(size=(100, 30)), rng.normal(size=(20, 30))),
+    }
+
+
+def _well_conditioned_pair(seed, rows=200, dim=20):
+    rng = np.random.default_rng(seed)
+    return (fit_gaussian(rng.normal(size=(rows, dim))),
+            fit_gaussian(rng.normal(size=(rows - 30, dim)) * 0.7 + 0.1))
 
 
 class TestFrechetDistance:
@@ -70,6 +128,68 @@ class TestFrechetDistance:
         with pytest.raises(MetricError):
             frechet_distance(GaussianStats(np.zeros(2), np.eye(2)),
                              GaussianStats(np.zeros(3), np.eye(3)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_eigendecomposition_reference(self, seed):
+        a, b = _well_conditioned_pair(seed)
+        assert frechet_distance(a, b) == pytest.approx(_reference_frechet_distance(a, b),
+                                                       rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_sqrtm_oracle(self, seed):
+        sqrtm = pytest.importorskip("scipy.linalg").sqrtm
+        a, b = _well_conditioned_pair(seed)
+        diff = a.mean - b.mean
+        oracle = (diff @ diff + _trace_sum(a, b)
+                  - 2.0 * np.trace(sqrtm(a.covariance @ b.covariance)).real)
+        assert frechet_distance(a, b) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", list(_singular_pairs(0)))
+    def test_singular_covariance_matches_reference(self, seed, case):
+        feats_a, feats_b = _singular_pairs(seed)[case]
+        a, b = fit_gaussian(feats_a), fit_gaussian(feats_b)
+        assert abs(frechet_distance(a, b) - _reference_frechet_distance(a, b)) <= (
+            1e-6 * _trace_sum(a, b))
+
+    @pytest.mark.parametrize("case", ["a_rows_le_features", "a_constant_column"])
+    def test_singular_first_covariance_takes_eigendecomposition(self, monkeypatch, case):
+        calls = []
+        monkeypatch.setattr(metrics, "_psd_sqrt",
+                            lambda matrix: calls.append(matrix) or _reference_psd_sqrt(matrix))
+        feats_a, feats_b = _singular_pairs(0)[case]
+        frechet_distance(fit_gaussian(feats_a), fit_gaussian(feats_b))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["b_rows_le_features", "well_conditioned"])
+    def test_positive_definite_first_covariance_skips_eigendecomposition(self, monkeypatch,
+                                                                         case):
+        def refuse(matrix):
+            raise AssertionError("_psd_sqrt called on a positive definite S_a")
+
+        monkeypatch.setattr(metrics, "_psd_sqrt", refuse)
+        if case == "well_conditioned":
+            a, b = _well_conditioned_pair(0)
+        else:
+            a, b = (fit_gaussian(f) for f in _singular_pairs(0)[case])
+        frechet_distance(a, b)
+
+    @pytest.mark.parametrize("same", [True, False], ids=["identical", "different"])
+    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**14], ids=["2^-20", "1", "2^14"])
+    def test_scales_with_square_of_features(self, scale, same):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(300, 40))
+        y = x if same else rng.normal(size=(250, 40)) * 1.2 + 0.1
+        a, b = fit_gaussian(x), fit_gaussian(y)
+        scaled = frechet_distance(fit_gaussian(scale * x), fit_gaussian(scale * y))
+        assert scaled == pytest.approx(scale**2 * frechet_distance(a, b), rel=1e-12,
+                                       abs=1e-12 * scale**2 * _trace_sum(a, b))
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_identical_large_scale_stats_do_not_collapse(self, scale, seed):
+        stats = fit_gaussian(np.random.default_rng(seed).normal(size=(300, 40)) * scale)
+        assert frechet_distance(stats, stats) <= 1e-12 * _trace_sum(stats, stats)
 
 
 def _reference_pools(n, pool_size, seed):
