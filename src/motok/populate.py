@@ -12,12 +12,16 @@ mean penetration over its N = T*J points, and penetration is never
 negative, so the penetration summed over the frames seen so far bounds the
 full sum from below.  Each yaw samples the SDF in chunks of
 ``CHUNK_FRAMES`` frames and drops a candidate once its partial sum exceeds
-``best * N`` (with ``PRUNE_SLACK`` relative slack for summation order).  A
-candidate that survives every chunk is scored from its full row of
-per-point values, exactly as an exhaustive scan would score it, so the
-result matches the exhaustive scan bit for bit.  Once the best score is 0
-nothing can beat it (both passes accept only strict improvements), so the
-search stops there.
+``best * N`` (with ``PRUNE_SLACK`` relative slack for summation order).  The
+scan stores each chunk's per-point penetration for the candidates still live
+only, and a prune drops the pruned candidates' rows from every stored chunk
+at once.  A candidate that survives every chunk is scored from its stored
+rows joined into one contiguous row of N values, the row an exhaustive scan
+reduces, so the result matches the exhaustive scan bit for bit.  A yaw thus
+holds the survivors' stored rows plus one block of the SDF kernel's
+temporaries, not a (lattice x N) buffer.  Once the best score is 0 nothing
+can beat it (both passes accept only strict improvements), so the search
+stops there.
 
 Every lookup goes through :func:`scene.sample_sdf_shifted`, which factors
 the trilinear arithmetic by axis.  A grid axis's terms (corner, weight,
@@ -175,24 +179,33 @@ def _scan_yaw(
     their exact scores, in lattice order; every other candidate scores more
     than ``bound``.  After the first chunk the candidate with the least
     penetration is scored in full, which can only tighten the bound.
+
+    ``chunks`` holds each chunk's (|live|, CHUNK_FRAMES * J) penetration, its
+    rows aligned with ``live``; a prune filters ``partial`` and every stored
+    chunk with the same mask.  Memory is the live candidates' stored rows
+    (twice the survivors' while the final join copies them) plus one block
+    of :func:`scene.sample_sdf_shifted`'s temporaries.
     """
     rotated = _rotate(kp, yaw)
     n = rotated.shape[0]
     step = CHUNK_FRAMES * kp.shape[1]
-    pen = np.empty((xz.shape[0], n))
-    partial = np.zeros(xz.shape[0])
     live = np.arange(xz.shape[0])
+    partial = np.zeros(xz.shape[0])
+    chunks = []
     for start in range(0, n, step):
         chunk = _penetration(rotated[start:start + step], sdf, xz[live])
-        pen[live, start:start + step] = chunk
-        partial[live] += chunk.sum(axis=1)
+        chunks.append(chunk)
+        partial += chunk.sum(axis=1)
         if start == 0 and step < n and live.size > 1:
-            probe = live[np.argmin(partial[live])]
+            probe = live[np.argmin(partial)]
             bound = min(bound, float(_penetration(rotated, sdf, xz[probe:probe + 1]).mean()))
-        live = live[partial[live] <= bound * n * (1.0 + PRUNE_SLACK)]
+        keep = partial <= bound * n * (1.0 + PRUNE_SLACK)
+        if not keep.all():
+            live, partial = live[keep], partial[keep]
+            chunks = [c[keep] for c in chunks]
         if not live.size:
             break
-    return live, pen[live].mean(axis=1)
+    return live, np.concatenate(chunks, axis=1).mean(axis=1)
 
 
 def optimize_placement(

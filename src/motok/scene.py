@@ -26,6 +26,13 @@ FREE_SENTINEL = 1e9
 CONTACT_THRESHOLD = 0.05
 # Frames per block of contact distances; a block's (J, n) buffers stay in cache.
 _CONTACT_BLOCK = 4
+# Shifts per block of :func:`sample_sdf_shifted`: its ~10 (block, P)
+# temporaries, not (M, P) ones, bound its memory.  In a fresh process, two
+# ``populate`` calls of the 301-frame demo walk (first scan chunk 567 shifts x
+# 184 points) took 0.57 s each with 15k minor page faults at 128 shifts, 0.63 s
+# and 66k at 256, and 0.85 s and 240k in one block: glibc unmaps temporaries
+# that large after each call and faults them in again on the next (2 vCPUs).
+_SHIFT_BLOCK = 128
 # Free cells :func:`voxelize_points` leaves around a point cloud on each side.
 POINT_PADDING_CELLS = 2
 # Largest grid :func:`voxelize_points` builds.  ``build_sdf`` peaks near 42
@@ -232,6 +239,11 @@ def sample_sdf_shifted(sdf: SignedDistanceField, points: np.ndarray,
     trilinear formula, lerping x, then z, then y, with the squared overshoot
     summed as (x^2 + z^2) + y^2 as ``np.linalg.norm`` sums it, so values are
     bit-identical to indexing the 3-D grid corner by corner.
+
+    The gathers and the arithmetic run over ``_SHIFT_BLOCK`` shifts at a time,
+    each block writing its rows of the (M, P) result, so the temporaries beyond
+    that result stay a block's worth whatever M is.  Values are elementwise,
+    so the blocks change no bit.
     """
     pts = np.asarray(points, dtype=np.float64)
     shifts = np.asarray(shifts, dtype=np.float64)
@@ -256,22 +268,11 @@ def sample_sdf_shifted(sdf: SignedDistanceField, points: np.ndarray,
     # flat index (lo_x * nz + lo_z) * ny + lo_y, one row gather per axis
     lo_x *= nz * ny
     lo_z *= ny
-    index = lo_x[x_row]
-    index += lo_z[z_row]
-    index += lo_y
-    overshoot_sq = over_x[x_row]
-    overshoot_sq += over_z[z_row]
-    overshoot_sq += over_y
-
+    gx, gz, gy = 1 - fx, 1 - fz, 1 - fy
     step_x = nz * ny if nx > 1 else 0
     step_z = ny if nz > 1 else 0
     step_y = 1 if ny > 1 else 0
     flat = d.reshape(-1)
-
-    def corner(offset: int) -> np.ndarray:
-        # a view starting at ``offset`` gathers flat[index + offset] without
-        # building the shifted index
-        return flat[offset:].take(index)
 
     def lerp(a: np.ndarray, b: np.ndarray, g: np.ndarray, f: np.ndarray) -> np.ndarray:
         """a * g + b * f, in place in ``a``."""
@@ -280,14 +281,36 @@ def sample_sdf_shifted(sdf: SignedDistanceField, points: np.ndarray,
         a += b
         return a
 
-    gx, fx = (1 - fx)[x_row], fx[x_row]
-    c00 = lerp(corner(0), corner(step_x), gx, fx)
-    c01 = lerp(corner(step_y), corner(step_x + step_y), gx, fx)
-    c10 = lerp(corner(step_z), corner(step_x + step_z), gx, fx)
-    c11 = lerp(corner(step_z + step_y), corner(step_x + step_z + step_y), gx, fx)
-    gz, fz = (1 - fz)[z_row], fz[z_row]
-    values = lerp(lerp(c00, c10, gz, fz), lerp(c01, c11, gz, fz), 1 - fy, fy)
-    values += np.sqrt(overshoot_sq, out=overshoot_sq)
+    def rows(x_row, z_row, out=None) -> np.ndarray:
+        """Values of the candidates whose axis rows are ``x_row`` and ``z_row``."""
+        index = lo_x[x_row]
+        index += lo_z[z_row]
+        index += lo_y
+        overshoot_sq = over_x[x_row]
+        overshoot_sq += over_z[z_row]
+        overshoot_sq += over_y
+
+        def corner(offset: int) -> np.ndarray:
+            # a view starting at ``offset`` gathers flat[index + offset] without
+            # building the shifted index
+            return flat[offset:].take(index)
+
+        wx, vx = gx[x_row], fx[x_row]
+        c00 = lerp(corner(0), corner(step_x), wx, vx)
+        c01 = lerp(corner(step_y), corner(step_x + step_y), wx, vx)
+        c10 = lerp(corner(step_z), corner(step_x + step_z), wx, vx)
+        c11 = lerp(corner(step_z + step_y), corner(step_x + step_z + step_y), wx, vx)
+        wz, vz = gz[z_row], fz[z_row]
+        values = lerp(lerp(c00, c10, wz, vz), lerp(c01, c11, wz, vz), gy, fy)
+        return np.add(values, np.sqrt(overshoot_sq, out=overshoot_sq),
+                      out=values if out is None else out)
+
+    if shifts.shape[0] == 1:
+        return rows(x_row, z_row)
+    values = np.empty((shifts.shape[0], pts.shape[0]))
+    for start in range(0, shifts.shape[0], _SHIFT_BLOCK):
+        block = slice(start, start + _SHIFT_BLOCK)
+        rows(x_row[block], z_row[block], values[block])
     return values
 
 

@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motok import populate
+from motok import populate, scene
 from motok.motion import SixDof, to_global
 from motok.populate import (
     REFINE_ROUNDS,
@@ -371,6 +373,103 @@ class TestBranchAndBound:
         result = optimize_placement(seq, demo_room(), 16)
         frames, joints = _candidate_keypoints(seq).shape[:2]
         assert 0 < sum(points) < result.candidates_evaluated * frames * joints
+
+
+
+def _reference_scan_yaw(kp, sdf, xz, yaw, bound):
+    """The scan with one (lattice x T*J) penetration buffer per yaw: every
+    chunk's values land in their candidates' full rows, and survivors are
+    scored from those rows."""
+    rotated = populate._rotate(kp, yaw)
+    n = rotated.shape[0]
+    step = populate.CHUNK_FRAMES * kp.shape[1]
+    pen = np.empty((xz.shape[0], n))
+    partial = np.zeros(xz.shape[0])
+    live = np.arange(xz.shape[0])
+    for start in range(0, n, step):
+        chunk = populate._penetration(rotated[start:start + step], sdf, xz[live])
+        pen[live, start:start + step] = chunk
+        partial[live] += chunk.sum(axis=1)
+        if start == 0 and step < n and live.size > 1:
+            probe = live[np.argmin(partial[live])]
+            bound = min(bound, float(populate._penetration(rotated, sdf,
+                                                           xz[probe:probe + 1]).mean()))
+        live = live[partial[live] <= bound * n * (1.0 + populate.PRUNE_SLACK)]
+        if not live.size:
+            break
+    return live, pen[live].mean(axis=1)
+
+
+@functools.cache
+def _demo_scene():
+    """The demo room, its SDF and its placement lattice (567 cells)."""
+    grid = demo_room()
+    return grid, build_sdf(grid), placement_lattice(grid)
+
+
+def _seed_score(grid, sdf, kp):
+    """The seed candidate's score: the bound the scan of the first yaw starts from."""
+    seed = find_seed_position(grid, sdf)
+    return float(populate._score_offsets(kp, sdf, np.array([[seed[0], seed[2]]]), 0.0)[0])
+
+
+class TestScanYaw:
+    """_scan_yaw against the scan that keeps every candidate's full row."""
+
+    # 17-41 frames are 3-6 chunks; the first chunk looks up all 567 lattice
+    # cells, more than one block of sample_sdf_shifted
+    @settings(max_examples=40, deadline=None)
+    @given(frames=st.integers(17, 41), speed=st.sampled_from([1.0, 9.0]),
+           with_object=st.booleans(), yaw_index=st.integers(0, 15),
+           bound_kind=st.sampled_from(["inf", "zero", "seed", "between"]),
+           fraction=st.floats(0.05, 0.95))
+    def test_matches_full_buffer_scan(self, frames, speed, with_object, yaw_index,
+                                      bound_kind, fraction):
+        grid, sdf, xz = _demo_scene()
+        assert xz.shape[0] > scene._SHIFT_BLOCK
+        seq = make_walk_sequence(num_frames=frames, speed=speed, arm_swing=0.2,
+                                 with_object=with_object)
+        kp = _candidate_keypoints(seq)
+        seed_score = _seed_score(grid, sdf, kp)
+        bound = {"inf": np.inf, "zero": 0.0, "seed": seed_score,
+                 "between": fraction * seed_score}[bound_kind]
+        yaw = wrap_angle(-np.pi + 2.0 * np.pi * yaw_index / 16)
+        live, scores = populate._scan_yaw(kp, sdf, xz, yaw, bound)
+        ref_live, ref_scores = _reference_scan_yaw(kp, sdf, xz, yaw, bound)
+        np.testing.assert_array_equal(live, ref_live)
+        np.testing.assert_array_equal(scores.view(np.int64), ref_scores.view(np.int64))
+
+    @pytest.mark.parametrize("frames, speed, grid", [
+        (11, 9.0, demo_room()), (25, 9.0, demo_room()), (41, 4.0, demo_room()),
+        (25, 1.0, too_small_pocket())], ids=["demo-11", "demo-25", "demo-41", "pocket-25"])
+    def test_counters_match_full_buffer_scan(self, monkeypatch, frames, speed, grid):
+        seq = make_walk_sequence(num_frames=frames, speed=speed, arm_swing=0.2,
+                                 with_object=True)
+        result = optimize_placement(seq, grid, 16)
+        monkeypatch.setattr(populate, "_scan_yaw", _reference_scan_yaw)
+        expected = optimize_placement(seq, grid, 16)
+        assert result.candidates_pruned > 0
+        assert (result.candidates_scored, result.candidates_pruned) == \
+            (expected.candidates_scored, expected.candidates_pruned)
+        assert result.collision == expected.collision
+        np.testing.assert_array_equal(result.placed.frames, expected.placed.frames)
+
+    def test_holds_less_than_a_full_penetration_buffer(self):
+        # the 301-frame walk at the first yaw, bounded by the seed's score:
+        # 186 of 567 candidates survive, and the scan's peak stays below the
+        # (lattice x T*J) float64 buffer a full-row scan allocates
+        grid, sdf, xz = _demo_scene()
+        seq = make_walk_sequence(num_frames=301, arm_swing=0.2, with_object=True)
+        kp = _candidate_keypoints(seq)
+        bound = _seed_score(grid, sdf, kp)
+        tracemalloc.start()
+        try:
+            live, _ = populate._scan_yaw(kp, sdf, xz, -np.pi, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert live.size == 186
+        assert peak < xz.shape[0] * kp.shape[0] * kp.shape[1] * 8
 
 
 class TestPlacementOffset:
