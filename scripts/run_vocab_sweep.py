@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from motok import lfq, vae
-from motok.fileio import atomic_write
+from motok.fileio import write_csv
 from motok.motion import MotionSequence
 from motok.synth import make_corpus
 
@@ -36,16 +36,10 @@ def sweep_configs(ks: str, seed: int) -> list[vae.ToyVaeConfig]:
 
 def corpus_quality(params: vae.ToyVaeParams, corpus) -> list[float]:
     """Mean per-sequence reconstruction MSE, then the distinct-token fraction and
-    usage entropy over the whole corpus, from one encode per sequence."""
-    mses, tokens = [], []
-    for seq in corpus:
-        padded = vae.pad_frames(seq.frames)
-        recon, indices = vae.reconstruct(params, padded)
-        diff = recon - padded
-        mses.append(float((diff * diff).mean()))
-        tokens.append(indices)
-    return [float(np.mean(mses)),
-            *lfq.codebook_utilization(np.concatenate(tokens), params.codebook)]
+    usage entropy over the whole corpus."""
+    tokens = np.concatenate([vae.tokenize_frames(params, seq.frames) for seq in corpus])
+    return [float(np.mean([vae.reconstruction_mse(params, seq.frames) for seq in corpus])),
+            *lfq.codebook_utilization(tokens, params.codebook)]
 
 
 def main():
@@ -69,17 +63,14 @@ def main():
     for config in configs:
         params, _ = vae.train(config, corpus)
         plain, _ = vae.train(dataclasses.replace(config, lambda_entropy=0.0), corpus)
-        rows.append([config.vocab_size, *corpus_quality(params, corpus),
-                     *corpus_quality(plain, corpus)])
-    lines = [",".join(COLUMNS)] + [",".join([str(k), *(repr(float(v)) for v in rest)])
-                                   for k, *rest in rows]
-    with atomic_write(args.out) as out:
-        out.write(("\n".join(lines) + "\n").encode("utf-8"))
+        rows.append(dict(zip(COLUMNS, [config.vocab_size, *corpus_quality(params, corpus),
+                                       *corpus_quality(plain, corpus)])))
+    write_csv(args.out, rows)
 
     print(f"{'K':>6}  {'final_mse':>12}  {'util_entropy':>12}  {'util_entropy (no ent. loss)':>27}")
-    for k, mse, _, entropy, _, _, plain_entropy in rows:
+    for k, mse, _, entropy, _, _, plain_entropy in (row.values() for row in rows):
         print(f"{k:>6}  {mse:>12.6f}  {entropy:>12.4f}  {plain_entropy:>27.4f}")
-    mses = [row[1] for row in rows]
+    mses = [row["final_mse"] for row in rows]
     print("reconstruction MSE non-increasing in K:",
           all(a >= b for a, b in zip(mses, mses[1:])))
 

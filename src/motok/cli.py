@@ -14,8 +14,9 @@ Two commands decide their outcome from their input.  ``convert`` takes its
 direction from the ``.mseq`` canonical flag: a canonical motion is placed
 into the world at ``--root-pose`` (zero when omitted), a global one is
 re-rooted, and ``--root-pose`` given with a global one is a usage error.
-``populate`` writes the best placement it finds, then exits 1 when its
-collision is above ``--threshold``.
+``populate`` takes a canonical motion (a global one is a usage error, as a
+canonical one is for ``score``), writes the best placement it finds, then
+exits 1 when its collision is above ``--threshold``.
 
 :func:`build_parser` builds the parser once per process, on the first call
 (not at import), and :func:`dispatch` reuses it for every command: parsing
@@ -111,25 +112,13 @@ def _vae_config(args) -> vae.ToyVaeConfig:
         raise UsageError(str(exc)) from None
 
 
-def _history_csv(path, history: list[dict]):
-    """One column per key of the trainer's history rows, in their order."""
-    lines = [",".join(history[0])]
-    for row in history:
-        # float() first: repr of a numpy float is "np.float64(...)" under numpy 2
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row.values()))
-    with fileio.atomic_write(path) as out:
-        out.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def _cmd_train_vae(args) -> int:
     config = _vae_config(args)
     _check_output_dirs(args.out, args.history)
     dataset = _load_dataset(args.data)
     params, history = vae.train(config, dataset)
     fileio.write_vae(args.out, params)
-    history_path = args.history or str(Path(args.out).parent / "loss_history.csv")
-    _history_csv(history_path, history)
+    fileio.write_csv(args.history or Path(args.out).parent / "loss_history.csv", history)
     return 0
 
 
@@ -155,8 +144,10 @@ def _cmd_populate(args) -> int:
     if args.threshold < 0:
         raise UsageError(f"--threshold must be >= 0, got {args.threshold}")
     _check_output_dirs(args.out, args.report)
-    grid = fileio.read_vox(args.scene)
     seq = fileio.read_mseq(args.motion)
+    if not seq.is_canonical:
+        raise UsageError("populate expects a canonical motion (convert first)")
+    grid = fileio.read_vox(args.scene)
     try:
         result = populate.optimize_placement(seq, grid, args.yaw_count)
     except populate.SceneLessError as exc:
@@ -392,9 +383,5 @@ def dispatch(argv) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def main() -> int:
+    return dispatch(sys.argv[1:])

@@ -6,7 +6,10 @@ payload that follows the header.  A file is the magic, the format's version
 as a u32 (neither is present when the magic is empty), the header, then the
 payload.  Each format has its own version, and each reader reads that
 version alone: ``.mtok`` is at version 3 and ``.vae`` at version 2, so an
-older file of either is rejected.  Every reader raises
+older file of either is rejected.  A ``.mtok`` holds at most
+``MAX_FRAMES // SEGMENT_LEN`` tokens, the most a motion decodes from, and
+its reader rejects a larger count before it reads any index; its vocab_size
+is bounded by :class:`~motok.lfq.LfqCodebook`.  Every reader raises
 :class:`FileFormatError` on a bad magic or version, a header or payload that
 runs past the end of the file (a corrupt count included), an is_canonical
 byte other than 0 or 1, a tensor name that is not UTF-8, a tensor that is
@@ -26,18 +29,18 @@ from pathlib import Path
 import numpy as np
 
 from .lfq import TokenStream
-from .motion import FRAME_DIM, MotionSequence
+from .motion import FRAME_DIM, MAX_FRAMES, MotionSequence
 from .scene import SceneVoxelGrid
-from .vae import ToyVaeParams
+from .vae import SEGMENT_LEN, ToyVaeParams
 
 _VERSION = "<I"
 # (magic, version, header): header fields; payload.  A format without a
 # magic has no version either.
 _MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
-# vocab_size (<= _MAX_VOCAB), num_tokens, then the source motion's fps and
+# vocab_size, num_tokens (<= _MAX_TOKENS), then the source motion's fps and
 # is_canonical; u16 indices, one per vae.SEGMENT_LEN frames
 _MTOK = (b"MTOK", 3, "<IIIB")
-_MAX_VOCAB = 1 << 16  # every index fits a u16
+_MAX_TOKENS = MAX_FRAMES // SEGMENT_LEN
 # H, W, D, origin[3], cell_size; occupancy bit-packed MSB-first, flattened
 # x-fastest (y, then z, then x order)
 _VOX = (b"SVOX", 1, "<III3ff")
@@ -152,18 +155,24 @@ def read_mseq(path) -> MotionSequence:
     return MotionSequence(frames.astype(np.float64), fps=fps, is_canonical=_is_canonical(canonical))
 
 
+def _token_count(num: int) -> int:
+    if num > _MAX_TOKENS:
+        raise FileFormatError(f"token files hold at most {_MAX_TOKENS} tokens, got {num}")
+    return num
+
+
 def write_mtok(path, stream: TokenStream):
-    if stream.vocab_size > _MAX_VOCAB:
-        raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}")
-    _write(path, _MTOK, (stream.vocab_size, stream.indices.size, stream.fps, stream.is_canonical),
+    _write(path, _MTOK, (stream.vocab_size, _token_count(stream.indices.size), stream.fps,
+                         stream.is_canonical),
            stream.indices.astype("<u2").tobytes())
 
 
 def read_mtok(path) -> TokenStream:
     with _read(path, _MTOK) as (body, (vocab, num, fps, canonical)):
-        if vocab > _MAX_VOCAB:
-            raise FileFormatError(f"token files support vocab_size <= {_MAX_VOCAB}, got {vocab}")
+        # a view of the file's bytes: a count beyond them is a truncation, and
+        # one within them is checked before any index is read
         indices = _array(body, "<u2", (num,), "tokens")
+    _token_count(num)
     return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab, fps=fps,
                        is_canonical=_is_canonical(canonical))
 
@@ -229,6 +238,17 @@ def read_feat(path) -> np.ndarray:
     return _finite(features, "features")
 
 
+def write_csv(path, rows: list[dict]):
+    """One column per key of the first row, in its order; one line per row."""
+    lines = [",".join(rows[0])]
+    for row in rows:
+        # float() first: repr of a numpy float is "np.float64(...)" under numpy 2
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row.values()))
+    with atomic_write(path) as out:
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def write_vae(path, params: ToyVaeParams):
     records = []
     for name in sorted(params.tensors):
@@ -252,8 +272,5 @@ def read_vae(path) -> ToyVaeParams:
             if ndim not in (1, 2):
                 raise FileFormatError(f"tensor {name} has {ndim} dims, expected 1 or 2")
             shape = _unpack(body, f"<{ndim}I", "shape")
-            # misread bytes may hold signalling NaNs, which warn when cast;
-            # ToyVaeParams rejects every non-finite tensor with one error
-            with np.errstate(invalid="ignore"):
-                tensors[name] = _array(body, "<f4", shape, f"tensor {name}").astype(np.float64)
+            tensors[name] = _array(body, "<f4", shape, f"tensor {name}")
     return ToyVaeParams(tensors=tensors, vocab_size=vocab, hidden_width=hidden)

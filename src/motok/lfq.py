@@ -18,6 +18,8 @@ import numpy as np
 # Temperature tau of the soft sign pattern p_i = sigmoid(2 * z_i / tau) that
 # the entropy regularizer scores.
 ENTROPY_TEMPERATURE = 0.25
+# Largest vocabulary: a .mtok stores each token index as a u16.
+_MAX_VOCAB = 1 << 16
 
 
 class QuantizerError(ValueError):
@@ -26,7 +28,7 @@ class QuantizerError(ValueError):
 
 @dataclass(frozen=True)
 class LfqCodebook:
-    """Implicit binary codebook: ``vocab_size`` = 2 ** ``num_dims``."""
+    """Implicit binary codebook: ``vocab_size`` = 2 ** ``num_dims``, at most 2**16."""
 
     vocab_size: int
 
@@ -34,8 +36,8 @@ class LfqCodebook:
         vocab_size = int(self.vocab_size)
         if vocab_size < 2 or vocab_size & (vocab_size - 1) != 0:
             raise QuantizerError(f"vocab_size must be a power of two >= 2, got {vocab_size}")
-        if vocab_size > 1 << 62:  # token indices are int64
-            raise QuantizerError(f"vocab_size must be at most 2**62, got {vocab_size}")
+        if vocab_size > _MAX_VOCAB:
+            raise QuantizerError(f"vocab_size must be at most {_MAX_VOCAB}, got {vocab_size}")
         object.__setattr__(self, "vocab_size", vocab_size)
 
     @property

@@ -156,14 +156,9 @@ def _penetration(points: np.ndarray, sdf: SignedDistanceField, xz: np.ndarray) -
     return np.maximum(0.0, -sample_sdf_shifted(sdf, points, xz))
 
 
-def _score_offsets(
-    kp: np.ndarray,
-    sdf: SignedDistanceField,
-    xz: np.ndarray,
-    yaw: float,
-) -> np.ndarray:
-    """Mean penetration for each planar offset; ``xz`` has shape (M, 2)."""
-    return _penetration(_rotate(kp, yaw), sdf, xz).mean(axis=1)
+def _score(kp: np.ndarray, sdf: SignedDistanceField, xz: np.ndarray, yaw: float) -> float:
+    """Mean penetration of the keypoints at one planar offset ``xz`` (2,) and ``yaw``."""
+    return float(_penetration(_rotate(kp, yaw), sdf, xz[None, :]).mean())
 
 
 def _scan_yaw(
@@ -241,7 +236,7 @@ def optimize_placement(
 
     best_xz = np.array([seed[0], seed[2]])
     best_yaw = 0.0
-    best_score = float(_score_offsets(kp, sdf, best_xz[None, :], best_yaw)[0])
+    best_score = _score(kp, sdf, best_xz, best_yaw)
     evaluated = 1 + lattice_xz.shape[0] * len(yaws)
     scored, pruned = 1, 0
     for yaw in yaws:
@@ -269,7 +264,7 @@ def optimize_placement(
                 for ux, uz, uyaw in REFINE_MOVES:
                     cand_xz = best_xz + np.array([ux * step_xz, uz * step_xz])
                     cand_yaw = wrap_angle(best_yaw + uyaw * step_yaw)
-                    score = float(_score_offsets(kp, sdf, cand_xz[None, :], cand_yaw)[0])
+                    score = _score(kp, sdf, cand_xz, cand_yaw)
                     evaluated += 1
                     scored += 1
                     if score < best_score:

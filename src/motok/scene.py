@@ -35,11 +35,13 @@ _CONTACT_BLOCK = 4
 _SHIFT_BLOCK = 128
 # Free cells :func:`voxelize_points` leaves around a point cloud on each side.
 POINT_PADDING_CELLS = 2
-# Largest grid :func:`voxelize_points` builds.  ``build_sdf`` peaks near 42
-# bytes a cell (tracemalloc, 1M-cell grids), so this caps one object's SDF
-# near 0.7 GB; at the 5 cm cell of ``motok score`` it is a 12.8 m cube,
-# larger than any object.
-MAX_POINT_GRID_CELLS = 1 << 24
+# Most cells :func:`voxelize_points` puts on one grid axis.  ``build_sdf``
+# peaks near 42 bytes a cell (tracemalloc, 1M-cell grids), so the 2**24 cells
+# of a full grid cap one object's SDF near 0.7 GB; at the 5 cm cell of ``motok
+# score`` it is a 12.8 m cube, larger than any object.  The cap is per axis
+# because the exact EDT costs about cells times the longest axis: a 2.3M-cell
+# grid 1.4 km long and 9 cells wide took 90 s.
+MAX_POINT_GRID_AXIS = 1 << 8
 
 
 class SceneError(ValueError):
@@ -378,8 +380,8 @@ def body_keypoints(seq: MotionSequence) -> np.ndarray:
 def voxelize_points(points: np.ndarray, cell_size: float) -> SceneVoxelGrid:
     """Occupancy grid marking every cell that contains at least one point.
 
-    Raises :class:`SceneError` when the grid would hold more than
-    ``MAX_POINT_GRID_CELLS`` cells, as it would for a non-finite point.
+    Raises :class:`SceneError` when the grid would need more than
+    ``MAX_POINT_GRID_AXIS`` cells on an axis, as it would for a non-finite point.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
@@ -387,10 +389,10 @@ def voxelize_points(points: np.ndarray, cell_size: float) -> SceneVoxelGrid:
     lo = points.min(axis=0) - POINT_PADDING_CELLS * cell_size
     extent = points.max(axis=0) - lo + POINT_PADDING_CELLS * cell_size
     spans = np.maximum(np.ceil(extent / cell_size) + 1, 1)
-    cells = float(np.prod(spans))
-    if not cells <= MAX_POINT_GRID_CELLS:  # NaN fails the comparison too
-        raise SceneError(f"point cloud needs a grid of {cells:.3g} cells at cell_size "
-                         f"{cell_size}, more than {MAX_POINT_GRID_CELLS}")
+    if not np.all(spans <= MAX_POINT_GRID_AXIS):  # NaN fails the comparison too
+        shape = " x ".join(f"{span:.3g}" for span in spans)
+        raise SceneError(f"point cloud needs a grid of {shape} cells at cell_size "
+                         f"{cell_size}, more than {MAX_POINT_GRID_AXIS} on an axis")
     counts = spans.astype(int)
     occ = np.zeros((counts[0], counts[2], counts[1]), dtype=np.uint8)
     idx = np.floor((points - lo) / cell_size).astype(int)

@@ -110,7 +110,8 @@ class ToyVaeParams:
     not trainable weights.
 
     All tensors share one :attr:`dtype`: float32 when every given tensor is
-    float32 (as :func:`train` makes them), float64 otherwise.
+    float32 (as :func:`train` makes them and ``fileio.read_vae`` reads them),
+    float64 otherwise.
     """
 
     tensors: dict[str, np.ndarray]

@@ -1,17 +1,22 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motok import fileio, metrics, populate, synth, vae
 from motok.cli import _vae_config, build_parser, dispatch
@@ -19,7 +24,7 @@ from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import SceneVoxelGrid
 from motok.vae import pad_frames, reconstruction_mse
 from conftest import ZERO_SEGMENTS
-from test_fileio import _header_end
+from test_fileio import _golden_file, _header_end
 from test_metrics import _reference_frechet_distance, _reference_r_precision
 from test_populate import too_small_pocket
 
@@ -247,6 +252,21 @@ class TestTokenizeRoundTrip:
         assert "unsupported MTOK version 2, expected version 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("num_tokens", [39, 200_000])
+    def test_mtok_longer_than_any_motion_exits_1_before_decoding(self, tmp_path, capsys,
+                                                                 monkeypatch, num_tokens):
+        vae_path = _golden_file(tmp_path, ".vae")  # vocab 16
+        stream_path = tmp_path / "long.mtok"
+        stream_path.write_bytes(b"MTOK" + struct.pack("<IIIIB", 3, 16, num_tokens, 30, 0)
+                                + bytes(2 * num_tokens))
+        monkeypatch.setattr(vae, "decode", _no_work)
+        out = tmp_path / "o.mseq"
+        assert dispatch(["detokenize", "--vae", str(vae_path), "--in", str(stream_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: token files hold at most 38 tokens, "
+                                           f"got {num_tokens}\n")
+        assert not out.exists()
+
     def test_zero_hidden_width_rejected(self, tmp_path, capsys):
         tensors = {name: np.ones(shape) if name == "in_scale" else np.zeros(shape)
                    for name, shape in vae._shapes(0, 6).items()}
@@ -457,6 +477,20 @@ def test_object_points_not_finite_or_too_far_exit_1(tmp_path, value, message):
     assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
     assert not report.exists()
+
+
+def test_object_points_a_kilometre_apart_exit_1_at_once(tmp_path, capsys):
+    walk = synth.make_walk_sequence(num_frames=9, with_object=True)
+    motion_path = tmp_path / "m.mseq"
+    fileio.write_mseq(motion_path, MotionSequence(walk.frames, is_canonical=False))
+    fileio.write_pts(tmp_path / "o.pts", np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]))
+    start = time.perf_counter()
+    code = dispatch(["score", "--motion", str(motion_path), "--object", str(tmp_path / "o.pts")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: point cloud needs a grid of 2e+04 x 5 x 5 cells")
+    assert err.count("\n") == 1
 
 
 class TestScoreAndEval:
@@ -719,6 +753,11 @@ def cli_inputs(tmp_path_factory):
      "--cfg-scale needs --heading"),
     (["convert", "--in", "{motion}", "--out", "{out}/c.mseq", "--root-pose=0,0,0,0,0,7"],
      "argument --root-pose: orientation rotation magnitude must be < 2*pi, got max 7.000000"),
+    (["populate", "--scene", "{scene}", "--motion", "{data}/seq00.mseq", "--out", "{out}/p.mseq",
+      "--report", "{out}/r.json"],
+     "populate expects a canonical motion (convert first)"),
+    (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--vocab-size", "131072"],
+     "vocab_size must be at most 65536, got 131072"),
 ])
 def test_bad_flag_value_is_usage_error_before_any_work(argv, message, cli_inputs, tmp_path,
                                                         capsys):
@@ -810,7 +849,7 @@ class TestParserReuse:
 
     def test_dispatch_does_not_carry_yaw_count(self, monkeypatch):
         monkeypatch.setattr(fileio, "read_vox", lambda path: None)
-        monkeypatch.setattr(fileio, "read_mseq", lambda path: None)
+        monkeypatch.setattr(fileio, "read_mseq", lambda path: SimpleNamespace(is_canonical=True))
         seen = []
 
         def record(seq, grid, yaw_count):
@@ -850,3 +889,83 @@ def test_every_trainer_setting_has_its_own_flag(argv, fixed):
         expected[f.name] = _non_default(f.default)
         argv = argv + [f"--{f.name.replace('_', '-')}", str(expected[f.name])]
     assert dataclasses.asdict(_vae_config(build_parser().parse_args(argv))) == expected
+
+
+# Every command that reads a file, and the inputs it reads.  Each input is
+# valid: test_fileio's golden motion (canonical), VAE and scene, the tokens
+# ``tokenize`` makes from the first two, a global clip, a small object cloud
+# and a feature table.  ``train-vae`` reads the motion from its data directory.
+_READING_COMMANDS = {
+    "convert": (["convert", "--in", "{motion}", "--out", "{out}/c.mseq"], ["motion"]),
+    "tokenize": (["tokenize", "--vae", "{vae}", "--in", "{motion}", "--out", "{out}/t.mtok"],
+                 ["vae", "motion"]),
+    "detokenize": (["detokenize", "--vae", "{vae}", "--in", "{tokens}", "--out", "{out}/d.mseq"],
+                   ["vae", "tokens"]),
+    "train-vae": (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--vocab-size", "16",
+                   "--hidden-width", "2", "--epochs", "2"], ["motion"]),
+    "populate": (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out",
+                  "{out}/p.mseq", "--yaw-count", "2"], ["scene", "motion"]),
+    "score": (["score", "--motion", "{clip}", "--scene", "{scene}", "--object", "{object}",
+               "--report", "{out}/s.json"], ["clip", "scene", "object"]),
+    "eval": (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}", "--pool-size",
+              "3", "--report", "{out}/e.json", "--motion", "{clip}", "--scene", "{scene}",
+              "--object", "{object}"], ["feat", "clip", "scene", "object"]),
+}
+_INPUT_FILES = {"motion": "data/m.mseq", "vae": "p.vae", "tokens": "t.mtok", "clip": "clip.mseq",
+                "scene": "s.vox", "object": "o.pts", "feat": "f.feat"}
+
+
+def _run_reading_command(command, files: dict, base: Path):
+    """Exit code, stderr and leaked warnings of ``command`` on the input bytes ``files``."""
+    work = Path(tempfile.mkdtemp(dir=base))
+    paths = {name: work / rel for name, rel in _INPUT_FILES.items()}
+    for name, path in paths.items():
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(files[name])
+    (work / "out").mkdir()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch([arg.format(out=work / "out", data=work / "data", **paths)
+                         for arg in _READING_COMMANDS[command][0]])
+    # eval's with-replacement diversity warning is by design; any other would
+    # print lines of its own
+    leaked = [str(w.message) for w in caught if "with replacement" not in str(w.message)]
+    return code, err.getvalue(), leaked
+
+
+@pytest.fixture(scope="module")
+def valid_input_bytes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    paths = {name: root / Path(rel).name for name, rel in _INPUT_FILES.items()}
+    for name, suffix in (("motion", ".mseq"), ("vae", ".vae"), ("scene", ".vox")):
+        paths[name] = _golden_file(root, suffix)
+    assert dispatch(["tokenize", "--vae", str(paths["vae"]), "--in", str(paths["motion"]),
+                     "--out", str(paths["tokens"])]) == 0
+    walk = synth.make_walk_sequence(num_frames=9, with_object=True)
+    fileio.write_mseq(paths["clip"], MotionSequence(walk.frames, is_canonical=False))
+    rng = np.random.default_rng(0)
+    fileio.write_pts(paths["object"], rng.uniform(-0.1, 0.1, (16, 3)))
+    fileio.write_feat(paths["feat"], rng.normal(size=(4, 3)))
+    files = {name: path.read_bytes() for name, path in paths.items()}
+    for command in _READING_COMMANDS:  # so that a corruption is what fails a command
+        assert _run_reading_command(command, files, root) == (0, "", []), command
+    return files
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_corrupt_input_exits_0_1_or_2_with_at_most_one_line(valid_input_bytes,
+                                                            tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(_READING_COMMANDS)), label="command")
+    name = data.draw(st.sampled_from(_READING_COMMANDS[command][1]), label="input")
+    blob = bytearray(valid_input_bytes[name])
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="size"):]
+    else:
+        blob[data.draw(st.integers(0, len(blob) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+    code, err, leaked = _run_reading_command(
+        command, {**valid_input_bytes, name: bytes(blob)}, tmp_path_factory.getbasetemp())
+    assert code in (0, 1, 2) and err.count("\n") <= 1 and not leaked, (command, name, code,
+                                                                         err, leaked)

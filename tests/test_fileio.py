@@ -28,7 +28,7 @@ from motok.fileio import (
     write_vae,
     write_vox,
 )
-from motok.lfq import TokenStream
+from motok.lfq import QuantizerError, TokenStream
 from motok.motion import FRAME_DIM, MAX_FRAMES, MotionSequence
 from motok.scene import SceneError, SceneVoxelGrid
 from motok.vae import ToyVaeConfig, ToyVaeParams, _shapes, init_params
@@ -69,7 +69,7 @@ class TestMseq:
 
 class TestMtok:
     def test_round_trip(self, tmp_path, rng):
-        stream = TokenStream(indices=rng.integers(0, 8192, 40), vocab_size=8192, fps=20,
+        stream = TokenStream(indices=rng.integers(0, 8192, 38), vocab_size=8192, fps=20,
                              is_canonical=True)
         path = tmp_path / "a.mtok"
         write_mtok(path, stream)
@@ -77,11 +77,15 @@ class TestMtok:
         np.testing.assert_array_equal(back.indices, stream.indices)
         assert (back.vocab_size, back.fps, back.is_canonical) == (8192, 20, True)
 
-    def test_vocab_limit(self, tmp_path):
-        stream = TokenStream(indices=np.array([0]), vocab_size=1 << 17, fps=30,
-                             is_canonical=False)
-        with pytest.raises(FileFormatError):
-            write_mtok(tmp_path / "big.mtok", stream)
+    def test_writer_refuses_more_tokens_than_the_longest_motion(self, tmp_path):
+        stream = TokenStream(indices=np.zeros(39), vocab_size=16, fps=30, is_canonical=False)
+        with pytest.raises(FileFormatError, match="at most 38 tokens, got 39"):
+            write_mtok(tmp_path / "long.mtok", stream)
+        assert not any(tmp_path.iterdir())
+
+    def test_vocab_limit(self):
+        with pytest.raises(QuantizerError, match="vocab_size"):
+            TokenStream(indices=np.array([0]), vocab_size=1 << 17, fps=30, is_canonical=False)
 
     def test_reader_rejects_vocab_the_writer_refuses(self, tmp_path):
         path = tmp_path / "big.mtok"
@@ -90,7 +94,7 @@ class TestMtok:
         blob = bytearray(path.read_bytes())
         blob[8:12] = struct.pack("<I", 1 << 17)  # after the magic and the version
         path.write_bytes(bytes(blob))
-        with pytest.raises(FileFormatError, match="vocab_size"):
+        with pytest.raises(QuantizerError, match="vocab_size"):
             read_mtok(path)
 
 
@@ -413,7 +417,7 @@ _GRID_SHAPES = st.just((1, 1, 1)) | st.tuples(*[st.integers(1, 9)] * 3)
 
 _DRAWN = {
     ".mseq": st.builds(_motion, _SEEDS, _FRAMES, _U32, st.booleans()),
-    ".mtok": st.builds(_stream, _SEEDS, _VOCABS, st.integers(1, 64), _U32, st.booleans()),
+    ".mtok": st.builds(_stream, _SEEDS, _VOCABS, st.integers(1, 38), _U32, st.booleans()),
     ".vox": st.builds(_grid, _SEEDS, _GRID_SHAPES, st.tuples(*[_COORD] * 3),
                       st.floats(0.125, 10, width=32)),
     ".pts": st.builds(_table, _SEEDS, _ROWS, st.just(3)),

@@ -410,7 +410,7 @@ def _demo_scene():
 def _seed_score(grid, sdf, kp):
     """The seed candidate's score: the bound the scan of the first yaw starts from."""
     seed = find_seed_position(grid, sdf)
-    return float(populate._score_offsets(kp, sdf, np.array([[seed[0], seed[2]]]), 0.0)[0])
+    return populate._score(kp, sdf, np.array([seed[0], seed[2]]), 0.0)
 
 
 class TestScanYaw:
