@@ -152,7 +152,8 @@ def _is_canonical(flag: int) -> bool:
 def read_mseq(path) -> MotionSequence:
     with _read(path, _MSEQ) as (body, (num, fps, canonical)):
         frames = _array(body, "<f4", (num, FRAME_DIM), "frames")
-    return MotionSequence(frames.astype(np.float64), fps=fps, is_canonical=_is_canonical(canonical))
+    return MotionSequence(_finite(frames, "frames"), fps=fps,
+                          is_canonical=_is_canonical(canonical))
 
 
 def _token_count(num: int) -> int:

@@ -3,7 +3,11 @@
 All metrics operate on caller-supplied feature matrices; nothing here knows
 about text or learned encoders.  R-precision is one pass: each query row
 gets one seeded retrieval pool, scored once, and the call returns the
-accuracy for every k up to ``top_k``.
+accuracy for every k up to ``top_k``.  It ranks the pool by a float32
+filter with a rigorous error bound and recomputes in float64 only the
+pairs the bound cannot decide, so its results are those of the float64
+distances, bit for bit.  Every paired Euclidean distance in this module is
+one reduction, :func:`_paired_distances`.
 """
 
 from __future__ import annotations
@@ -15,8 +19,12 @@ import numpy as np
 
 #: random pairs :func:`diversity` averages over
 DIVERSITY_PAIRS = 300
-#: query rows :func:`r_precision` scores per block
+#: query rows per block of :func:`r_precision`: a block gathers its distractor texts,
+#: (rows, pool - 1, F), in float32 for the filter or in float64 for the pairs the
+#: filter leaves undecided, 450 or 900 KB at pool 32, F=227
 _R_PRECISION_BLOCK = 16
+#: unit roundoff of float32, the precision of :func:`r_precision`'s filter
+_FLOAT32_ROUNDOFF = 2.0**-24
 #: tolerances relative to the covariances' magnitude: asymmetry against the largest
 #: entry, eigenvalue rounding noise against the largest eigenvalue, a negative
 #: Fréchet distance against the two traces
@@ -133,6 +141,46 @@ def _distractor_pools(n: int, pool_size: int, seed: int) -> np.ndarray:
     return others
 
 
+def _paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of ``a`` to the same row of ``b``.
+
+    The bits of ``np.linalg.norm(a - b, axis=1)``, with one temporary the
+    size of ``a`` instead of three.
+    """
+    gap = a - b
+    gap *= gap
+    return np.sqrt(gap.sum(axis=1))
+
+
+def _filter_bound(num_features: int) -> tuple[float, float]:
+    """``(rel, floor)``: the float32 filter of :func:`r_precision` is off by at most
+    ``rel * Q + floor``.
+
+    For a text row x and a motion row y of F float64 features, the filter's
+    approximation A = fl64(fl64(|x|^2 + |y|^2) - 2 dot32(x, y)) and the
+    squared sum S of the float64 path satisfy |S - A| <= rel * Q + floor,
+    where Q = fl64(|x|^2 + |y|^2), as long as A is finite.  With u = 2^-24
+    and v = 2^-53:
+
+    - the casts to float32 and the float32 dot product, in any summation
+      order, fused or not, are off by at most ((1 + u)^2 (1 + g) - 1) |x||y|
+      with g = F u / (1 - F u) < 1, and 2 |x||y| <= |x|^2 + |y|^2;
+    - float32 underflow adds at most (1 + g)(1 + u) 2^-149 (sqrt(F) (|x| + |y|)
+      + F (1 + 2^-150)) to twice the dot product's error, and
+      |x| + |y| <= sqrt(2 Q) <= 1/2 + Q;
+    - the float64 norms and combination, the rounding of the bound itself
+      and of A +- bound, and the float64 path's own rounding of S (within
+      (F + 2) v (1 + o(1)) of |x - y|^2 <= 2 Q) add less than (3F + 12) v Q.
+
+    So rel = (F + 4) u / (1 - (F + 4) u), whose last u covers the float64
+    terms and the underflow that grows with Q, and floor = F 2^-147 covers
+    the rest.  Past F = 2^23 - 4 the bound is not claimed, and ``rel`` is inf.
+    """
+    grown = (num_features + 4) * _FLOAT32_ROUNDOFF
+    rel = grown / (1.0 - grown) if grown <= 0.5 else np.inf
+    return rel, num_features * 2.0**-147
+
+
 def r_precision(
     motion_feats: np.ndarray,
     text_feats: np.ndarray,
@@ -149,35 +197,64 @@ def r_precision(
     than k are.  Entry ``k - 1`` of the result is the accuracy at k, so the
     list is non-decreasing.  Each pool is a uniform draw by Floyd's
     algorithm, made for all rows at once (:func:`_distractor_pools`).  Pools
-    depend only on (N, pool_size, seed).  True and distractor distances are
-    the same last-axis reduction, so a distractor text equal to the true
-    text ties and is not closer.
+    depend only on (N, pool_size, seed).
+
+    The result is that of float64 distances, :func:`_paired_distances` of
+    each pair, compared with ``<``: a distractor text equal to the true text
+    ties and is not closer.  Those distances are not all computed.  A
+    float32 dot product gives each pair the squared distance
+    A = |t|^2 + |m|^2 - 2 t.m with a rigorous bound |S - A| <= B on the
+    float64 path's squared sum S (:func:`_filter_bound`).  Since a correctly
+    rounded ``sqrt`` is monotone, the pair is closer when sqrt(A + B) < the
+    true distance and not closer when sqrt(max(A - B, 0)) >= it, exactly as
+    the float64 comparison would find.  Only the pairs neither test decides
+    (ties, near ties, and a non-finite A or A + B, such as features beyond
+    float32's range) take the float64 path.
     """
     m, t = _check_aligned(motion_feats, text_feats)
-    n = m.shape[0]
+    n, num_features = m.shape
     if n < pool_size:
         raise MetricError(f"need at least pool_size={pool_size} rows, got {n}")
     if not 1 <= top_k <= pool_size:
         raise MetricError(f"top_k must be in [1, {pool_size}], got {top_k}")
+    # before the pools, so that its (N, F) temporary and the pools are not held at once
+    true_dist = _paired_distances(m, t)[:, None]
     others = _distractor_pools(n, pool_size, seed)
-    true_dist = np.sqrt(((m - t) ** 2).sum(axis=1))
-    closer = np.empty(n, dtype=np.intp)
-    # blocks of rows bound the gathered (rows, pool - 1, F) distractors; all N rows
-    # at once would be 56 MB at N=1000, F=227
-    for start in range(0, n, _R_PRECISION_BLOCK):
-        rows = slice(start, start + _R_PRECISION_BLOCK)
-        gap = t[others[rows]]
-        gap -= m[rows, None, :]
-        gap *= gap
-        dist = np.sqrt(gap.sum(axis=2))
-        closer[rows] = (dist < true_dist[rows, None]).sum(axis=1)
-    return [int((closer < k).sum()) / n for k in range(1, top_k + 1)]
+    rel, floor = _filter_bound(num_features)
+    dot = np.empty((n, pool_size - 1, 1), dtype=np.float32)
+    # casts and products past float32's range are inf or NaN here, and undecided below
+    with np.errstate(over="ignore", invalid="ignore"):
+        text32 = t.astype(np.float32)
+        for start in range(0, n, _R_PRECISION_BLOCK):
+            rows = slice(start, start + _R_PRECISION_BLOCK)
+            np.matmul(text32[others[rows]], m[rows, :, None].astype(np.float32),
+                      out=dot[rows])
+        del text32
+        approx = np.einsum("ij,ij->i", t, t)[others]
+        approx += np.einsum("ij,ij->i", m, m)[:, None]
+        bound = rel * approx
+        bound += floor
+        approx -= 2.0 * dot[:, :, 0]
+        upper = approx + bound
+        lower = np.maximum(approx - bound, 0.0, out=approx)
+        closer = np.sqrt(upper) < true_dist
+        decided = closer | (np.sqrt(lower) >= true_dist)
+    decided &= np.isfinite(upper)
+    query, col = np.nonzero(~decided)
+    # a block's worth of pairs at a time: where every pair ties, the float64 gather
+    # stays one block's size
+    chunk = _R_PRECISION_BLOCK * max(pool_size - 1, 1)
+    for start in range(0, query.size, chunk):
+        q, c = query[start:start + chunk], col[start:start + chunk]
+        closer[q, c] = _paired_distances(t[others[q, c]], m[q]) < true_dist[q, 0]
+    count = closer.sum(axis=1)
+    return [int((count < k).sum()) / n for k in range(1, top_k + 1)]
 
 
 def multimodal_distance(motion_feats: np.ndarray, text_feats: np.ndarray) -> float:
     """Mean Euclidean distance between paired motion and text features."""
     m, t = _check_aligned(motion_feats, text_feats)
-    return float(np.linalg.norm(m - t, axis=1).mean())
+    return float(_paired_distances(m, t).mean())
 
 
 def diversity_with_replacement(num_rows: int) -> bool:
@@ -207,5 +284,5 @@ def diversity(feats: np.ndarray, seed: int) -> float:
         first = rng.integers(n, size=DIVERSITY_PAIRS)
         second = rng.integers(n - 1, size=DIVERSITY_PAIRS)
         second += second >= first
-    return float(np.linalg.norm(f[first] - f[second], axis=1).mean())
+    return float(_paired_distances(f[first], f[second]).mean())
 

@@ -953,6 +953,14 @@ def valid_input_bytes(tmp_path_factory):
     return files
 
 
+@pytest.mark.parametrize("command", ["convert", "tokenize"])
+def test_signalling_nan_frame_exits_1_with_one_line(valid_input_bytes, tmp_path, command):
+    # the motion's last frame value becomes a float32 signalling NaN, which warns when cast
+    motion = valid_input_bytes["motion"][:-4] + struct.pack("<I", 0x7FA00000)
+    assert _run_reading_command(command, {**valid_input_bytes, "motion": motion}, tmp_path) == (
+        1, "error: frames contain non-finite values\n", [])
+
+
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_corrupt_input_exits_0_1_or_2_with_at_most_one_line(valid_input_bytes,

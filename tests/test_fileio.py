@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestMseq:
         with pytest.raises(FileFormatError, match="does not fit"):
             write_mseq(tmp_path / "a.mseq", MotionSequence(np.zeros((4, FRAME_DIM)), fps=2**32))
         assert not any(tmp_path.iterdir())
+
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path, rng):
+        path = tmp_path / "s.mseq"
+        write_mseq(path, MotionSequence(rng.uniform(-1, 1, (4, FRAME_DIM))))
+        # the last frame value becomes a float32 signalling NaN, which warns when cast
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", 0x7FA00000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match="frames contain non-finite values"):
+                read_mseq(path)
 
     def test_truncated(self, tmp_path, rng):
         seq = MotionSequence(rng.uniform(-1, 1, (4, FRAME_DIM)))

@@ -8,6 +8,7 @@ from motok.metrics import (
     GaussianStats,
     MetricError,
     _distractor_pools,
+    _paired_distances,
     diversity,
     fit_gaussian,
     frechet_distance,
@@ -272,6 +273,45 @@ def retrieval_sets(draw):
     return motion, text, pool_size, draw(st.integers(0, 2**32 - 1))
 
 
+#: a float32 whose square lies halfway between two float32s
+_HALFWAY = 1.0 + 2.0**-12
+#: a float64 that casts down to _HALFWAY by almost a full float32 unit roundoff, so
+#: that the casts and the product of its float32 dot product with itself all round
+#: the same way: the float32 filter's worst case in one feature
+_EDGE = _HALFWAY + 2.0**-24 * (1.0 - 2.0**-20)
+#: feature values: integers (exact ties), the worst case and a text 1e-4 from it
+_PALETTE = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, _HALFWAY, _EDGE, _EDGE + 1e-4])
+#: feature scales: +-1, and past float32's range both ways but within float64's
+_SCALES = [1.0, -1.0, 2.0**120, 2.0**-120, 1e40, 1e-40, 1e20, -1e20]
+
+
+@st.composite
+def filter_edge_sets(draw):
+    """Features at the edges of ``r_precision``'s float32 filter: ties from duplicate
+    and mirrored texts, one-ulp perturbations, worst-case float32 rounding, scales
+    past float32's range, and NaN or inf entries."""
+    pool_size = draw(st.integers(1, 8))
+    n = draw(st.integers(pool_size, 16))
+    dim = draw(st.sampled_from([1, 1, 2, 3]))
+    source = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = _PALETTE[source.integers(0, _PALETTE.size, size=(draw(st.integers(1, 5)), dim))]
+    motion = rows[source.integers(0, len(rows), size=n)]
+    text = rows[source.integers(0, len(rows), size=n)]
+    mirrored = source.random(n) < draw(st.sampled_from([0.0, 0.3]))
+    pair = source.integers(0, n, size=n)
+    # 2 m - t is as far from m as t is (exactly so for the integer values)
+    text[mirrored] = 2.0 * motion[pair[mirrored]] - text[pair[mirrored]]
+    nudged = source.random((n, dim)) < draw(st.sampled_from([0.0, 0.2]))
+    text[nudged] = np.nextafter(text[nudged], source.choice([-np.inf, np.inf], nudged.sum()))
+    scale = draw(st.sampled_from(_SCALES))
+    motion, text = motion * scale, text * scale
+    if draw(st.booleans()):
+        feats = draw(st.sampled_from([motion, text]))
+        feats[source.integers(n), source.integers(dim)] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return motion, text, pool_size, draw(st.integers(0, 2**32 - 1))
+
+
 class TestRPrecision:
     def test_identical_features_perfect_top1(self, rng):
         feats = rng.normal(size=(64, 8))
@@ -333,6 +373,26 @@ class TestRPrecision:
                     for k in range(1, pool_size + 1)]
         assert got == expected
         assert all(type(value) is float for value in got)
+
+    @settings(max_examples=400, deadline=None)
+    @given(filter_edge_sets())
+    def test_float32_filter_matches_reference_at_its_edges(self, case):
+        motion, text, pool_size, seed = case
+        # the float64 distances of non-finite features warn in both
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = r_precision(motion, text, pool_size=pool_size, top_k=pool_size, seed=seed)
+            expected = [_reference_r_precision(motion, text, pool_size=pool_size, k=k,
+                                               seed=seed) for k in range(1, pool_size + 1)]
+        assert got == expected
+
+
+class TestPairedDistances:
+    @pytest.mark.parametrize("dim", [1, 7, 227, 1000])
+    @pytest.mark.parametrize("exponent", [-500, -120, -20, 0, 20, 120, 500])
+    def test_bits_of_linalg_norm(self, rng, exponent, dim):
+        a = rng.normal(size=(64, dim)) * 2.0**exponent
+        b = rng.normal(size=(64, dim)) * 2.0**exponent
+        np.testing.assert_array_equal(_paired_distances(a, b), np.linalg.norm(a - b, axis=1))
 
 
 class TestMultimodalDistance:
