@@ -212,15 +212,21 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """Geometry scores, then the feature metrics, with at most two (N, F) matrices alive.
+
+    Geometry runs first, so that its usage errors come before any feature
+    file is read.  ``--real`` is fitted before ``--gen`` is read, and
+    ``--text`` is read only after the FID, so the peak holds two feature
+    matrices and a fit's temporaries, not three; a bad ``--real`` statistic
+    is therefore reported before ``--gen`` or ``--text`` is opened.
+    """
     _check_output_dirs(args.report)
-    # geometry first, so that its usage errors come before any feature file is read
     report = _geometry_scores(args) if args.motion or args.scene or args.object else {}
-    real = fileio.read_feat(args.real)
+    real_stats = metrics.fit_gaussian(fileio.read_feat(args.real))
     gen = fileio.read_feat(args.gen)
+    report["fid"] = metrics.frechet_distance(real_stats, metrics.fit_gaussian(gen))
     text = fileio.read_feat(args.text)
     report.update({
-        "fid": metrics.frechet_distance(metrics.fit_gaussian(real),
-                                        metrics.fit_gaussian(gen)),
         "mmd": metrics.multimodal_distance(gen, text),
         "diversity": metrics.diversity(gen, seed=args.seed),
         "diversity_with_replacement": metrics.diversity_with_replacement(gen.shape[0]),

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .lfq import TokenStream
-from .motion import FRAME_DIM, MAX_FRAMES, MotionSequence
+from .motion import FRAME_DIM, JOINT_ROT, MAX_FRAMES, OBJ_ROT, ROOT_ROT, MotionSequence
 from .scene import SceneVoxelGrid
 from .vae import SEGMENT_LEN, ToyVaeParams
 
@@ -37,6 +37,7 @@ _VERSION = "<I"
 # (magic, version, header): header fields; payload.  A format without a
 # magic has no version either.
 _MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
+_ROTATION_COLUMNS = np.r_[ROOT_ROT, JOINT_ROT, OBJ_ROT]
 # vocab_size, num_tokens (<= _MAX_TOKENS), then the source motion's fps and
 # is_canonical; u16 indices, one per vae.SEGMENT_LEN frames
 _MTOK = (b"MTOK", 3, "<IIIB")
@@ -139,8 +140,14 @@ def _array(body: _Body, dtype, shape: tuple, what: str) -> np.ndarray:
 
 
 def write_mseq(path, seq: MotionSequence):
-    _write(path, _MSEQ, (seq.num_frames, seq.fps, int(seq.is_canonical)),
-           _float32(seq.frames, "frames").tobytes())
+    frames = _float32(seq.frames, "frames")
+    # float32 rounding can carry a rotation magnitude just under 2*pi up to it
+    # (6.283185307179585 is stored as 6.2831855), which read_mseq rejects.  A
+    # magnitude >= 2*pi needs a component >= 2*pi/sqrt(3) > 3.6; only then is the
+    # sequence read_mseq would return built, so that MotionError says so here.
+    if np.abs(frames[:, _ROTATION_COLUMNS]).max() >= 3.6:
+        MotionSequence(frames, fps=seq.fps, is_canonical=seq.is_canonical)
+    _write(path, _MSEQ, (seq.num_frames, seq.fps, int(seq.is_canonical)), frames.tobytes())
 
 
 def _is_canonical(flag: int) -> bool:

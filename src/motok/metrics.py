@@ -23,14 +23,21 @@ DIVERSITY_PAIRS = 300
 #: (rows, pool - 1, F), in float32 for the filter or in float64 for the pairs the
 #: filter leaves undecided, 450 or 900 KB at pool 32, F=227
 _R_PRECISION_BLOCK = 16
+#: values per block of :func:`_paired_distances`, 256 KB: at N=1000, F=227 one whole
+#: (N, F) temporary took 0.55-0.57 ms, blocks of 2^15 values 0.44-0.46 ms, and blocks of
+#: 2^16 or 2^17 values 0.47-0.53 ms (interleaved medians, 2 vCPUs, numpy 2.4.6)
+_PAIRED_BLOCK_VALUES = 2**15
 #: unit roundoff of float32, the precision of :func:`r_precision`'s filter
 _FLOAT32_ROUNDOFF = 2.0**-24
 #: tolerances relative to the covariances' magnitude: asymmetry against the largest
-#: entry, eigenvalue rounding noise against the largest eigenvalue, a negative
-#: Fréchet distance against the two traces
+#: entry, a negative Fréchet distance against the two traces
 _SYMMETRY_RTOL = 1e-10
-_EIGENVALUE_RTOL = 1e-10
 _COLLAPSE_RTOL = 1e-6
+#: eigenvalue rounding noise against the largest eigenvalue, per row of the matrix:
+#: a symmetric eigensolver's error on an F x F matrix is about F eps times the
+#: largest eigenvalue, eps = 2^-52.  A fixed 1e-10 would drop true eigenvalues of
+#: covariances that span many decades, and two identical such sets read 1.3e-5 of tr S
+_EIGENVALUE_RTOL = 2.0**-52
 
 
 class MetricError(ValueError):
@@ -73,8 +80,8 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
 
 
 def _drop_noise(vals: np.ndarray) -> np.ndarray:
-    """Zero the eigenvalues of a PSD spectrum below ``_EIGENVALUE_RTOL`` of its largest."""
-    return np.where(vals < _EIGENVALUE_RTOL * max(vals.max(), 0.0), 0.0, vals)
+    """Zero the eigenvalues of an F x F PSD spectrum below F ``_EIGENVALUE_RTOL`` of its largest."""
+    return np.where(vals < vals.size * _EIGENVALUE_RTOL * max(vals.max(), 0.0), 0.0, vals)
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -93,10 +100,11 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     one factorization and one ``eigvalsh``.  Only an S_a that is not
     positive definite (N <= F rows, or a constant feature column), where
     Cholesky fails, is eigendecomposed instead, and its symmetric square
-    root takes the place of L.  Eigenvalues below 1e-10 of the largest are
-    rounding noise and count as zero, and a negative result down to
-    -1e-6 (tr S_a + tr S_b) reads as 0: every tolerance follows the scale
-    of the covariances, so features scaled by c give c^2 times the distance.
+    root takes the place of L.  Eigenvalues below F eps of the largest
+    (F the feature count, eps = 2^-52) are rounding noise and count as
+    zero, and a negative result down to -1e-6 (tr S_a + tr S_b) reads as 0:
+    every tolerance follows the scale of the covariances, so features scaled
+    by c give c^2 times the distance.
     """
     if a.mean.shape != b.mean.shape:
         raise MetricError(f"dimension mismatch: {a.mean.shape} vs {b.mean.shape}")
@@ -127,29 +135,41 @@ def _distractor_pools(n: int, pool_size: int, seed: int) -> np.ndarray:
     """Seeded (n, pool_size - 1) distractor indices; row i is a uniform subset of range(n) - {i}.
 
     Floyd's algorithm samples a k = pool_size - 1 subset of range(n - 1) in k
-    draws, vectorised over rows: the pass for j = n - pool_size .. n - 2 draws
-    one integer in [0, j] per row and takes j instead where the row already
-    holds the draw.  Indices at or past the query then shift up by one.
+    draws, run for all rows in lockstep: the pass for j = n - pool_size ..
+    n - 2 draws one integer in [0, j] per row and takes j instead where the
+    row already holds the draw.  The picks are stored column-major, one
+    contiguous (n,) row per pass, so a pass compares its draw with every
+    earlier pick of all rows in one ``(cols[:col] == draw).any(axis=0)``
+    rather than reducing a short row per query.  Indices at or past the query
+    then shift up by one, and the result is the transposed (n, k) view.
     """
     rng = np.random.default_rng(seed)
-    others = np.empty((n, pool_size - 1), dtype=np.intp)
+    cols = np.empty((pool_size - 1, n), dtype=np.intp)
     for col, j in enumerate(range(n - pool_size, n - 1)):
         draw = rng.integers(j + 1, size=n)
-        taken = (others[:, :col] == draw[:, None]).any(axis=1)
-        others[:, col] = np.where(taken, j, draw)
-    others += others >= np.arange(n)[:, None]
-    return others
+        draw[(cols[:col] == draw).any(axis=0)] = j
+        cols[col] = draw
+    cols += cols >= np.arange(n)
+    return cols.T
 
 
 def _paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of ``a`` to the same row of ``b``.
 
-    The bits of ``np.linalg.norm(a - b, axis=1)``, with one temporary the
-    size of ``a`` instead of three.
+    The bits of ``np.linalg.norm(a - b, axis=1)``: each row's squares are
+    summed along the row, as they are in the whole matrix, but a block of
+    rows at a time in one reused buffer, so no temporary grows with the rows.
     """
-    gap = a - b
-    gap *= gap
-    return np.sqrt(gap.sum(axis=1))
+    rows = max(1, _PAIRED_BLOCK_VALUES // max(a.shape[1], 1))
+    out = np.empty(a.shape[0])
+    gap = np.empty((min(rows, a.shape[0]), a.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        stop = min(start + rows, a.shape[0])
+        block = gap[:stop - start]
+        np.subtract(a[start:stop], b[start:stop], out=block)
+        block *= block
+        block.sum(axis=1, out=out[start:stop])
+    return np.sqrt(out, out=out)
 
 
 def _filter_bound(num_features: int) -> tuple[float, float]:

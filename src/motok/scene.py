@@ -448,10 +448,35 @@ def contact_score(keypoints: np.ndarray, points: np.ndarray) -> float:
     ``points`` (n, 3) is the object's static cloud and ``keypoints`` (T, J, 3)
     are in its frame.  The comparison is strict, so a pair at exactly the
     threshold distance does not count as contact.
+
+    Only the keypoints inside the cloud's bounding box grown by
+    g = 2 ``CONTACT_THRESHOLD`` are measured, and the result is the same.  A
+    finite keypoint k is skipped when k_a < c = fl(m_a - g) on some axis a,
+    m_a the cloud's least coordinate there (or k_a > fl(M_a + g) at the
+    greatest, alike).  c is the float nearest m_a - g, so the float before it,
+    and k_a with it, lies below m_a - g: every point p has |k_a - p_a| > g.
+    Rounding is monotone and g is a float, so the computed difference is at
+    least g in size, its square at least fl(g^2) > T^2 (T the threshold), and
+    the squared sum, whose terms are not negative, no less; its correctly
+    rounded root is at least T.  No skipped pair is under the threshold, so a
+    frame is in contact exactly when one of its measured pairs is.  A keypoint
+    with a NaN or infinite coordinate is always measured, so a NaN still
+    reaches its frame's minimum.  Each frame's measured keypoints are padded
+    to a common count with repeats of its first one, which leave its minimum
+    as it is, and a frame with none is not measured.
     """
     kp = np.asarray(keypoints, dtype=np.float64)
     op = np.asarray(points, dtype=np.float64)
-    if kp.ndim != 3 or op.ndim != 2:
+    if kp.ndim != 3 or kp.shape[2] != 3 or op.ndim != 2 or op.shape[1] != 3:
         raise SceneError("keypoints must be (T, J, 3) and points (n, 3)")
-    closest = _closest_pair_distances(kp, op)
+    grow = 2.0 * CONTACT_THRESHOLD
+    far = ((kp < op.min(axis=0) - grow) | (kp > op.max(axis=0) + grow)).any(axis=2)
+    far &= np.isfinite(kp).all(axis=2)
+    count = far.shape[1] - far.sum(axis=1)
+    frames = np.flatnonzero(count)
+    width = count.max(initial=0)
+    # each frame's measured joints first, in order, then its first one again
+    joints = np.argsort(far[frames], axis=1, kind="stable")[:, :width]
+    joints = np.where(np.arange(width) < count[frames, None], joints, joints[:, :1])
+    closest = _closest_pair_distances(kp[frames[:, None], joints], op)
     return np.count_nonzero(closest < CONTACT_THRESHOLD) / kp.shape[0]

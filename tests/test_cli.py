@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,15 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motok import fileio, metrics, populate, synth, vae
+from motok import fileio, metrics, motion, populate, scene, synth, vae
 from motok.cli import _vae_config, build_parser, dispatch
 from motok.motion import FRAME_DIM, MotionSequence
-from motok.scene import SceneVoxelGrid
+from motok.scene import CONTACT_THRESHOLD, SceneVoxelGrid, _closest_pair_distances
 from motok.vae import pad_frames, reconstruction_mse
 from conftest import ZERO_SEGMENTS
 from test_fileio import _golden_file, _header_end
 from test_metrics import _reference_frechet_distance, _reference_r_precision
-from test_populate import too_small_pocket
+from test_populate import demo_room, too_small_pocket
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -680,6 +681,101 @@ class TestScoreAndEval:
         assert dispatch(argv) == 1
         assert "need at least 1 feature column" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+def _reference_geometry(motion_path, room_path, points_path) -> dict:
+    """``score``'s report from every keypoint-point pair, before contact skipped any."""
+    seq = fileio.read_mseq(motion_path)
+    keypoints = scene.body_keypoints(seq)
+    pen, frac = scene.collision_score(keypoints, scene.build_sdf(fileio.read_vox(room_path)))
+    points = fileio.read_pts(points_path)
+    rot = motion.axis_angle_to_matrix(seq.frames[:, motion.OBJ_ROT])
+    local = np.einsum("tba,tjb->tja", rot, keypoints - seq.frames[:, None, motion.OBJ_POS])
+    obj_pen, obj_frac = scene.collision_score(
+        local, scene.build_sdf(scene.voxelize_points(points, cell_size=0.05)))
+    closest = _closest_pair_distances(local, points)
+    return {"collision_scene": pen, "collision_scene_fraction": frac,
+            "collision": obj_pen, "collision_fraction": obj_frac,
+            "contact": np.count_nonzero(closest < CONTACT_THRESHOLD) / seq.num_frames}
+
+
+def _reference_features(real, gen, text, seed) -> dict:
+    """``eval``'s feature metrics from whole-matrix paired distances and row-by-row
+    Floyd pools (``_reference_r_precision``)."""
+    n = gen.shape[0]
+    rng = np.random.default_rng(seed)
+    if metrics.diversity_with_replacement(n):
+        first = rng.integers(n, size=metrics.DIVERSITY_PAIRS)
+        second = rng.integers(n - 1, size=metrics.DIVERSITY_PAIRS)
+        second += second >= first
+    else:
+        first, second = np.split(rng.permutation(n)[:2 * metrics.DIVERSITY_PAIRS], 2)
+    report = {
+        "fid": metrics.frechet_distance(metrics.fit_gaussian(real), metrics.fit_gaussian(gen)),
+        "mmd": float(np.linalg.norm(gen - text, axis=1).mean()),
+        "diversity": float(np.linalg.norm(gen[first] - gen[second], axis=1).mean()),
+        "diversity_with_replacement": metrics.diversity_with_replacement(n),
+    }
+    for k in (1, 2, 3):
+        report[f"r{k}"] = _reference_r_precision(gen, text, pool_size=32, k=k, seed=seed)
+    return report
+
+
+def _report_bytes(report: dict) -> bytes:
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("seed, rows", [(0, 200), (1, 200), (2, 200), (3, 200), (4, 200),
+                                        (0, 600)])
+def test_eval_and_score_reports_equal_a_reference_byte_for_byte(tmp_path, seed, rows):
+    rng = np.random.default_rng(seed)
+    real = rng.normal(size=(rows, 40))
+    gen = rng.normal(size=(rows, 40)) * 1.2 + 0.1
+    text = gen + 3.0 * rng.normal(size=(rows, 40))
+    argv = TestScoreAndEval.write_features(tmp_path, real, gen, text)
+    room, clip, cloud = tmp_path / "room.vox", tmp_path / "clip.mseq", tmp_path / "object.pts"
+    fileio.write_vox(room, demo_room())
+    walk = synth.make_walk_sequence(num_frames=31, arm_swing=0.2, with_object=True)
+    # the walk crosses the demo room's pillar, and the object by its torso slides
+    # 0.3 m along x, so only some frames are in contact
+    frames = motion.to_global(walk, motion.SixDof(translation=np.array([1.95, 0.0, 1.5]),
+                                                  orientation=np.zeros(3))).frames.copy()
+    frames[:, motion.OBJ_POS.start] += np.linspace(0.0, 0.3, frames.shape[0])
+    fileio.write_mseq(clip, MotionSequence(frames, fps=walk.fps))
+    center = np.array([-0.25, 0.25, -0.4]) + rng.uniform(-0.1, 0.1, 3)
+    fileio.write_pts(cloud, center + rng.uniform(-0.12, 0.12, (256, 3)))
+    geometry = ["--motion", str(clip), "--scene", str(room), "--object", str(cloud)]
+    assert dispatch(["score", *geometry, "--report", str(tmp_path / "score.json")]) == 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "only .* rows", UserWarning)
+        assert dispatch([*argv, "--seed", str(seed), *geometry]) == 0
+    expected = _reference_geometry(clip, room, cloud)
+    assert expected["collision_scene"] > 0.0 and 0.0 < expected["contact"] < 1.0
+    assert (tmp_path / "score.json").read_bytes() == _report_bytes(expected)
+    expected.update(_reference_features(fileio.read_feat(tmp_path / "real.feat"),
+                                        fileio.read_feat(tmp_path / "gen.feat"),
+                                        fileio.read_feat(tmp_path / "text.feat"), seed))
+    assert (tmp_path / "report.json").read_bytes() == _report_bytes(expected)
+
+
+def test_eval_holds_at_most_four_feature_matrices(tmp_path):
+    """``eval`` at the benchmark's N=1000, F=227 peaks below four (N, F) float64
+    matrices: ``--real`` is fitted before ``--gen`` is read, and ``--text`` is
+    read after the FID."""
+    rows, dim = 1000, 227
+    rng = np.random.default_rng(0)
+    gen = rng.normal(size=(rows, dim))
+    argv = TestScoreAndEval.write_features(tmp_path, rng.normal(size=(rows, dim)), gen,
+                                           gen + 3.0 * rng.normal(size=(rows, dim)))
+    del gen
+    assert dispatch(argv) == 0  # imports and first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * rows * dim * 8, f"peak {peak / (rows * dim * 8):.2f} feature matrices"
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ from motok.fileio import (
     write_vox,
 )
 from motok.lfq import QuantizerError, TokenStream
-from motok.motion import FRAME_DIM, MAX_FRAMES, MotionSequence
+from motok.motion import FRAME_DIM, MAX_FRAMES, MotionError, MotionSequence
 from motok.scene import SceneError, SceneVoxelGrid
 from motok.vae import ToyVaeConfig, ToyVaeParams, _shapes, init_params
 from conftest import ZERO_SEGMENTS
@@ -68,6 +68,43 @@ class TestMseq:
             warnings.simplefilter("error")
             with pytest.raises(FileFormatError, match="frames contain non-finite values"):
                 read_mseq(path)
+
+    @pytest.mark.parametrize("column", [3, 6, 66, 72], ids=["root", "joint0", "joint20",
+                                                              "object"])
+    def test_rotation_rounded_up_to_two_pi_rejected_without_a_file(self, tmp_path, column):
+        # below 2*pi in float64, stored as float32 6.2831855, which read_mseq rejects
+        frames = np.zeros((16, FRAME_DIM))
+        frames[:, column] = 6.283185307179585
+        with pytest.raises(MotionError, match="rotation magnitude must be < 2\\*pi"):
+            write_mseq(tmp_path / "a.mseq", MotionSequence(frames))
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(0, 22))
+    def test_every_written_rotation_reads_back(self, tmp_path_factory, seed, ulps, block):
+        """Rotations a few float64 ulps below 2*pi, on random axes: whatever
+        write_mseq accepts, read_mseq reads back, and the rest write no file."""
+        rng = np.random.default_rng(seed)
+        axes = rng.normal(size=(4, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        magnitude = 2.0 * np.pi
+        for _ in range(ulps):
+            magnitude = np.nextafter(magnitude, 0.0)
+        frames = rng.uniform(-1.0, 1.0, (4, FRAME_DIM))
+        start = 3 + 3 * block if block < 22 else 72  # root, 21 joints, object
+        frames[:, start:start + 3] = axes * magnitude
+        try:
+            seq = MotionSequence(frames)
+        except MotionError:  # the float64 product reached 2*pi already
+            return
+        path = tmp_path_factory.getbasetemp() / "rotation.mseq"
+        path.unlink(missing_ok=True)
+        try:
+            write_mseq(path, seq)
+        except MotionError:
+            assert not path.exists()
+            return
+        np.testing.assert_array_equal(read_mseq(path).frames, seq.frames.astype(np.float32))
 
     def test_truncated(self, tmp_path, rng):
         seq = MotionSequence(rng.uniform(-1, 1, (4, FRAME_DIM)))

@@ -192,6 +192,13 @@ class TestFrechetDistance:
         stats = fit_gaussian(np.random.default_rng(seed).normal(size=(300, 40)) * scale)
         assert frechet_distance(stats, stats) <= 1e-12 * _trace_sum(stats, stats)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_identical_stats_spanning_seven_decades_near_zero(self, seed):
+        # true eigenvalues down to 1e-14 of the largest are no rounding noise
+        feats = np.random.default_rng(seed).normal(size=(500, 20)) * np.logspace(0, -7, 20)
+        stats = fit_gaussian(feats)
+        assert frechet_distance(stats, stats) <= 1e-6 * np.trace(stats.covariance)
+
 
 def _reference_pools(n, pool_size, seed):
     """Floyd's algorithm row by row with a Python set, fed the draws of ``_distractor_pools``."""
@@ -392,6 +399,11 @@ class TestPairedDistances:
     def test_bits_of_linalg_norm(self, rng, exponent, dim):
         a = rng.normal(size=(64, dim)) * 2.0**exponent
         b = rng.normal(size=(64, dim)) * 2.0**exponent
+        np.testing.assert_array_equal(_paired_distances(a, b), np.linalg.norm(a - b, axis=1))
+
+    @pytest.mark.parametrize("rows, dim", [(1000, 227), (5000, 1), (3, 40000), (0, 5), (4, 0)])
+    def test_bits_of_linalg_norm_over_many_blocks(self, rng, rows, dim):
+        a, b = rng.normal(size=(rows, dim)), rng.normal(size=(rows, dim))
         np.testing.assert_array_equal(_paired_distances(a, b), np.linalg.norm(a - b, axis=1))
 
 

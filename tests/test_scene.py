@@ -491,6 +491,76 @@ class TestContact:
         assert report["contact"] == np.count_nonzero(closest < CONTACT_THRESHOLD) / num
 
 
+def unpruned_contact(keypoints, points):
+    """Contact from every keypoint-point pair: ``contact_score`` before it skipped
+    the keypoints outside the cloud's grown bounding box."""
+    closest = _closest_pair_distances(keypoints, points)
+    return np.count_nonzero(closest < CONTACT_THRESHOLD) / keypoints.shape[0]
+
+
+def contact_edge_case(seed, center_exponent, num_points, num_frames, joints):
+    """Keypoints around a cloud centred up to 1e12 from the origin: each coordinate
+    inside the box grown by 2 CONTACT_THRESHOLD, on one of its faces, one float
+    either side of a face, or one keypoint at or just under a threshold from a point."""
+    rng = np.random.default_rng(seed)
+    center = rng.choice([-1.0, 1.0], size=3) * 10.0**center_exponent * rng.uniform(0.5, 1.0, 3)
+    spread = rng.choice([0.0, 0.01, 0.2])
+    points = center + rng.uniform(-spread, spread, (num_points, 3))
+    grow = 2.0 * CONTACT_THRESHOLD
+    lo, hi = points.min(axis=0) - grow, points.max(axis=0) + grow
+    choices = np.stack([
+        lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+        hi, np.nextafter(hi, np.inf), np.nextafter(hi, -np.inf),
+    ])
+    kp = rng.uniform(lo - grow, hi + grow, (num_frames, joints, 3))
+    kind = rng.integers(0, 2 * len(choices), kp.shape)
+    on_face = kind < len(choices)
+    kp[on_face] = choices[kind[on_face], np.nonzero(on_face)[2]]
+    at_threshold = rng.random((num_frames, joints)) < 0.2
+    axis = rng.integers(0, 3, at_threshold.sum())
+    offset = np.zeros((axis.size, 3))
+    offset[np.arange(axis.size), axis] = (rng.choice([-1.0, 1.0], axis.size) * rng.choice(
+        [CONTACT_THRESHOLD, np.nextafter(CONTACT_THRESHOLD, 0.0)], axis.size))
+    kp[at_threshold] = points[rng.integers(0, num_points, axis.size)] + offset
+    return kp, points
+
+
+class TestContactPruning:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([-3, 0, 1, 3, 6, 9, 12]),
+           st.integers(1, 12), st.integers(1, 40), st.integers(1, 6))
+    def test_equals_unpruned_predicate(self, seed, center_exponent, num_points, num_frames,
+                                       joints):
+        kp, points = contact_edge_case(seed, center_exponent, num_points, num_frames, joints)
+        assert contact_score(kp, points) == unpruned_contact(kp, points)
+
+    @pytest.mark.parametrize("center", [0.0, 1e12])
+    def test_every_face_of_the_grown_box(self, center):
+        point = np.full((1, 3), center)
+        face = 2.0 * CONTACT_THRESHOLD
+        kp = []
+        for axis in range(3):
+            for bound in (center - face, center + face):
+                for value in (bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)):
+                    key = point[0].copy()
+                    key[axis] = value
+                    kp.append(key)
+        kp = np.array(kp)[:, None, :]
+        assert contact_score(kp, point) == unpruned_contact(kp, point) == 0.0
+
+    def test_non_finite_keypoint_is_measured_as_before(self):
+        points = np.zeros((1, 3))
+        # a NaN makes its frame's minimum NaN, so the frame is not in contact
+        kp = np.array([[[0.01, 0.0, 0.0], [np.nan, 5.0, 0.0]],
+                       [[0.01, 0.0, 0.0], [np.inf, 5.0, 0.0]]])
+        assert contact_score(kp, points) == unpruned_contact(kp, points) == 0.5
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 3)])
+    def test_rejects_keypoints_without_three_coordinates(self, shape):
+        with pytest.raises(SceneError, match="keypoints must be"):
+            contact_score(np.zeros(shape), np.zeros((1, 3)))
+
+
 class TestBodyKeypoints:
     def test_zero_pose_is_offset_chain(self):
         kp = body_keypoints(MotionSequence(np.zeros((1, FRAME_DIM))))
