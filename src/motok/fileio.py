@@ -261,9 +261,16 @@ def write_vae(path, params: ToyVaeParams):
     records = []
     for name in sorted(params.tensors):
         tensor, encoded = params.tensors[name], name.encode("utf-8")
+        stored = _float32(tensor, f"tensor {name}")
+        # float32 rounding can carry a positive scale to 0.0 (1e-46 is stored as
+        # 0.0), which read_vae rejects.  Only a present in_scale is checked: the
+        # writer does not build the ToyVaeParams that read_vae would
+        if name == "in_scale" and np.any(stored <= 0.0):
+            raise FileFormatError("in_scale must be strictly positive as float32, "
+                                  f"got {float(stored.min())}")
         records += [struct.pack(_NAME_LEN, len(encoded)), encoded,
                     struct.pack(_NDIM, tensor.ndim), struct.pack(f"<{tensor.ndim}I", *tensor.shape),
-                    _float32(tensor, f"tensor {name}").tobytes()]
+                    stored.tobytes()]
     _write(path, _VAE, (params.vocab_size, params.hidden_width, len(params.tensors)), *records)
 
 

@@ -304,5 +304,12 @@ def diversity(feats: np.ndarray, seed: int) -> float:
         first = rng.integers(n, size=DIVERSITY_PAIRS)
         second = rng.integers(n - 1, size=DIVERSITY_PAIRS)
         second += second >= first
-    return float(_paired_distances(f[first], f[second]).mean())
+    # gathered one block of pairs at a time, in _paired_distances' row blocks,
+    # so no copy of all 300 pairs' rows is made; each pair's sum is unchanged
+    rows = max(1, _PAIRED_BLOCK_VALUES // max(f.shape[1], 1))
+    dist = np.empty(DIVERSITY_PAIRS)
+    for start in range(0, DIVERSITY_PAIRS, rows):
+        pairs = slice(start, start + rows)
+        dist[pairs] = _paired_distances(f[first[pairs]], f[second[pairs]])
+    return float(dist.mean())
 

@@ -13,10 +13,12 @@ reconstruction gradient back through the sign function as identity.
 
 :func:`train` works in float32, the precision a ``.vae`` file stores, so the
 written file holds exactly the trained tensors; a fixed seed gives the same
-bytes at a fixed BLAS thread count.  :func:`loss_and_grads`
-computes in its parameters' dtype.  Inference (``encode``, ``decode``,
-``reconstruct``) computes in float64 for either dtype: its frames and codes
-are float64, and float32 weights upcast exactly.
+bytes at a fixed BLAS thread count.  It standardizes its fixed batch once
+per run (:func:`standardize`), and its 16 trainable tensors are views of one
+flat float32 buffer that each epoch updates in one subtraction.
+:func:`loss_and_grads` computes in its parameters' dtype.  Inference
+(``encode``, ``decode``, ``reconstruct``) computes in float64 for either
+dtype: its frames and codes are float64, and float32 weights upcast exactly.
 """
 
 from __future__ import annotations
@@ -248,24 +250,35 @@ def _backward(t: dict[str, np.ndarray], layers: tuple, trace: list, grad_out: np
     return grad_out
 
 
-def _encode(t: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Latents of a segment batch, and the encoder trace for :func:`_backward`."""
-    xs = x - t["in_shift"]
-    xs /= t["in_scale"]
-    return _forward(t, _ENCODER, xs)
+def standardize(params: ToyVaeParams, segments: np.ndarray) -> np.ndarray:
+    """``(segments - in_shift) / in_scale``, the encoder's input, as a fresh array.
+
+    It computes in the promoted dtype of ``segments`` and ``params.dtype``:
+    float64 frames stay float64 under float32 weights, which upcast exactly.
+    :func:`train` calls it once per run and hands the result to every epoch's
+    :func:`loss_and_grads`.
+    """
+    xs = np.asarray(segments) - params.tensors["in_shift"]
+    xs /= params.tensors["in_scale"]
+    return xs
 
 
 def _decode(t: dict[str, np.ndarray], q: np.ndarray) -> tuple[np.ndarray, list]:
-    """Segments decoded from codes, and the decoder trace for :func:`_backward`."""
+    """Segments decoded from codes, and the decoder trace for :func:`_backward`.
+
+    The last row's output is de-standardized in place: its backward step
+    reads only that output's shape.
+    """
     ys, trace = _forward(t, _DECODER, q)
-    y = ys.reshape(-1, SEGMENT_LEN, FRAME_DIM) * t["in_scale"]
+    y = ys.reshape(-1, SEGMENT_LEN, FRAME_DIM)
+    y *= t["in_scale"]
     y += t["in_shift"]
     return y, trace
 
 
 def encode(params: ToyVaeParams, frames: np.ndarray) -> np.ndarray:
     """Latent vectors of (T, 75) frames, one per 8-frame segment: shape (ceil(T/8), log2 K)."""
-    return _encode(params.tensors, segment_frames(frames))[0]
+    return _forward(params.tensors, _ENCODER, standardize(params, segment_frames(frames)))[0]
 
 
 def decode(params: ToyVaeParams, codes) -> np.ndarray:
@@ -287,10 +300,17 @@ def decode(params: ToyVaeParams, codes) -> np.ndarray:
 def loss_and_grads(
     params: ToyVaeParams,
     segments: np.ndarray,
+    standardized: np.ndarray,
     config: ToyVaeConfig,
     quantize: bool,
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Total loss, per-term values, and analytic parameter gradients.
+
+    ``standardized`` is ``standardize(params, segments)``, the encoder's
+    input; the reconstruction residual is taken against the raw
+    ``segments``.  A batch of another shape, or of another dtype than
+    :func:`standardize` gives, raises :class:`VaeError`.  Taking it as an
+    argument lets :func:`train` standardize its fixed batch once per run.
 
     Forward: the encoder rows of ``_LAYERS``, :func:`motok.lfq.sign_bits` at
     the latent ``z``, then the decoder rows.  Backward: the decoder rows in
@@ -303,19 +323,25 @@ def loss_and_grads(
     pattern and the reconstruction gradient crosses the node via the
     straight-through rule.
 
-    It computes in ``params.dtype``: the segments are cast to it, and the
+    It computes in ``params.dtype``: both batches are cast to it, and the
     gradients come back in it.  Only the entropy term works in float64 (the
     latents upcast exactly); its gradient is added in ``params.dtype``.  A
     non-finite latent, which only an overflowing update inside :func:`train`
     can produce, gives a NaN loss and no gradients.
     """
     t = params.tensors
-    x = np.asarray(segments, dtype=params.dtype)
-    if x.ndim != 3 or x.shape[1:] != (SEGMENT_LEN, FRAME_DIM):
-        raise VaeError(f"segments must be (S, {SEGMENT_LEN}, {FRAME_DIM}), got {x.shape}")
+    raw = np.asarray(segments)
+    if raw.ndim != 3 or raw.shape[1:] != (SEGMENT_LEN, FRAME_DIM):
+        raise VaeError(f"segments must be (S, {SEGMENT_LEN}, {FRAME_DIM}), got {raw.shape}")
+    xs = np.asarray(standardized)
+    expected = np.result_type(raw, params.dtype)
+    if xs.shape != raw.shape or xs.dtype != expected:
+        raise VaeError(f"standardized segments must be {expected} of shape {raw.shape}, "
+                       f"got {xs.dtype} of shape {xs.shape}")
+    x = raw.astype(params.dtype, copy=False)
     s = x.shape[0]
 
-    z, enc_trace = _encode(t, x)
+    z, enc_trace = _forward(t, _ENCODER, xs.astype(params.dtype, copy=False))
     if not np.all(np.isfinite(z)):
         nan = float("nan")
         return nan, {"recon": nan, "commit": nan, "entropy": nan, "total": nan}, {}
@@ -368,18 +394,30 @@ def train(
     history row per epoch with the loss terms evaluated at the start of that
     epoch.  A loss that becomes non-finite raises :class:`TrainingDiverged`;
     numpy's overflow and invalid-value warnings on the way there are held back.
+
+    The batch is standardized once per run, and each epoch calls the public
+    :func:`loss_and_grads` on it.  The 16 trainable tensors are views of one
+    flat float32 buffer, so an epoch's update is one subtraction of the
+    gradients, concatenated in ``_PARAM_NAMES`` order and scaled by the
+    learning rate: per element the same float32 multiply and subtract as a
+    per-tensor update.
     """
     segments = dataset_segments(dataset).astype(np.float32)
-    # init_params validates once and returns fresh float32 tensors, which the
-    # loop updates in place
+    # init_params validates once; the loop below updates the flat buffer in place
     params = init_params(config, segments)
+    standardized = standardize(params, segments)
     tensors = params.tensors
+    flat = np.concatenate([tensors[name].ravel() for name in _PARAM_NAMES])
+    views = np.split(flat, np.cumsum([tensors[name].size for name in _PARAM_NAMES])[:-1])
+    for name, view in zip(_PARAM_NAMES, views):
+        tensors[name] = view.reshape(tensors[name].shape)
     history = []
     # a diverging step overflows before the loss turns non-finite; the check
     # below reports that as one error, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            total, parts, grads = loss_and_grads(params, segments, config, quantize=True)
+            total, parts, grads = loss_and_grads(params, segments, standardized, config,
+                                                 quantize=True)
             if not np.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}: "
@@ -387,8 +425,9 @@ def train(
                     f"entropy={parts['entropy']:.3e}"
                 )
             history.append({"epoch": epoch, **parts})
-            for name in _PARAM_NAMES:
-                tensors[name] -= config.learning_rate * grads[name]
+            step = np.concatenate([grads[name].ravel() for name in _PARAM_NAMES])
+            step *= config.learning_rate
+            flat -= step
     final = ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
                          hidden_width=config.hidden_width)
     return final, history

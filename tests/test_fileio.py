@@ -204,6 +204,17 @@ class TestVae:
             np.testing.assert_array_equal(back.tensors[name],
                                           tensor.astype(np.float32))
 
+    def test_in_scale_that_rounds_to_zero_rejected(self, tmp_path):
+        # 1e-46 is below float32's smallest subnormal, so it would be stored as
+        # 0.0, which read_vae rejects
+        params = init_params(ToyVaeConfig(vocab_size=64, hidden_width=6), ZERO_SEGMENTS)
+        tensors = dict(params.tensors, in_scale=params.tensors["in_scale"].copy())
+        tensors["in_scale"][5] = 1e-46
+        tiny = ToyVaeParams(tensors, params.vocab_size, params.hidden_width)
+        with pytest.raises(FileFormatError, match="in_scale must be strictly positive"):
+            write_vae(tmp_path / "p.vae", tiny)
+        assert list(tmp_path.iterdir()) == []
+
     def test_version_1_rejected(self, tmp_path, rng, capsys):
         # version 1 had a downsample layer count (always 3) before num_tensors
         path = tmp_path / "p.vae"

@@ -481,3 +481,22 @@ class TestDiversity:
         with pytest.raises(MetricError):
             diversity(np.zeros((1, 3)), seed=0)
 
+    @pytest.mark.parametrize("n", [600, 1000, 64])
+    @pytest.mark.parametrize("dim", [227, 3])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.filterwarnings("ignore:only 64 rows:UserWarning")
+    def test_bits_of_the_whole_pair_gather(self, rng, n, dim, seed):
+        # the expression diversity reduced before it gathered its pairs block
+        # by block: both sides' rows copied whole, then one _paired_distances
+        feats = rng.normal(size=(n, dim))
+        draws = np.random.default_rng(seed)
+        if n >= 2 * DIVERSITY_PAIRS:
+            chosen = draws.permutation(n)[: 2 * DIVERSITY_PAIRS]
+            first, second = chosen[:DIVERSITY_PAIRS], chosen[DIVERSITY_PAIRS:]
+        else:
+            first = draws.integers(n, size=DIVERSITY_PAIRS)
+            second = draws.integers(n - 1, size=DIVERSITY_PAIRS)
+            second += second >= first
+        expected = float(_paired_distances(feats[first], feats[second]).mean())
+        assert np.float64(diversity(feats, seed)).tobytes() == np.float64(expected).tobytes()
+

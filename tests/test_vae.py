@@ -24,6 +24,7 @@ from motok.vae import (
     reconstruct,
     reconstruction_mse,
     segment_frames,
+    standardize,
     tokenize_frames,
     train,
 )
@@ -51,8 +52,10 @@ def finite_difference_grads(params, segments, config, quantize, eps=1e-6):
             minus[name].reshape(-1)[i] -= eps
             up = ToyVaeParams(plus, params.vocab_size, params.hidden_width)
             down = ToyVaeParams(minus, params.vocab_size, params.hidden_width)
-            lp, _, _ = loss_and_grads(up, segments, config, quantize=quantize)
-            lm, _, _ = loss_and_grads(down, segments, config, quantize=quantize)
+            lp, _, _ = loss_and_grads(up, segments, standardize(up, segments), config,
+                                      quantize=quantize)
+            lm, _, _ = loss_and_grads(down, segments, standardize(down, segments), config,
+                                      quantize=quantize)
             grad.reshape(-1)[i] = (lp - lm) / (2 * eps)
         grads[name] = grad
     return grads
@@ -141,7 +144,8 @@ class TestGradients:
         segments = small_batch(rng)
         for config in (SMALL, TINY):
             params = init_params(config, ZERO_SEGMENTS)
-            _, _, analytic = loss_and_grads(params, segments, config, quantize=False)
+            _, _, analytic = loss_and_grads(params, segments, standardize(params, segments), config,
+                                            quantize=False)
             numeric = finite_difference_grads(params, segments, config, quantize=False)
             assert max_relative_error(analytic, numeric) < 1e-4, config
 
@@ -152,7 +156,8 @@ class TestGradients:
         decoder = ("dec_w", "dec_b", "up3_w", "up3_b", "up2_w", "up2_b", "up1_w", "up1_b")
         for config in (SMALL, TINY):
             params = init_params(config, ZERO_SEGMENTS)
-            _, _, analytic = loss_and_grads(params, segments, config, quantize=True)
+            _, _, analytic = loss_and_grads(params, segments, standardize(params, segments), config,
+                                            quantize=True)
             numeric = finite_difference_grads(params, segments, config, quantize=True)
             worst = max_relative_error({k: analytic[k] for k in decoder},
                                        {k: numeric[k] for k in decoder})
@@ -165,7 +170,8 @@ class TestGradients:
         segments = small_batch(rng)
         config = dataclasses.replace(SMALL, lambda_commit=0.0, lambda_entropy=0.0)
         params = init_params(config, ZERO_SEGMENTS)
-        _, _, analytic = loss_and_grads(params, segments, config, quantize=True)
+        _, _, analytic = loss_and_grads(params, segments, standardize(params, segments), config,
+                                        quantize=True)
 
         frames = segments.reshape(-1, FRAME_DIM)
         z0 = encode(params, frames)
@@ -235,7 +241,8 @@ class TestTraining:
     def test_recon_loss_matches_loop_oracle(self, rng):
         segments = small_batch(rng, segments=3)
         params = init_params(SMALL, ZERO_SEGMENTS)
-        _, parts, _ = loss_and_grads(params, segments, SMALL, quantize=True)
+        _, parts, _ = loss_and_grads(params, segments, standardize(params, segments), SMALL,
+                                     quantize=True)
         z = encode(params, segments.reshape(-1, FRAME_DIM))
         bits = np.where(z > 0.0, 1.0, -1.0)
         recon = decode(params, bits).reshape(segments.shape)
@@ -251,7 +258,8 @@ class TestTraining:
     def test_commit_loss_matches_loop_oracle(self, rng):
         segments = small_batch(rng, segments=3)
         params = init_params(SMALL, ZERO_SEGMENTS)
-        _, parts, _ = loss_and_grads(params, segments, SMALL, quantize=True)
+        _, parts, _ = loss_and_grads(params, segments, standardize(params, segments), SMALL,
+                                     quantize=True)
         z = encode(params, segments.reshape(-1, FRAME_DIM))
         total = 0.0
         for s in range(z.shape[0]):
@@ -305,7 +313,8 @@ class TestTrainIsPublicLoop:
         expected = []
         for epoch in range(config.epochs):
             current = ToyVaeParams(tensors, vocab_size, hidden_width)
-            _, parts, grads = loss_and_grads(current, segments, config, quantize=True)
+            _, parts, grads = loss_and_grads(current, segments, standardize(current, segments),
+                                           config, quantize=True)
             expected.append({"epoch": epoch, **parts})
             tensors = {name: t - config.learning_rate * grads[name] if name in grads else t
                        for name, t in tensors.items()}
@@ -336,6 +345,111 @@ class TestTrainIsPublicLoop:
         assert calls["loss_and_grads"] == 7
         assert calls["entropy_loss"] == 7
         assert calls["entropy_loss_grad"] == (7 if lambda_entropy > 0 else 0)
+
+
+def _reference_train(config, dataset):
+    """The trainer before its batch was standardized once per run and its
+    tensors moved into one flat buffer: each epoch standardizes the batch
+    again, and each tensor takes its own update."""
+    segments = dataset_segments(dataset).astype(np.float32)
+    params = init_params(config, segments)
+    tensors = params.tensors
+    history = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            total, parts, grads = loss_and_grads(params, segments,
+                                                 standardize(params, segments), config,
+                                                 quantize=True)
+            if not np.isfinite(total):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}: "
+                    f"recon={parts['recon']:.3e} commit={parts['commit']:.3e} "
+                    f"entropy={parts['entropy']:.3e}"
+                )
+            history.append({"epoch": epoch, **parts})
+            for name in _PARAM_NAMES:
+                tensors[name] -= config.learning_rate * grads[name]
+    final = ToyVaeParams(tensors=tensors, vocab_size=config.vocab_size,
+                         hidden_width=config.hidden_width)
+    return final, history
+
+
+# (sequences, frames); None is the make_corpus() default
+CORPORA = [(1, 8), (2, 48), None]
+
+
+def _corpus(shape):
+    return make_corpus() if shape is None else make_corpus(*shape, seed=2)
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("corpus", CORPORA)
+    @pytest.mark.parametrize("vocab_size", [2, 64, 8192])
+    @pytest.mark.parametrize("hidden_width", [1, 3, 32])
+    @pytest.mark.parametrize("lambda_entropy", [0.0, 1e-2])
+    def test_same_vae_bytes_and_history(self, tmp_path, corpus, vocab_size, hidden_width,
+                                        lambda_entropy):
+        dataset = _corpus(corpus)
+        config = ToyVaeConfig(vocab_size=vocab_size, hidden_width=hidden_width,
+                              lambda_entropy=lambda_entropy, learning_rate=0.05, epochs=5,
+                              seed=6)
+        files = []
+        for run, trainer in enumerate((train, _reference_train)):
+            params, history = trainer(config, dataset)
+            write_vae(tmp_path / f"{run}.vae", params)
+            files.append(((tmp_path / f"{run}.vae").read_bytes(),
+                          [_row_bytes(row) for row in history]))
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("learning_rate", [1e5, 1e12])
+    def test_same_divergence(self, learning_rate):
+        config = ToyVaeConfig(vocab_size=16, hidden_width=8, learning_rate=learning_rate,
+                              epochs=50, seed=0)
+        dataset = make_corpus(1, 32, seed=0)
+        messages = []
+        for trainer in (train, _reference_train):
+            with pytest.raises(TrainingDiverged) as caught:
+                trainer(config, dataset)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_standardizes_once_per_run(self, monkeypatch):
+        calls = []
+        inner = vae.standardize
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(vae, "standardize", counted)
+        train(dataclasses.replace(SMALL, epochs=7), make_corpus(1, 32, seed=0))
+        assert len(calls) == 1
+
+
+class TestStandardizedArgument:
+    @pytest.fixture
+    def batch(self, rng):
+        params = init_params(SMALL, ZERO_SEGMENTS.astype(np.float32))
+        segments = small_batch(rng).astype(np.float32)
+        return params, segments, standardize(params, segments)
+
+    @pytest.mark.parametrize("bad", [
+        lambda xs: xs[:-1],
+        lambda xs: xs.reshape(-1, 2 * SEGMENT_LEN, FRAME_DIM),
+        lambda xs: xs.astype(np.float64),
+        lambda xs: xs.astype(np.float16),
+    ])
+    def test_wrong_shape_or_dtype_rejected(self, batch, bad):
+        params, segments, standardized = batch
+        with pytest.raises(VaeError, match="standardized segments"):
+            loss_and_grads(params, segments, bad(standardized), SMALL, quantize=True)
+
+    def test_standardized_batch_left_alone(self, batch):
+        # train hands the same standardized batch to every epoch
+        params, segments, standardized = batch
+        before = standardized.tobytes()
+        loss_and_grads(params, segments, standardized, SMALL, quantize=True)
+        assert standardized.tobytes() == before
 
 
 class TestFloat32Training:
@@ -370,7 +484,8 @@ class TestLossAndGradsDtype:
         params = init_params(SMALL, ZERO_SEGMENTS.astype(dtype))
         assert params.dtype == dtype
         segments = small_batch(rng).astype(segments_dtype)
-        total, parts, grads = loss_and_grads(params, segments, SMALL, quantize=True)
+        total, parts, grads = loss_and_grads(params, segments, standardize(params, segments),
+                                             SMALL, quantize=True)
         assert grads.keys() == set(_PARAM_NAMES)
         assert all(g.dtype == dtype for g in grads.values())
         assert np.isfinite(total) and type(total) is float
@@ -392,8 +507,10 @@ class TestLossAndGradsDtype:
         p32 = init_params(config, segments)
         p64 = ToyVaeParams({name: t.astype(np.float64) for name, t in p32.tensors.items()},
                            config.vocab_size, config.hidden_width)
-        total32, _, g32 = loss_and_grads(p32, segments, config, quantize=quantize)
-        total64, _, g64 = loss_and_grads(p64, segments.astype(np.float64), config,
+        total32, _, g32 = loss_and_grads(p32, segments, standardize(p32, segments), config,
+                                         quantize=quantize)
+        total64, _, g64 = loss_and_grads(p64, segments.astype(np.float64),
+                                         standardize(p64, segments.astype(np.float64)), config,
                                          quantize=quantize)
         assert total32 == pytest.approx(total64, rel=1e-6)
         for name in _PARAM_NAMES:
@@ -439,7 +556,8 @@ class TestNoInPlaceMutation:
     def test_loss_and_grads_leaves_segments_and_params_alone(self, params, rng, quantize):
         segments = small_batch(rng, segments=3)
         before = self._snapshot(params, segments)
-        loss_and_grads(params, segments, self.CONFIG, quantize=quantize)
+        loss_and_grads(params, segments, standardize(params, segments), self.CONFIG,
+                       quantize=quantize)
         assert self._snapshot(params, segments) == before
 
 
