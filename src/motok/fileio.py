@@ -1,20 +1,20 @@
 """Binary file formats and atomic writes.
 
-All integers are little-endian.  Each format is declared once, in the
-header table below: its magic, its version, its ``struct`` header, and the
-payload that follows the header.  A file is the magic, the format's version
-as a u32 (neither is present when the magic is empty), the header, then the
-payload.  Each format has its own version, and each reader reads that
-version alone: ``.mtok`` is at version 3 and ``.vae`` at version 2, so an
-older file of either is rejected.  A ``.mtok`` holds at most
+Every format has one layout, declared once in the header table below: a
+4-byte magic, the format's version as a u32, a ``struct`` header, then the
+payload arrays' bytes in C order.  All integers are little-endian.  Each
+reader reads its format's version alone.  A ``.mtok`` holds at most
 ``MAX_FRAMES // SEGMENT_LEN`` tokens, the most a motion decodes from, and
-its reader rejects a larger count before it reads any index; its vocab_size
-is bounded by :class:`~motok.lfq.LfqCodebook`.  Every reader raises
+its reader rejects a larger count before it reads any index.  A ``.vox``
+header's grid shape is capped before its payload is read.  A ``.vae``
+stores no shapes: its vocab_size and hidden_width fix them through
+:func:`~motok.vae.tensor_shapes`.  Every reader raises
 :class:`FileFormatError` on a bad magic or version, a header or payload that
 runs past the end of the file (a corrupt count included), an is_canonical
-byte other than 0 or 1, a tensor name that is not UTF-8, a tensor that is
-not 1-D or 2-D, or bytes after the payload.  The point and feature
-readers also reject a NaN or infinite value, which no later stage can use.
+byte other than 0 or 1, a ``.vae`` tensor name other than the one its place
+holds, a NaN or infinite frame, point or feature, or bytes after the
+payload; what else a file holds is checked by the object it is read into.
+Every writer refuses, before it writes anything, what its reader rejects.
 """
 
 from __future__ import annotations
@@ -30,27 +30,26 @@ import numpy as np
 
 from .lfq import TokenStream
 from .motion import FRAME_DIM, JOINT_ROT, MAX_FRAMES, OBJ_ROT, ROOT_ROT, MotionSequence
-from .scene import SceneVoxelGrid
-from .vae import SEGMENT_LEN, ToyVaeParams
+from .scene import SceneVoxelGrid, check_grid_shape
+from .vae import SEGMENT_LEN, ToyVaeParams, tensor_shapes
 
 _VERSION = "<I"
-# (magic, version, header): header fields; payload.  A format without a
-# magic has no version either.
-_MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; T x 75 float32, row-major
+# (magic, version, header): header fields; payload
+_MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; (T, 75) float32
 _ROTATION_COLUMNS = np.r_[ROOT_ROT, JOINT_ROT, OBJ_ROT]
 # vocab_size, num_tokens (<= _MAX_TOKENS), then the source motion's fps and
-# is_canonical; u16 indices, one per vae.SEGMENT_LEN frames
+# is_canonical; (num_tokens,) u16 indices, one per vae.SEGMENT_LEN frames
 _MTOK = (b"MTOK", 3, "<IIIB")
 _MAX_TOKENS = MAX_FRAMES // SEGMENT_LEN
-# H, W, D, origin[3], cell_size; occupancy bit-packed MSB-first, flattened
-# x-fastest (y, then z, then x order)
-_VOX = (b"SVOX", 1, "<III3ff")
-_PTS = (b"", None, "<I")  # n; n x 3 float32
-_FEAT = (b"", None, "<II")  # N, F; N x F float32
-# vocab_size, hidden_width, num_tensors; then per tensor, by name: u16 name
-# length, the UTF-8 name, u8 ndim (1 or 2), ndim x u32 dims, float32 data
-_VAE = (b"MVAE", 2, "<III")
-_NAME_LEN, _NDIM = "<H", "<B"
+# nx, nz, ny, origin[3], cell_size; the (nx, nz, ny) occupancy bit-packed
+# MSB-first
+_VOX = (b"SVOX", 2, "<III3ff")
+_PTS = (b"OPTS", 1, "<I")  # n; (n, 3) float32
+_FEAT = (b"FEAT", 1, "<II")  # N, F; (N, F) float32
+# vocab_size, hidden_width; then each tensor in vae.tensor_shapes order: u16
+# name length, the name, its float32 data
+_VAE = (b"MVAE", 3, "<II")
+_NAME_LEN = "<H"
 
 
 class FileFormatError(ValueError):
@@ -86,9 +85,7 @@ def _write(path, fmt, header, *payload):
     except struct.error as exc:  # a value beyond its field, such as fps >= 2**32
         raise FileFormatError(f"header does not fit {layout}: {exc}") from None
     with atomic_write(path) as out:
-        if magic:
-            out.write(magic + struct.pack(_VERSION, version))
-        out.write(packed)
+        out.write(magic + struct.pack(_VERSION, version) + packed)
         out.writelines(payload)
 
 
@@ -116,13 +113,12 @@ def _read(path, fmt):
     magic, version, layout = fmt
     with open(path, "rb") as handle:
         body = _Body(handle.read())
-    if magic:
-        if body.take(len(magic), "magic") != magic:
-            raise FileFormatError(f"bad magic, expected {magic!r}")
-        (found,) = _unpack(body, _VERSION, "version")
-        if found != version:
-            raise FileFormatError(
-                f"unsupported {magic.decode()} version {found}, expected version {version}")
+    if body.take(len(magic), "magic") != magic:
+        raise FileFormatError(f"bad magic, expected {magic!r}")
+    (found,) = _unpack(body, _VERSION, "version")
+    if found != version:
+        raise FileFormatError(
+            f"unsupported {magic.decode()} version {found}, expected version {version}")
     yield body, _unpack(body, layout, "header")
     if body.offset != len(body.view):
         raise FileFormatError("trailing bytes after the payload")
@@ -186,19 +182,19 @@ def read_mtok(path) -> TokenStream:
 
 
 def write_vox(path, grid: SceneVoxelGrid):
-    flat = grid.occupancy.transpose(2, 1, 0).reshape(-1)  # y, z, x order: x fastest
     *origin, cell_size = _float32([*grid.origin, grid.cell_size], "origin and cell size").tolist()
     # the grid read_vox would return: float32 rounding can make it invalid
     # (a cell size of 1e-46 is stored as 0.0), and SceneError says so here
     SceneVoxelGrid(occupancy=grid.occupancy, origin=np.array(origin), cell_size=cell_size)
-    _write(path, _VOX, (*grid.shape, *origin, cell_size), np.packbits(flat).tobytes())
+    _write(path, _VOX, (*grid.shape, *origin, cell_size), np.packbits(grid.occupancy).tobytes())
 
 
 def read_vox(path) -> SceneVoxelGrid:
-    with _read(path, _VOX) as (body, (nx, nz, ny, *origin, cell_size)):
-        packed = _array(body, np.uint8, ((nx * nz * ny + 7) // 8,), "occupancy")
-    occupancy = np.unpackbits(packed, count=nx * nz * ny).reshape(ny, nz, nx).transpose(2, 1, 0)
-    return SceneVoxelGrid(occupancy=occupancy, origin=np.array(origin), cell_size=cell_size)
+    with _read(path, _VOX) as (body, (*shape, ox, oy, oz, cell_size)):
+        check_grid_shape(shape, "scene")
+        packed = _array(body, np.uint8, ((math.prod(shape) + 7) // 8,), "occupancy")
+    occupancy = np.unpackbits(packed, count=math.prod(shape)).reshape(shape)
+    return SceneVoxelGrid(occupancy=occupancy, origin=np.array([ox, oy, oz]), cell_size=cell_size)
 
 
 def write_pts(path, points: np.ndarray):
@@ -209,22 +205,22 @@ def write_pts(path, points: np.ndarray):
 
 
 def _float32(values, what: str) -> np.ndarray:
-    """``values`` as little-endian float32.  A finite value beyond float32's
-    range would be stored as an infinity, which the readers reject, so it
-    raises :class:`FileFormatError` here, before anything is written."""
-    values = np.asarray(values, dtype=np.float64)
+    """``values`` as little-endian float32, or :class:`FileFormatError` for what
+    the readers reject: a NaN or infinity, or a finite value beyond float32's
+    range, which would be stored as an infinity."""
+    values = _finite(values, what)
     with np.errstate(over="ignore"):
         cast = values.astype("<f4")
-    if np.any(np.isinf(cast) & np.isfinite(values)):
+    if np.any(np.isinf(cast)):
         raise FileFormatError(f"{what} contain values beyond float32's range")
     return cast
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
+def _finite(values, what: str) -> np.ndarray:
     """``values`` as float64; checked before the cast, which warns on a signalling NaN."""
     if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{what} contain non-finite values")
-    return values.astype(np.float64)
+    return np.asarray(values, dtype=np.float64)
 
 
 def read_pts(path) -> np.ndarray:
@@ -258,34 +254,22 @@ def write_csv(path, rows: list[dict]):
 
 
 def write_vae(path, params: ToyVaeParams):
+    tensors = {name: _float32(t, f"tensor {name}") for name, t in params.tensors.items()}
+    # the params read_vae would return: float32 rounding can make them invalid
+    # (an in_scale of 1e-46 is stored as 0.0), and VaeError says so here
+    stored = ToyVaeParams(tensors, params.vocab_size, params.hidden_width)
     records = []
-    for name in sorted(params.tensors):
-        tensor, encoded = params.tensors[name], name.encode("utf-8")
-        stored = _float32(tensor, f"tensor {name}")
-        # float32 rounding can carry a positive scale to 0.0 (1e-46 is stored as
-        # 0.0), which read_vae rejects.  Only a present in_scale is checked: the
-        # writer does not build the ToyVaeParams that read_vae would
-        if name == "in_scale" and np.any(stored <= 0.0):
-            raise FileFormatError("in_scale must be strictly positive as float32, "
-                                  f"got {float(stored.min())}")
-        records += [struct.pack(_NAME_LEN, len(encoded)), encoded,
-                    struct.pack(_NDIM, tensor.ndim), struct.pack(f"<{tensor.ndim}I", *tensor.shape),
-                    stored.tobytes()]
-    _write(path, _VAE, (params.vocab_size, params.hidden_width, len(params.tensors)), *records)
+    for name, tensor in stored.tensors.items():
+        records += [struct.pack(_NAME_LEN, len(name)), name.encode(), tensor.tobytes()]
+    _write(path, _VAE, (stored.vocab_size, stored.hidden_width), *records)
 
 
 def read_vae(path) -> ToyVaeParams:
-    with _read(path, _VAE) as (body, (vocab, hidden, count)):
+    with _read(path, _VAE) as (body, (vocab, hidden)):
         tensors = {}
-        for _ in range(count):
+        for name, shape in tensor_shapes(vocab, hidden).items():
             (name_len,) = _unpack(body, _NAME_LEN, "name length")
-            try:
-                name = str(body.take(name_len, "name"), "utf-8")
-            except UnicodeDecodeError:
-                raise FileFormatError("tensor name is not UTF-8") from None
-            (ndim,) = _unpack(body, _NDIM, "ndim")
-            if ndim not in (1, 2):
-                raise FileFormatError(f"tensor {name} has {ndim} dims, expected 1 or 2")
-            shape = _unpack(body, f"<{ndim}I", "shape")
+            if body.take(name_len, "name") != name.encode():
+                raise FileFormatError(f"expected tensor {name} next")
             tensors[name] = _array(body, "<f4", shape, f"tensor {name}")
     return ToyVaeParams(tensors=tensors, vocab_size=vocab, hidden_width=hidden)

@@ -35,17 +35,28 @@ _CONTACT_BLOCK = 4
 _SHIFT_BLOCK = 128
 # Free cells :func:`voxelize_points` leaves around a point cloud on each side.
 POINT_PADDING_CELLS = 2
-# Most cells :func:`voxelize_points` puts on one grid axis.  ``build_sdf``
-# peaks near 42 bytes a cell (tracemalloc, 1M-cell grids), so the 2**24 cells
-# of a full grid cap one object's SDF near 0.7 GB; at the 5 cm cell of ``motok
-# score`` it is a 12.8 m cube, larger than any object.  The cap is per axis
-# because the exact EDT costs about cells times the longest axis: a 2.3M-cell
-# grid 1.4 km long and 9 cells wide took 90 s.
-MAX_POINT_GRID_AXIS = 1 << 8
+# Most cells any grid, a scene's or a point cloud's, has on one axis
+# (:func:`check_grid_shape`).  ``build_sdf`` peaks near 42 bytes a cell
+# (tracemalloc, 1M-cell grids), so the 2**24 cells of a full grid cap one SDF
+# near 0.7 GB; at the 5 cm cell of ``motok score`` it is a 12.8 m cube, larger
+# than any object, and at 10 cm a 25.6 m room.  The cap is per axis because the
+# exact EDT costs about cells times the longest axis: a 2.3M-cell grid 1.4 km
+# long and 9 cells wide took 90 s.  The worst grid under the cap, 256**3 with
+# one occupied corner cell, takes 31 s and 0.72 GB in ``build_sdf``.
+MAX_GRID_AXIS = 1 << 8
 
 
 class SceneError(ValueError):
     """Raised for malformed grids, point clouds or keypoint arrays."""
+
+
+def check_grid_shape(shape, what: str) -> None:
+    """Raise :class:`SceneError` unless each axis of ``shape`` holds at most
+    ``MAX_GRID_AXIS`` cells; a NaN axis fails too.  Run before a grid is built."""
+    if not all(axis <= MAX_GRID_AXIS for axis in shape):
+        cells = " x ".join(f"{axis:.3g}" for axis in shape)
+        raise SceneError(f"{what} needs a grid of {cells} cells, more than "
+                         f"{MAX_GRID_AXIS} on an axis")
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,7 @@ class SceneVoxelGrid:
         occ = np.asarray(self.occupancy)
         if occ.ndim != 3 or min(occ.shape) < 1:
             raise SceneError(f"occupancy must be a non-empty 3-D array, got shape {occ.shape}")
+        check_grid_shape(occ.shape, "scene")
         if not np.all((occ == 0) | (occ == 1)):
             raise SceneError("occupancy must be binary")
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
@@ -381,7 +393,7 @@ def voxelize_points(points: np.ndarray, cell_size: float) -> SceneVoxelGrid:
     """Occupancy grid marking every cell that contains at least one point.
 
     Raises :class:`SceneError` when the grid would need more than
-    ``MAX_POINT_GRID_AXIS`` cells on an axis, as it would for a non-finite point.
+    ``MAX_GRID_AXIS`` cells on an axis, as it would for a non-finite point.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
@@ -389,10 +401,7 @@ def voxelize_points(points: np.ndarray, cell_size: float) -> SceneVoxelGrid:
     lo = points.min(axis=0) - POINT_PADDING_CELLS * cell_size
     extent = points.max(axis=0) - lo + POINT_PADDING_CELLS * cell_size
     spans = np.maximum(np.ceil(extent / cell_size) + 1, 1)
-    if not np.all(spans <= MAX_POINT_GRID_AXIS):  # NaN fails the comparison too
-        shape = " x ".join(f"{span:.3g}" for span in spans)
-        raise SceneError(f"point cloud needs a grid of {shape} cells at cell_size "
-                         f"{cell_size}, more than {MAX_POINT_GRID_AXIS} on an axis")
+    check_grid_shape(spans.tolist(), "point cloud")
     counts = spans.astype(int)
     occ = np.zeros((counts[0], counts[2], counts[1]), dtype=np.uint8)
     idx = np.floor((points - lo) / cell_size).astype(int)

@@ -52,9 +52,6 @@ _ENCODER, _DECODER = _LAYERS[:4], _LAYERS[4:]
 
 _PARAM_NAMES = tuple(f"{name}_{kind}" for name, *_ in _LAYERS for kind in "wb")
 
-# frozen per-channel preprocessing constants; never touched by the optimizer
-_FIXED_NAMES = ("in_shift", "in_scale")
-
 
 class VaeError(ValueError):
     """Raised for configuration or shape problems."""
@@ -123,18 +120,17 @@ class ToyVaeParams:
     def __post_init__(self):
         if self.hidden_width < 1:
             raise VaeError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        tensors, names = self.tensors, _PARAM_NAMES + _FIXED_NAMES
-        missing = [n for n in names if n not in tensors]
+        tensors, expected = self.tensors, tensor_shapes(self.vocab_size, self.hidden_width)
+        missing = [n for n in expected if n not in tensors]
         if missing:
             raise VaeError(f"missing parameter tensors: {missing}")
-        unknown = sorted(set(tensors) - set(names))
+        unknown = sorted(set(tensors) - set(expected))
         if unknown:
             raise VaeError(f"unknown parameter tensors: {unknown}")
-        expected = _shapes(self.hidden_width, LfqCodebook(self.vocab_size).num_dims)
-        arrays = {name: np.asarray(tensors[name]) for name in names}
+        arrays = {name: np.asarray(tensors[name]) for name in expected}
         dtype = np.float32 if all(a.dtype == np.float32 for a in arrays.values()) else np.float64
         clean = {}
-        for name in names:
+        for name in expected:
             t = arrays[name].astype(dtype, copy=False)
             if t.shape != expected[name]:
                 raise VaeError(f"{name} has shape {t.shape}, expected {expected[name]}")
@@ -158,8 +154,16 @@ class ToyVaeParams:
         return LfqCodebook(self.vocab_size)
 
 
-def _shapes(hidden: int, dims: int) -> dict[str, tuple]:
-    width = {"2c": 2 * FRAME_DIM, "h": hidden, "2h": 2 * hidden, "d": dims}
+def tensor_shapes(vocab_size: int, hidden_width: int) -> dict[str, tuple]:
+    """The name and shape of every tensor of a model of these sizes, in order.
+
+    The weight and bias of each ``_LAYERS`` row come first, in table order,
+    then ``in_shift`` and ``in_scale``.  This is the one declaration of the
+    tensors: :func:`init_params` draws them, :class:`ToyVaeParams` checks
+    them, and a ``.vae`` file stores them in this order, without shapes.
+    """
+    width = {"2c": 2 * FRAME_DIM, "h": hidden_width, "2h": 2 * hidden_width,
+             "d": LfqCodebook(vocab_size).num_dims}
     shapes = {}
     for name, n_in, n_out, _ in _LAYERS:
         shapes[f"{name}_w"] = (width[n_in], width[n_out])
@@ -183,7 +187,7 @@ def init_params(config: ToyVaeConfig, segments: np.ndarray) -> ToyVaeParams:
     statistics are float64; the tensors are float32 when ``segments`` is.
     """
     rng = np.random.default_rng(config.seed)
-    shapes = _shapes(config.hidden_width, config.num_dims)
+    shapes = tensor_shapes(config.vocab_size, config.hidden_width)
     tensors = {}
     for name, *_ in _LAYERS:
         n_in, n_out = shapes[f"{name}_w"]

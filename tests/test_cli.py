@@ -25,7 +25,7 @@ from motok.motion import FRAME_DIM, MotionSequence
 from motok.scene import CONTACT_THRESHOLD, SceneVoxelGrid, _closest_pair_distances
 from motok.vae import pad_frames, reconstruction_mse
 from conftest import ZERO_SEGMENTS
-from test_fileio import _golden_file, _header_end
+from test_fileio import _forge, _golden_file, _header_end
 from test_metrics import _reference_frechet_distance, _reference_r_precision
 from test_populate import demo_room, too_small_pocket
 
@@ -269,13 +269,13 @@ class TestTokenizeRoundTrip:
         assert not out.exists()
 
     def test_zero_hidden_width_rejected(self, tmp_path, capsys):
-        tensors = {name: np.ones(shape) if name == "in_scale" else np.zeros(shape)
-                   for name, shape in vae._shapes(0, 6).items()}
         vae_path = tmp_path / "w0.vae"
-        # write_vae reads only these fields, so a namespace can carry a width
-        # that ToyVaeParams refuses
-        fileio.write_vae(vae_path, SimpleNamespace(tensors=tensors, vocab_size=64,
-                                                   hidden_width=0))
+        # write_vae refuses a width that ToyVaeParams refuses, so the file is
+        # forged: each tensor's name length, name and float32 data
+        _forge(vae_path, fileio._VAE, (64, 0), *[
+            struct.pack("<H", len(name)) + name.encode()
+            + (np.ones if name == "in_scale" else np.zeros)(shape, "<f4").tobytes()
+            for name, shape in vae.tensor_shapes(64, 0).items()])
         src = tmp_path / "m.mseq"
         fileio.write_mseq(src, synth.make_corpus(1, 16, seed=1)[0])
         out = tmp_path / "t.mtok"
@@ -287,17 +287,18 @@ class TestTokenizeRoundTrip:
     def test_vae_without_standardization_rejected(self, tmp_path, capsys):
         params = vae.init_params(vae.ToyVaeConfig(vocab_size=64, hidden_width=4),
                                  ZERO_SEGMENTS)
-        tensors = {name: t for name, t in params.tensors.items()
-                   if name not in ("in_shift", "in_scale")}
         vae_path = tmp_path / "p16.vae"
-        fileio.write_vae(vae_path, SimpleNamespace(tensors=tensors, vocab_size=64,
-                                                   hidden_width=4))
+        fileio.write_vae(vae_path, params)
+        # the in_shift and in_scale records end the file: a name length, the
+        # name and 75 float32 values each
+        record = 2 + len("in_shift") + 4 * FRAME_DIM
+        vae_path.write_bytes(vae_path.read_bytes()[:-2 * record])
         src = tmp_path / "m.mseq"
         fileio.write_mseq(src, synth.make_corpus(1, 16, seed=1)[0])
         out = tmp_path / "t.mtok"
         assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(src),
                          "--out", str(out)]) == 1
-        assert "missing parameter tensors: ['in_shift', 'in_scale']" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: truncated file while reading name length\n"
         assert not out.exists()
 
 
@@ -459,6 +460,29 @@ def test_vox_cell_size_not_finite_exits_1(tmp_path, capsys, command, cell):
     assert err.startswith("error: cell_size must be finite and > 0") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shape, cells", [((400, 400, 400), "400 x 400 x 400"),
+                                          ((10_000, 5, 5), "1e+04 x 5 x 5")],
+                         ids=["400^3", "10000x5x5"])
+@pytest.mark.parametrize("command", ["score", "populate"])
+def test_vox_beyond_the_grid_cap_exits_1_at_once(tmp_path, capsys, command, shape, cells):
+    # the header alone: the cap is checked before the payload is read
+    scene = tmp_path / "big.vox"
+    _forge(scene, fileio._VOX, (*shape, 0.0, 0.0, 0.0, 0.05))
+    assert scene.stat().st_size == 36
+    walk = synth.make_walk_sequence(num_frames=9)
+    motion_path = tmp_path / "m.mseq"
+    fileio.write_mseq(motion_path, MotionSequence(walk.frames, is_canonical=command == "populate"))
+    argv = {"score": ["score", "--scene", str(scene), "--motion", str(motion_path)],
+            "populate": ["populate", "--scene", str(scene), "--motion", str(motion_path),
+                         "--out", str(tmp_path / "p.mseq")]}[command]
+    start = time.perf_counter()
+    assert dispatch(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (f"error: scene needs a grid of {cells} cells, "
+                                       f"more than 256 on an axis\n")
+    assert not (tmp_path / "p.mseq").exists()
+
+
 @pytest.mark.parametrize("value, message", [
     (np.nan, "error: points contain non-finite values\n"),
     (np.inf, "error: points contain non-finite values\n"),
@@ -470,7 +494,8 @@ def test_object_points_not_finite_or_too_far_exit_1(tmp_path, value, message):
     fileio.write_mseq(motion_path, MotionSequence(walk.frames, is_canonical=False))
     points = np.random.default_rng(0).uniform(-0.1, 0.1, (64, 3))
     points[5, 1] = value
-    fileio.write_pts(tmp_path / "o.pts", points)
+    # write_pts refuses a non-finite point, so the file is forged
+    _forge(tmp_path / "o.pts", fileio._PTS, points.shape[:1], points.astype("<f4").tobytes())
     report = tmp_path / "score.json"
     done = run_motok(["score", "--motion", str(motion_path), "--object",
                       str(tmp_path / "o.pts"), "--report", str(report)], tmp_path)
@@ -607,7 +632,7 @@ class TestScoreAndEval:
     def test_eval_corrupt_feature_count_is_domain_error(self, tmp_path, rng):
         _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
         blob = bytearray((tmp_path / "gen.feat").read_bytes())
-        blob[0:8] = struct.pack("<II", 1 << 31, 1 << 31)
+        blob[8:16] = struct.pack("<II", 1 << 31, 1 << 31)  # N, F after the magic and version
         (tmp_path / "gen.feat").write_bytes(bytes(blob))
         done = run_motok(argv, tmp_path)
         assert done.returncode == 1
@@ -619,7 +644,8 @@ class TestScoreAndEval:
     def test_eval_text_features_not_finite_exit_1(self, tmp_path, rng, value):
         _, _, text, argv = self.write_eval_inputs(tmp_path, rng, 64)
         text[3, 2] = value
-        fileio.write_feat(tmp_path / "text.feat", text)
+        # write_feat refuses a non-finite feature, so the file is forged
+        _forge(tmp_path / "text.feat", fileio._FEAT, text.shape, text.astype("<f4").tobytes())
         done = run_motok(argv, tmp_path)
         assert done.returncode == 1
         assert done.stderr == "error: features contain non-finite values\n"

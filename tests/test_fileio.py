@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from motok.fileio import (
 from motok.lfq import QuantizerError, TokenStream
 from motok.motion import FRAME_DIM, MAX_FRAMES, MotionError, MotionSequence
 from motok.scene import SceneError, SceneVoxelGrid
-from motok.vae import ToyVaeConfig, ToyVaeParams, _shapes, init_params
+from motok.vae import ToyVaeConfig, ToyVaeParams, VaeError, init_params, tensor_shapes
 from conftest import ZERO_SEGMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,18 +158,26 @@ class TestVox:
         np.testing.assert_allclose(back.origin, grid.origin, atol=1e-7)
         assert back.cell_size == pytest.approx(0.25)
 
-    def test_exact_bit_layout_x_fastest(self, tmp_path):
-        # 2x1x1 grid with only cell x=0 occupied: the flat order is x-fastest,
-        # MSB-first, so the payload is the single byte 0b10000000
-        occ = np.zeros((2, 1, 1), dtype=np.uint8)
-        occ[0, 0, 0] = 1
+    def test_exact_bit_layout_c_order(self, tmp_path):
+        # 2x1x2 grid with only cell (x=1, z=0, y=0) occupied: the flat order is
+        # the array's own C order, MSB-first, so that cell is bit 2 of 4 and the
+        # payload is the single byte 0b00100000 (x fastest would set bit 1)
+        occ = np.zeros((2, 1, 2), dtype=np.uint8)
+        occ[1, 0, 0] = 1
         path = tmp_path / "bit.vox"
         write_vox(path, SceneVoxelGrid(occ, np.zeros(3), 1.0))
         blob = path.read_bytes()
         assert blob[:4] == b"SVOX"
         version, nx, nz, ny = struct.unpack("<IIII", blob[4:20])
-        assert (version, nx, nz, ny) == (1, 2, 1, 1)
-        assert blob[36:] == bytes([0b10000000])
+        assert (version, nx, nz, ny) == (2, 2, 1, 2)
+        assert blob[36:] == bytes([0b00100000])
+
+    def test_grid_at_the_cap_loads(self, tmp_path):
+        occ = np.zeros((256, 2, 2), dtype=np.uint8)
+        occ[255, 1, 0] = 1
+        path = tmp_path / "long.vox"
+        write_vox(path, SceneVoxelGrid(occ, np.zeros(3), 0.1))
+        np.testing.assert_array_equal(read_vox(path).occupancy, occ)
 
     def test_cell_size_that_rounds_to_zero_rejected(self, tmp_path):
         # 1e-46 is below float32's smallest subnormal, so it would be stored as 0.0
@@ -211,18 +220,19 @@ class TestVae:
         tensors = dict(params.tensors, in_scale=params.tensors["in_scale"].copy())
         tensors["in_scale"][5] = 1e-46
         tiny = ToyVaeParams(tensors, params.vocab_size, params.hidden_width)
-        with pytest.raises(FileFormatError, match="in_scale must be strictly positive"):
+        with pytest.raises(VaeError, match="in_scale must be strictly positive"):
             write_vae(tmp_path / "p.vae", tiny)
         assert list(tmp_path.iterdir()) == []
 
     def test_version_1_rejected(self, tmp_path, rng, capsys):
-        # version 1 had a downsample layer count (always 3) before num_tensors
+        # version 1 had a downsample layer count (always 3) and a tensor count
+        # (always 18) after hidden_width
         path = tmp_path / "p.vae"
         write_vae(path, init_params(ToyVaeConfig(vocab_size=64, hidden_width=6),
                                     ZERO_SEGMENTS))
         blob = path.read_bytes()
-        vocab, hidden, count = struct.unpack("<III", blob[8:20])
-        path.write_bytes(b"MVAE" + struct.pack("<IIIII", 1, vocab, hidden, 3, count) + blob[20:])
+        vocab, hidden = struct.unpack("<II", blob[8:16])
+        path.write_bytes(b"MVAE" + struct.pack("<IIIII", 1, vocab, hidden, 3, 18) + blob[16:])
         with pytest.raises(FileFormatError, match="unsupported MVAE version 1"):
             read_vae(path)
 
@@ -276,57 +286,69 @@ def test_every_truncation_rejected(tmp_path, rng, suffix):
 
 
 def _header_end(fmt):
-    """Offset of the first payload byte: magic, version (if any) and header."""
+    """Offset of the first payload byte: magic, version and header."""
     magic, _, layout = fmt
-    return len(magic) + (4 if magic else 0) + struct.calcsize(layout)
+    return len(magic) + 4 + struct.calcsize(layout)
+
+
+def _forge(path, fmt, header, *payload):
+    """Write a file in ``fmt``'s layout from raw payload bytes, which may hold
+    what the writers refuse."""
+    magic, version, layout = fmt
+    path.write_bytes(magic + struct.pack("<I", version) + struct.pack(layout, *header)
+                     + b"".join(payload))
 
 
 # the first .vae tensor record, which starts with its u16 name length
 _VAE_RECORDS = _header_end(fileio._VAE)
 
 
-def _count_offsets(suffix, blob):
+def _count_offsets(suffix):
     """Byte offsets of the u32 fields that size a payload."""
-    if suffix == ".vae":
-        # num_tensors (the last header field), then the first dim of the first
-        # tensor record: after its u16 name length, the name and a u8 ndim
-        (name_len,) = struct.unpack("<H", blob[_VAE_RECORDS:_VAE_RECORDS + 2])
-        return (_VAE_RECORDS - 4, _VAE_RECORDS + 2 + name_len + 1)
-    return {".mseq": (8,), ".mtok": (12,), ".vox": (8, 12, 16), ".pts": (0,),
-            ".feat": (0, 4)}[suffix]
+    # .vae: hidden_width, then the first record's u16 name length and the first
+    # two bytes of its name
+    return {".mseq": (8,), ".mtok": (12,), ".vox": (8, 12, 16), ".pts": (8,),
+            ".feat": (8, 12), ".vae": (_VAE_RECORDS - 4, _VAE_RECORDS)}[suffix]
 
 
 @pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
 def test_corrupt_count_rejected(tmp_path, rng, suffix):
     write, read, make = _VALID_FILES[suffix]
+    # a .vox shape is capped before its payload is read
+    error, message = ((SceneError, "more than 256 on an axis") if suffix == ".vox"
+                      else (FileFormatError, "truncated file"))
     path = tmp_path / f"a{suffix}"
     write(path, make(rng))
     blob = path.read_bytes()
-    offsets = _count_offsets(suffix, blob)
+    offsets = _count_offsets(suffix)
     for corrupt in [(offset,) for offset in offsets] + [offsets]:
         bad = bytearray(blob)
         for offset in corrupt:
             bad[offset:offset + 4] = struct.pack("<I", 0xFFFFFFFF)
         path.write_bytes(bytes(bad))
-        with pytest.raises(FileFormatError, match="truncated file"):
+        with pytest.raises(error, match=message):
             read(path)
 
 
-def test_vae_name_not_utf8_rejected(tmp_path):
-    path = tmp_path / "p.vae"
-    write_vae(path, init_params(ToyVaeConfig(vocab_size=16, hidden_width=2), ZERO_SEGMENTS))
+@pytest.mark.parametrize("index", [0, 5, 17])
+def test_vae_name_mismatch_rejected(tmp_path, index):
+    """A record whose name is not the one its position holds names the expected tensor."""
+    path = _golden_file(tmp_path, ".vae")
     blob = bytearray(path.read_bytes())
-    blob[_VAE_RECORDS + 2] = 0xFF  # first byte of the first tensor name
+    name = list(tensor_shapes(16, 2))[index]
+    at = blob.index(struct.pack("<H", len(name)) + name.encode()) + 2
+    blob[at] = 0xFF  # the first byte of the name, which is not UTF-8 either
     path.write_bytes(bytes(blob))
-    with pytest.raises(FileFormatError, match="UTF-8"):
+    with pytest.raises(FileFormatError, match=f"expected tensor {name} next"):
         read_vae(path)
 
 
 # one value per format from deterministic inputs (no generator draws, whose
-# streams may change with the numpy version), and the sha256 of its file.  The
-# .mtok pin was derived by hand: the magic, version 3, <IIIB (64, 8, 30, 1) and
-# the u16 indices.  The .vae pin is its version 1 file with the version set to
-# 2 and the downsample layer count field cut out.
+# streams may change with the numpy version), and the sha256 of its file.
+# Every pin was derived by hand: the magic, the version, the header fields
+# packed by struct, then the payload (C order, float32 or u16 or bits
+# MSB-first; each .vae tensor after its u16 name length and name, in
+# vae.tensor_shapes order).
 _GOLDEN = {
     ".mseq": (lambda: MotionSequence(np.linspace(-1, 1, 3 * FRAME_DIM).reshape(3, FRAME_DIM),
                                      fps=30, is_canonical=True),
@@ -336,16 +358,16 @@ _GOLDEN = {
               "4444cfee5dcf42f6b6017fbea74bb19ffb3a5922ec8869f66d6c10c086b9b3a3"),
     ".vox": (lambda: SceneVoxelGrid((np.arange(12).reshape(3, 2, 2) % 3 == 0).astype(np.uint8),
                                     np.array([0.5, -1.0, 2.0]), 0.25),
-             "6b6c66f8c7a5978a961a979d1cb454637c06156c4f333d95aaaf8113e3412a23"),
+             "81e4e737da25ec9e874d18c81bfe44096ac3c8e963b46d0819f3b32b90ba1946"),
     ".pts": (lambda: np.linspace(-2, 2, 12).reshape(4, 3),
-             "bcb196a91295fe3ffffc48a3b73b6e24922a9bcf4b6bec0ddab29edbd0259681"),
+             "14ab008de2a669fb772c42d8871338f5d673272822aca14aa8ea8297d38caf09"),
     ".feat": (lambda: np.linspace(-1, 1, 10).reshape(2, 5),
-              "107de79d7098c349597cf3b278ce803e77075439d1eb7bf89993bc571aade3f0"),
+              "fd24c7836dd7c25613c5f4c84d773f94f3da2882d27d2fe7d5d267a2d1f3dd61"),
     ".vae": (lambda: ToyVaeParams(
         tensors={name: np.linspace(0.5, 1.5, math.prod(shape)).reshape(shape)
-                 for name, shape in _shapes(2, 4).items()},
+                 for name, shape in tensor_shapes(16, 2).items()},
         vocab_size=16, hidden_width=2),
-        "4178c1474be2517fa10e869b638e598971c03ca37ca144f2328c6432ae15858e"),
+        "021b6b84e82818461f734dd7b6f4c138bfc6b0474c5effc3297466d32fedd437"),
 }
 
 
@@ -365,19 +387,25 @@ _FORMATS = {".mseq": fileio._MSEQ, ".mtok": fileio._MTOK, ".vox": fileio._VOX,
             ".pts": fileio._PTS, ".feat": fileio._FEAT, ".vae": fileio._VAE}
 
 
-def _framing_offsets(suffix, blob):
-    """Offsets of every magic, version and header byte, and of each .vae record's framing."""
+def _framing_offsets(suffix):
+    """Offsets of every magic, version and header byte, and of each .vae record's
+    name length and name."""
     offsets = list(range(_header_end(_FORMATS[suffix])))
     if suffix == ".vae":
         at = _VAE_RECORDS
-        while at < len(blob):
-            (name_len,) = struct.unpack("<H", blob[at:at + 2])
-            ndim = blob[at + 2 + name_len]
-            framing = 2 + name_len + 1 + 4 * ndim  # name length, name, ndim, dims
-            dims = struct.unpack(f"<{ndim}I", blob[at + framing - 4 * ndim:at + framing])
-            offsets += range(at, at + framing)
-            at += framing + 4 * math.prod(dims)
+        for name, shape in tensor_shapes(16, 2).items():  # the golden .vae's sizes
+            offsets += range(at, at + 2 + len(name))
+            at += 2 + len(name) + 4 * math.prod(shape)
     return offsets
+
+
+@pytest.mark.parametrize("suffix, other", [(a, b) for a in sorted(_VALID_FILES)
+                                           for b in sorted(_VALID_FILES) if a != b])
+def test_every_reader_rejects_every_other_format_by_its_magic(tmp_path, suffix, other):
+    path = _golden_file(tmp_path, other)
+    magic = _FORMATS[suffix][0]
+    with pytest.raises(FileFormatError, match=re.escape(f"bad magic, expected {magic!r}")):
+        _VALID_FILES[suffix][1](path)
 
 
 @pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
@@ -386,7 +414,7 @@ def test_header_corruption_returns_or_raises_a_motok_error(tmp_path, suffix):
     path = _golden_file(tmp_path, suffix)
     read, blob = _VALID_FILES[suffix][1], path.read_bytes()
     leaks = []
-    for offset in _framing_offsets(suffix, blob):
+    for offset in _framing_offsets(suffix):
         for mask in (0x01, 0x80, 0xFF):
             bad = bytearray(blob)
             bad[offset] ^= mask
@@ -413,23 +441,24 @@ def test_is_canonical_byte_other_than_0_or_1_rejected(tmp_path, suffix, flag):
 def test_corrupt_header_exits_1_without_output(tmp_path, capsys):
     vae_path = _golden_file(tmp_path, ".vae")
     blob = bytearray(vae_path.read_bytes())
-    # the first record's name loses its last byte, so ndim reads a name character
+    # the first record's name loses its last byte, so it reads "enc1_"
     blob[_VAE_RECORDS] ^= 0x01
     vae_path.write_bytes(bytes(blob))
     motion = _golden_file(tmp_path, ".mseq")
     out = tmp_path / "m.mtok"
     assert dispatch(["tokenize", "--vae", str(vae_path), "--in", str(motion),
                      "--out", str(out)]) == 1
-    assert "expected 1 or 2" in capsys.readouterr().err
+    assert "expected tensor enc1_w next" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_misread_nan_tensor_prints_one_error_line(tmp_path):
     vae_path = _golden_file(tmp_path, ".vae")
     blob = bytearray(vae_path.read_bytes())
-    # the first record's first dim grows from 2 to 253, so its tensor reads
-    # the records after it, signalling NaNs included
-    blob[_count_offsets(".vae", blob)[1]] ^= 0xFF
+    # the first tensor's first value becomes a float32 signalling NaN, which
+    # warns when cast
+    at = _VAE_RECORDS + 2 + len("enc1_w")
+    blob[at:at + 4] = struct.pack("<I", 0x7FA00000)
     vae_path.write_bytes(bytes(blob))
     motion = _golden_file(tmp_path, ".mseq")
     # a fresh process: its stderr is what a user sees, warnings included
@@ -538,6 +567,69 @@ def test_writer_rejects_value_beyond_float32(tmp_path, name):
     with pytest.raises(FileFormatError, match="beyond float32's range"):
         write(tmp_path / "out.bin", build())
     assert list(tmp_path.iterdir()) == []
+
+
+# float values a writer must refuse, or store so that its reader reads them
+# back: NaN, infinities, beyond float32's range, float32 subnormals and values
+# that float32 rounds to zero, and any other float64
+_AWKWARD = (st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 1e39, -1e39, 3.4e38, 1e-40,
+                             -1e-44, 1e-46, -1e-46, 5e-324, 0.0, -0.0])
+            | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+def _awkward_table(draw, rows, cols):
+    return np.array(draw(st.lists(_AWKWARD, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=np.float64).reshape(rows, cols)
+
+
+def _with_awkward(draw, values):
+    """``values`` as float64 with one drawn entry set to a drawn awkward float."""
+    values = np.array(values, dtype=np.float64)
+    values.flat[draw(st.integers(0, values.size - 1))] = draw(_AWKWARD)
+    return values
+
+
+def _awkward_value(draw, suffix):
+    """A value for ``suffix``'s writer built from awkward inputs."""
+    if suffix == ".pts":
+        return _awkward_table(draw, draw(st.integers(0, 4)), 3)
+    if suffix == ".feat":
+        return _awkward_table(draw, draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    if suffix == ".mtok":  # no floats: a token count and an fps beyond what the file holds
+        return TokenStream(indices=np.zeros(draw(st.integers(1, 40)), dtype=np.int64),
+                           vocab_size=64, fps=draw(st.integers(1, 2**33)), is_canonical=False)
+    golden = _GOLDEN[suffix][0]()
+    if suffix == ".mseq":
+        return MotionSequence(_with_awkward(draw, golden.frames), fps=30)
+    if suffix == ".vox":
+        *origin, cell_size = _with_awkward(draw, [*golden.origin, golden.cell_size])
+        return SceneVoxelGrid(golden.occupancy, np.array(origin), cell_size)
+    name = draw(st.sampled_from(sorted(golden.tensors)))
+    tensors = dict(golden.tensors, **{name: _with_awkward(draw, golden.tensors[name])})
+    return ToyVaeParams(tensors, golden.vocab_size, golden.hidden_width)
+
+
+@pytest.mark.parametrize("suffix", sorted(_VALID_FILES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_writers_refuse_what_their_readers_reject(tmp_path_factory, suffix, data):
+    """Each writer either raises and leaves no file, or writes one its reader reads back."""
+    write, read, _ = _VALID_FILES[suffix]
+    try:
+        # a float64 rotation above 1e154 overflows MotionSequence's norm on the way
+        # to its MotionError; only the writers' warnings are checked here
+        with np.errstate(all="ignore"):
+            value = data.draw(st.composite(lambda draw: _awkward_value(draw, suffix))())
+    except (MotionError, SceneError, VaeError, QuantizerError):  # the value's own checks
+        return
+    folder = tmp_path_factory.mktemp("writer")
+    path = folder / f"out{suffix}"
+    try:
+        write(path, value)
+    except (FileFormatError, MotionError, SceneError, VaeError):
+        assert list(folder.iterdir()) == []
+        return
+    np.testing.assert_equal(_STORED[suffix](read(path)), _STORED[suffix](value))
 
 
 class TestAtomicWrite:

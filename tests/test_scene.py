@@ -21,6 +21,7 @@ from motok.scene import (
     CONTACT_THRESHOLD,
     BONE_PARENTS,
     FREE_SENTINEL,
+    MAX_GRID_AXIS,
     SceneError,
     SceneVoxelGrid,
     SignedDistanceField,
@@ -217,6 +218,23 @@ class TestSignedDistanceFieldValidation:
             SignedDistanceField(np.zeros((2, 2, 2)), np.zeros(3), cell)
         with pytest.raises(SceneError, match="cell_size"):
             SceneVoxelGrid(np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(3), cell)
+
+
+class TestGridCap:
+    @pytest.mark.parametrize("shape", [(MAX_GRID_AXIS + 1, 1, 1), (1, MAX_GRID_AXIS + 1, 1),
+                                       (1, 1, MAX_GRID_AXIS + 1)])
+    def test_scene_grid_beyond_the_cap_rejected(self, shape):
+        with pytest.raises(SceneError, match=f"scene needs a grid of .* cells, more than "
+                                             f"{MAX_GRID_AXIS} on an axis"):
+            SceneVoxelGrid(np.zeros(shape, dtype=np.uint8), np.zeros(3), 0.1)
+
+    def test_point_cloud_grid_at_the_cap_accepted(self):
+        # 125.5 m at 0.5 m cells, with two padding cells on each side and the
+        # end cell: 251 + 4 + 1 = 256 cells on x; 126 m needs 257
+        grid = voxelize_points(np.array([[0.0, 0.0, 0.0], [125.5, 0.0, 0.0]]), 0.5)
+        assert grid.shape == (MAX_GRID_AXIS, 5, 5)
+        with pytest.raises(SceneError, match="point cloud needs a grid of 257 x 5 x 5 cells"):
+            voxelize_points(np.array([[0.0, 0.0, 0.0], [126.0, 0.0, 0.0]]), 0.5)
 
 
 def _reference_sample_sdf(sdf, points):

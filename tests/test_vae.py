@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from motok.vae import (
     reconstruction_mse,
     segment_frames,
     standardize,
+    tensor_shapes,
     tokenize_frames,
     train,
 )
@@ -108,6 +110,27 @@ class TestShapes:
         tensors = dict(params.tensors, enc4_w=np.zeros((2, 2)))
         with pytest.raises(VaeError, match="enc4_w"):
             ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
+
+    @pytest.mark.parametrize("names", [["in_shift", "in_scale"], ["enc1_w"], ["up1_b"]])
+    def test_missing_tensors_rejected(self, names):
+        params = init_params(SMALL, ZERO_SEGMENTS)
+        tensors = {name: t for name, t in params.tensors.items() if name not in names}
+        with pytest.raises(VaeError, match=re.escape(f"missing parameter tensors: {names}")):
+            ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
+
+    def test_unknown_tensors_listed_sorted(self):
+        params = init_params(SMALL, ZERO_SEGMENTS)
+        tensors = dict(params.tensors, zeta=np.zeros(1), alpha=np.zeros(1))
+        with pytest.raises(VaeError, match=re.escape("unknown parameter tensors: "
+                                                     "['alpha', 'zeta']")):
+            ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
+
+    @pytest.mark.parametrize("config", [SMALL, TINY], ids=["small", "tiny"])
+    def test_tensor_shapes_declare_every_tensor_in_order(self, config):
+        shapes = tensor_shapes(config.vocab_size, config.hidden_width)
+        assert list(shapes) == [*_PARAM_NAMES, "in_shift", "in_scale"]
+        params = init_params(config, ZERO_SEGMENTS)
+        assert [(name, t.shape) for name, t in params.tensors.items()] == list(shapes.items())
 
     def test_zero_decoder_gives_zero_frames(self):
         params = init_params(SMALL, ZERO_SEGMENTS)
