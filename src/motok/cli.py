@@ -1,14 +1,14 @@
 """Command-line entry point wiring every pipeline stage.
 
 Exit codes: 0 success, 1 domain failure (infeasible placement, diverged
-training, malformed data), 2 usage error (bad flags, missing files).  A flag
-value out of range is a usage error too, caught before any file is read or
-written, and so is an output path whose directory does not exist in the
-commands that work long before they write (``train-vae``, ``populate``,
-``eval``).  A path that cannot be opened, read or written exits 2 as well:
-its ``OSError`` is caught once, in :func:`dispatch`, and the one-line
-message names the path given on the command line.  Every output file is
-written atomically, so a failed write leaves no file behind.
+training, malformed data, out of memory), 2 usage error (bad flags, missing
+files).  A flag value out of range is a usage error too, caught before any
+file is read or written, and so is an output path whose directory does not
+exist in the commands that work long before they write (``train-vae``,
+``populate``, ``eval``).  A path that cannot be opened, read or written exits
+2 as well: its ``OSError`` is caught once, in :func:`dispatch`, and the
+one-line message names the path given on the command line.  Every output file
+is written atomically, so a failed write leaves no file behind.
 
 Two commands decide their outcome from their input.  ``convert`` takes its
 direction from the ``.mseq`` canonical flag: a canonical motion is placed
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import ddim, fileio, lfq, metrics, motion, populate, scene, synth, vae
 
-_DOMAIN_ERRORS = (ValueError, RuntimeError)
+_DOMAIN_ERRORS = (ValueError, RuntimeError, MemoryError)
 
 
 class UsageError(Exception):
@@ -89,7 +89,7 @@ def _cmd_detokenize(args) -> int:
         raise UsageError(
             f"token vocab {stream.vocab_size} does not match VAE vocab {params.vocab_size}"
         )
-    frames = vae.decode(params, lfq.indices_to_bits(stream.indices, params.num_dims))
+    frames = vae.decode(params, lfq.indices_to_bits(stream.indices, params.codebook.num_dims))
     seq = motion.MotionSequence(frames, fps=stream.fps, is_canonical=stream.is_canonical)
     fileio.write_mseq(args.outfile, seq)
     return 0
@@ -229,7 +229,6 @@ def _cmd_eval(args) -> int:
     report.update({
         "mmd": metrics.multimodal_distance(gen, text),
         "diversity": metrics.diversity(gen, seed=args.seed),
-        "diversity_with_replacement": metrics.diversity_with_replacement(gen.shape[0]),
     })
     top = metrics.r_precision(gen, text, pool_size=args.pool_size, top_k=3, seed=args.seed)
     for k, acc in enumerate(top, start=1):

@@ -12,12 +12,11 @@ one reduction, :func:`_paired_distances`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-#: random pairs :func:`diversity` averages over
+#: disjoint pairs :func:`diversity` averages over, or n // 2 for n rows below twice this
 DIVERSITY_PAIRS = 300
 #: query rows per block of :func:`r_precision`: a block gathers its distractor texts,
 #: (rows, pool - 1, F), in float32 for the filter or in float64 for the pairs the
@@ -277,39 +276,23 @@ def multimodal_distance(motion_feats: np.ndarray, text_feats: np.ndarray) -> flo
     return float(_paired_distances(m, t).mean())
 
 
-def diversity_with_replacement(num_rows: int) -> bool:
-    """Whether :func:`diversity` over ``num_rows`` rows samples pairs with replacement."""
-    return num_rows < 2 * DIVERSITY_PAIRS
-
-
 def diversity(feats: np.ndarray, seed: int) -> float:
-    """Mean distance over ``DIVERSITY_PAIRS`` seeded random pairs of distinct feature rows.
+    """Mean distance over seeded random disjoint pairs of feature rows.
 
-    With at least 2 * DIVERSITY_PAIRS rows the pairs are disjoint; smaller
-    sets fall back to sampling pairs with replacement (and warn).
+    One seeded permutation gives ``min(DIVERSITY_PAIRS, n // 2)`` pairs, so no
+    row is in two pairs, at every set size.
     """
     f = np.asarray(feats, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise MetricError(f"need at least 2 feature rows, got {f.shape}")
-    n = f.shape[0]
-    rng = np.random.default_rng(seed)
-    if not diversity_with_replacement(n):
-        chosen = rng.permutation(n)[: 2 * DIVERSITY_PAIRS]
-        first, second = chosen[:DIVERSITY_PAIRS], chosen[DIVERSITY_PAIRS:]
-    else:
-        warnings.warn(
-            f"only {n} rows for {DIVERSITY_PAIRS} diversity pairs; sampling with replacement",
-            stacklevel=2,
-        )
-        first = rng.integers(n, size=DIVERSITY_PAIRS)
-        second = rng.integers(n - 1, size=DIVERSITY_PAIRS)
-        second += second >= first
+    count = min(DIVERSITY_PAIRS, f.shape[0] // 2)
+    chosen = np.random.default_rng(seed).permutation(f.shape[0])[: 2 * count]
+    first, second = chosen[:count], chosen[count:]
     # gathered one block of pairs at a time, in _paired_distances' row blocks,
-    # so no copy of all 300 pairs' rows is made; each pair's sum is unchanged
+    # so no copy of all the pairs' rows is made; each pair's sum is unchanged
     rows = max(1, _PAIRED_BLOCK_VALUES // max(f.shape[1], 1))
-    dist = np.empty(DIVERSITY_PAIRS)
-    for start in range(0, DIVERSITY_PAIRS, rows):
+    dist = np.empty(count)
+    for start in range(0, count, rows):
         pairs = slice(start, start + rows)
         dist[pairs] = _paired_distances(f[first[pairs]], f[second[pairs]])
     return float(dist.mean())
-

@@ -112,7 +112,10 @@ def _matrix_to_rotvec(mats: np.ndarray) -> np.ndarray:
 def _check_rotvec(vec: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(vec)):
         raise MotionError(f"{what} contains non-finite values")
-    norms = np.linalg.norm(np.asarray(vec, dtype=np.float64).reshape(-1, 3), axis=1)
+    # a component above ~1.3e154 squares to inf: its norm reads inf, which the
+    # check below rejects, so numpy's overflow warning would only repeat it
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(np.asarray(vec, dtype=np.float64).reshape(-1, 3), axis=1)
     if np.any(norms >= TWO_PI):
         raise MotionError(f"{what} rotation magnitude must be < 2*pi, got max {norms.max():.6f}")
 

@@ -93,10 +93,6 @@ class ToyVaeConfig:
         if self.seed < 0:
             raise VaeError(f"seed must be >= 0, got {self.seed}")
 
-    @property
-    def num_dims(self) -> int:
-        return LfqCodebook(self.vocab_size).num_dims
-
 
 @dataclass(frozen=True)
 class ToyVaeParams:
@@ -140,10 +136,6 @@ class ToyVaeParams:
         if np.any(clean["in_scale"] <= 0.0):
             raise VaeError("in_scale must be strictly positive")
         object.__setattr__(self, "tensors", clean)
-
-    @property
-    def num_dims(self) -> int:
-        return LfqCodebook(self.vocab_size).num_dims
 
     @property
     def dtype(self) -> np.dtype:
@@ -294,8 +286,8 @@ def decode(params: ToyVaeParams, codes) -> np.ndarray:
     :class:`~motok.motion.MotionSequence`.
     """
     q = np.asarray(codes, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != params.num_dims:
-        raise VaeError(f"codes must be (S, {params.num_dims}), got {q.shape}")
+    if q.ndim != 2 or q.shape[1] != params.codebook.num_dims:
+        raise VaeError(f"codes must be (S, {params.codebook.num_dims}), got {q.shape}")
     if q.shape[0] < 1:
         raise VaeError("need at least one code")
     return normalize_rotations(_decode(params.tensors, q)[0].reshape(-1, FRAME_DIM))
@@ -312,9 +304,9 @@ def loss_and_grads(
 
     ``standardized`` is ``standardize(params, segments)``, the encoder's
     input; the reconstruction residual is taken against the raw
-    ``segments``.  A batch of another shape, or of another dtype than
-    :func:`standardize` gives, raises :class:`VaeError`.  Taking it as an
-    argument lets :func:`train` standardize its fixed batch once per run.
+    ``segments``.  Both batches must have one shape and ``params.dtype``;
+    anything else raises :class:`VaeError`.  Taking it as an argument lets
+    :func:`train` standardize its fixed batch once per run.
 
     Forward: the encoder rows of ``_LAYERS``, :func:`motok.lfq.sign_bits` at
     the latent ``z``, then the decoder rows.  Backward: the decoder rows in
@@ -327,25 +319,23 @@ def loss_and_grads(
     pattern and the reconstruction gradient crosses the node via the
     straight-through rule.
 
-    It computes in ``params.dtype``: both batches are cast to it, and the
-    gradients come back in it.  Only the entropy term works in float64 (the
-    latents upcast exactly); its gradient is added in ``params.dtype``.  A
-    non-finite latent, which only an overflowing update inside :func:`train`
-    can produce, gives a NaN loss and no gradients.
+    It computes in ``params.dtype``, and the gradients come back in it.
+    Only the entropy term works in float64 (the latents upcast exactly); its
+    gradient is added in ``params.dtype``.  A non-finite latent, which only
+    an overflowing update inside :func:`train` can produce, gives a NaN loss
+    and no gradients.
     """
     t = params.tensors
-    raw = np.asarray(segments)
-    if raw.ndim != 3 or raw.shape[1:] != (SEGMENT_LEN, FRAME_DIM):
-        raise VaeError(f"segments must be (S, {SEGMENT_LEN}, {FRAME_DIM}), got {raw.shape}")
+    x = np.asarray(segments)
+    if x.ndim != 3 or x.shape[1:] != (SEGMENT_LEN, FRAME_DIM):
+        raise VaeError(f"segments must be (S, {SEGMENT_LEN}, {FRAME_DIM}), got {x.shape}")
     xs = np.asarray(standardized)
-    expected = np.result_type(raw, params.dtype)
-    if xs.shape != raw.shape or xs.dtype != expected:
-        raise VaeError(f"standardized segments must be {expected} of shape {raw.shape}, "
-                       f"got {xs.dtype} of shape {xs.shape}")
-    x = raw.astype(params.dtype, copy=False)
+    if xs.shape != x.shape or x.dtype != params.dtype or xs.dtype != params.dtype:
+        raise VaeError(f"segments and standardized segments must be {params.dtype} of shape "
+                       f"{x.shape}, got {x.dtype} and {xs.dtype} of shape {xs.shape}")
     s = x.shape[0]
 
-    z, enc_trace = _forward(t, _ENCODER, xs.astype(params.dtype, copy=False))
+    z, enc_trace = _forward(t, _ENCODER, xs)
     if not np.all(np.isfinite(z)):
         nan = float("nan")
         return nan, {"recon": nan, "commit": nan, "entropy": nan, "total": nan}, {}

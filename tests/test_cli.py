@@ -144,6 +144,16 @@ class TestConvert:
         assert done.stderr == "error: frames contain values beyond float32's range\n"
         assert not (tmp_path / "c.mseq").exists()
 
+    def test_huge_root_pose_rotation_exits_2_without_a_warning(self, tmp_path):
+        # the component's square overflows float64, so its norm reads inf
+        fileio.write_mseq(tmp_path / "walk.mseq", synth.make_walk_sequence(num_frames=9))
+        done = run_motok(["convert", "--in", "walk.mseq", "--out", "c.mseq",
+                          "--root-pose=0,0,0,1e200,0,0"], tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[1:] == [
+            "motok convert: error: argument --root-pose: orientation rotation magnitude "
+            "must be < 2*pi, got max inf"]
+
 
 class TestTokenizeRoundTrip:
     def test_tokenize_detokenize_matches_vae_reconstruction(self, tmp_path):
@@ -483,6 +493,36 @@ def test_vox_beyond_the_grid_cap_exits_1_at_once(tmp_path, capsys, command, shap
     assert not (tmp_path / "p.mseq").exists()
 
 
+# imports motok, then caps its own address space at what it holds plus 64 MiB
+_MEMORY_CAPPED_MOTOK = """
+import resource, sys
+from motok.cli import dispatch
+with open("/proc/self/status") as status:
+    kib = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS,
+                   ((kib + 64 * 1024) * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(dispatch(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_out_of_memory_exits_1_with_one_line(tmp_path):
+    # a grid under the cap whose SDF needs 32 MiB float64 arrays, more than the
+    # 64 MiB left hold; one OpenBLAS thread keeps the child's own buffers fixed
+    occupancy = np.zeros((256, 256, 64), dtype=bool)
+    occupancy[0, 0, 0] = True
+    fileio.write_vox(tmp_path / "big.vox",
+                     SceneVoxelGrid(occupancy=occupancy, origin=np.zeros(3), cell_size=0.05))
+    walk = synth.make_walk_sequence(num_frames=9)
+    fileio.write_mseq(tmp_path / "m.mseq", MotionSequence(walk.frames, is_canonical=False))
+    done = subprocess.run(
+        [sys.executable, "-c", _MEMORY_CAPPED_MOTOK, "score", "--scene", "big.vox",
+         "--motion", "m.mseq"], cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
 @pytest.mark.parametrize("value, message", [
     (np.nan, "error: points contain non-finite values\n"),
     (np.inf, "error: points contain non-finite values\n"),
@@ -576,22 +616,19 @@ class TestScoreAndEval:
         return real, gen, json.loads((tmp_path / "report.json").read_text())
 
     def test_eval_report_keys(self, tmp_path, rng):
-        with pytest.warns(UserWarning, match="with replacement"):
-            real, gen, payload = self.run_eval(tmp_path, rng, 64)
-        assert set(payload) == {"fid", "r1", "r2", "r3", "mmd", "diversity",
-                                "diversity_with_replacement"}
-        assert payload["diversity_with_replacement"] is True
+        real, gen, payload = self.run_eval(tmp_path, rng, 64)
+        assert set(payload) == {"fid", "r1", "r2", "r3", "mmd", "diversity"}
         assert payload["r1"] <= payload["r2"] <= payload["r3"]
         stats_real = metrics.fit_gaussian(real)
         stats_gen = metrics.fit_gaussian(gen)
         assert payload["fid"] == pytest.approx(
             metrics.frechet_distance(stats_real, stats_gen), rel=1e-4)
 
-    def test_eval_report_disjoint_diversity_pairs(self, tmp_path, rng):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, _, payload = self.run_eval(tmp_path, rng, 2 * metrics.DIVERSITY_PAIRS)
-        assert payload["diversity_with_replacement"] is False
+    @pytest.mark.parametrize("rows", [40, 2 * metrics.DIVERSITY_PAIRS])
+    def test_eval_writes_nothing_to_stderr(self, tmp_path, rng, rows):
+        _, _, _, argv = self.write_eval_inputs(tmp_path, rng, rows)
+        done = run_motok(argv, tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_eval_r_precision_matches_per_k_reference(self, tmp_path, rng):
         _, gen, text, argv = self.write_eval_inputs(tmp_path, rng, 600)
@@ -609,8 +646,7 @@ class TestScoreAndEval:
         psd_sqrt = metrics._psd_sqrt
         monkeypatch.setattr(metrics, "_psd_sqrt",
                             lambda matrix: calls.append(matrix) or psd_sqrt(matrix))
-        with pytest.warns(UserWarning, match="with replacement"):
-            assert dispatch(argv) == 0
+        assert dispatch(argv) == 0
         assert len(calls) == 1
         stats_real = metrics.fit_gaussian(fileio.read_feat(tmp_path / "real.feat"))
         stats_gen = metrics.fit_gaussian(fileio.read_feat(tmp_path / "gen.feat"))
@@ -623,8 +659,7 @@ class TestScoreAndEval:
         # lands below an absolute -1e-6
         feats = np.random.default_rng(0).normal(size=(300, 40)) * 1e4
         argv = self.write_features(tmp_path, feats, feats, feats)
-        with pytest.warns(UserWarning, match="with replacement"):
-            assert dispatch(argv) == 0
+        assert dispatch(argv) == 0
         stats = metrics.fit_gaussian(fileio.read_feat(tmp_path / "real.feat"))
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["fid"] <= 1e-12 * np.trace(stats.covariance)
@@ -679,14 +714,12 @@ class TestScoreAndEval:
                     "--object", str(pts)]
         assert dispatch(["score", *geometry, "--report", str(tmp_path / "score.json")]) == 0
         _, _, _, argv = self.write_eval_inputs(tmp_path, rng, 64)
-        with pytest.warns(UserWarning, match="with replacement"):
-            assert dispatch(argv + geometry) == 0
+        assert dispatch(argv + geometry) == 0
         score = json.loads((tmp_path / "score.json").read_text())
         payload = json.loads((tmp_path / "report.json").read_text())
         assert score["contact"] > 0.0
         assert {key: payload[key] for key in score} == score
-        assert set(payload) - set(score) == {"fid", "r1", "r2", "r3", "mmd", "diversity",
-                                             "diversity_with_replacement"}
+        assert set(payload) - set(score) == {"fid", "r1", "r2", "r3", "mmd", "diversity"}
 
     def test_eval_canonical_motion_exits_2_before_feature_work(self, tmp_path, rng, capsys,
                                                               monkeypatch):
@@ -729,18 +762,12 @@ def _reference_features(real, gen, text, seed) -> dict:
     """``eval``'s feature metrics from whole-matrix paired distances and row-by-row
     Floyd pools (``_reference_r_precision``)."""
     n = gen.shape[0]
-    rng = np.random.default_rng(seed)
-    if metrics.diversity_with_replacement(n):
-        first = rng.integers(n, size=metrics.DIVERSITY_PAIRS)
-        second = rng.integers(n - 1, size=metrics.DIVERSITY_PAIRS)
-        second += second >= first
-    else:
-        first, second = np.split(rng.permutation(n)[:2 * metrics.DIVERSITY_PAIRS], 2)
+    count = min(metrics.DIVERSITY_PAIRS, n // 2)
+    first, second = np.split(np.random.default_rng(seed).permutation(n)[:2 * count], 2)
     report = {
         "fid": metrics.frechet_distance(metrics.fit_gaussian(real), metrics.fit_gaussian(gen)),
         "mmd": float(np.linalg.norm(gen - text, axis=1).mean()),
         "diversity": float(np.linalg.norm(gen[first] - gen[second], axis=1).mean()),
-        "diversity_with_replacement": metrics.diversity_with_replacement(n),
     }
     for k in (1, 2, 3):
         report[f"r{k}"] = _reference_r_precision(gen, text, pool_size=32, k=k, seed=seed)
@@ -772,9 +799,7 @@ def test_eval_and_score_reports_equal_a_reference_byte_for_byte(tmp_path, seed, 
     fileio.write_pts(cloud, center + rng.uniform(-0.12, 0.12, (256, 3)))
     geometry = ["--motion", str(clip), "--scene", str(room), "--object", str(cloud)]
     assert dispatch(["score", *geometry, "--report", str(tmp_path / "score.json")]) == 0
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "only .* rows", UserWarning)
-        assert dispatch([*argv, "--seed", str(seed), *geometry]) == 0
+    assert dispatch([*argv, "--seed", str(seed), *geometry]) == 0
     expected = _reference_geometry(clip, room, cloud)
     assert expected["collision_scene"] > 0.0 and 0.0 < expected["contact"] < 1.0
     assert (tmp_path / "score.json").read_bytes() == _report_bytes(expected)
@@ -1050,10 +1075,8 @@ def _run_reading_command(command, files: dict, base: Path):
         warnings.simplefilter("always")
         code = dispatch([arg.format(out=work / "out", data=work / "data", **paths)
                          for arg in _READING_COMMANDS[command][0]])
-    # eval's with-replacement diversity warning is by design; any other would
-    # print lines of its own
-    leaked = [str(w.message) for w in caught if "with replacement" not in str(w.message)]
-    return code, err.getvalue(), leaked
+    # a warning prints lines of its own
+    return code, err.getvalue(), [str(w.message) for w in caught]
 
 
 @pytest.fixture(scope="module")

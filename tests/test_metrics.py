@@ -452,30 +452,40 @@ class TestDiversity:
         feats = rng.normal(size=(800, 4))
         assert diversity(feats, seed=5) == diversity(feats, seed=5)
 
-    def test_small_sets_warn_and_sample_with_replacement(self, rng):
-        feats = rng.normal(size=(10, 3))
-        with pytest.warns(UserWarning):
-            value = diversity(feats, seed=2)
-        assert value > 0.0
-
     @pytest.mark.parametrize("n", [2, 10, 2 * DIVERSITY_PAIRS - 1])
     def test_small_set_pairs_are_distinct_rows(self, n):
         # one-hot rows: distinct rows are sqrt(2) apart, a row is 0 from itself
-        with pytest.warns(UserWarning):
-            value = diversity(np.eye(n), seed=3)
+        value = diversity(np.eye(n), seed=3)
         assert value == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
-    def test_small_set_matches_loop_over_the_same_draws(self, rng):
-        feats = rng.normal(size=(64, 5))
-        with pytest.warns(UserWarning):
-            got = diversity(feats, seed=4)
-        draws = np.random.default_rng(4)
-        first = draws.integers(64, size=DIVERSITY_PAIRS)
-        second = draws.integers(63, size=DIVERSITY_PAIRS)
+    @pytest.mark.parametrize("n", [2, 3, 599, 600, 601, 1000])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_disjoint_pairs_match_a_loop_oracle(self, rng, monkeypatch, n, seed):
+        # one column holding the row index, so the rows diversity pairs up are seen
+        feats = np.arange(n, dtype=np.float64)[:, None]
+        seen = []
+        paired = metrics._paired_distances
+        monkeypatch.setattr(metrics, "_paired_distances",
+                            lambda a, b: seen.append((a[:, 0], b[:, 0])) or paired(a, b))
+        diversity(feats, seed)
+        first = np.concatenate([a for a, _ in seen]).astype(int)
+        second = np.concatenate([b for _, b in seen]).astype(int)
+        count = min(DIVERSITY_PAIRS, n // 2)
+        assert len(first) == len(second) == count
+        assert len(set(first) | set(second)) == 2 * count
+        monkeypatch.undo()
+        feats = rng.normal(size=(n, 5))
+        got = diversity(feats, seed)
         total = 0.0
         for a, b in zip(first, second):
-            total += np.linalg.norm(feats[a] - feats[b + (b >= a)])
-        assert got == pytest.approx(total / DIVERSITY_PAIRS, abs=1e-10)
+            total += np.linalg.norm(feats[a] - feats[b])
+        assert got == pytest.approx(total / count, abs=1e-10)
+        if n >= 2 * DIVERSITY_PAIRS:
+            # the draw diversity made before it drew n // 2 pairs from small sets
+            chosen = np.random.default_rng(seed).permutation(n)[: 2 * DIVERSITY_PAIRS]
+            expected = float(_paired_distances(feats[chosen[:DIVERSITY_PAIRS]],
+                                               feats[chosen[DIVERSITY_PAIRS:]]).mean())
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_needs_two_rows(self):
         with pytest.raises(MetricError):
@@ -484,19 +494,13 @@ class TestDiversity:
     @pytest.mark.parametrize("n", [600, 1000, 64])
     @pytest.mark.parametrize("dim", [227, 3])
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.filterwarnings("ignore:only 64 rows:UserWarning")
     def test_bits_of_the_whole_pair_gather(self, rng, n, dim, seed):
         # the expression diversity reduced before it gathered its pairs block
         # by block: both sides' rows copied whole, then one _paired_distances
         feats = rng.normal(size=(n, dim))
-        draws = np.random.default_rng(seed)
-        if n >= 2 * DIVERSITY_PAIRS:
-            chosen = draws.permutation(n)[: 2 * DIVERSITY_PAIRS]
-            first, second = chosen[:DIVERSITY_PAIRS], chosen[DIVERSITY_PAIRS:]
-        else:
-            first = draws.integers(n, size=DIVERSITY_PAIRS)
-            second = draws.integers(n - 1, size=DIVERSITY_PAIRS)
-            second += second >= first
+        count = min(DIVERSITY_PAIRS, n // 2)
+        chosen = np.random.default_rng(seed).permutation(n)[: 2 * count]
+        first, second = chosen[:count], chosen[count:]
         expected = float(_paired_distances(feats[first], feats[second]).mean())
         assert np.float64(diversity(feats, seed)).tobytes() == np.float64(expected).tobytes()
 

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from motok.motion import (
     FRAME_DIM,
+    JOINT_ROT,
     MAX_FRAMES,
+    OBJ_ROT,
+    ROOT_ROT,
     SMALL_ANGLE,
     MotionError,
     MotionSequence,
@@ -56,6 +59,19 @@ class TestValidation:
         frames[0, 4] = 2.0 * np.pi
         with pytest.raises(MotionError):
             make_seq(frames)
+
+    # a component above ~1.3e154 squares to inf in the norm; tier-1 fails on
+    # the RuntimeWarning that numpy would print for it
+    @pytest.mark.parametrize("column", [ROOT_ROT.start, JOINT_ROT.stop - 1, OBJ_ROT.start])
+    def test_huge_rotation_rejected_without_a_warning(self, column):
+        frames = np.zeros((1, FRAME_DIM))
+        frames[0, column] = 1e200
+        with pytest.raises(MotionError, match="got max inf"):
+            make_seq(frames)
+
+    def test_huge_orientation_rejected_without_a_warning(self):
+        with pytest.raises(MotionError, match="got max inf"):
+            SixDof(translation=np.zeros(3), orientation=np.array([0.0, 1e200, 0.0]))
 
     def test_frames_immutable(self):
         seq = make_seq(np.zeros((2, FRAME_DIM)))

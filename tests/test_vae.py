@@ -34,6 +34,7 @@ from conftest import ZERO_SEGMENTS
 
 SMALL = ToyVaeConfig(vocab_size=16, hidden_width=5, lambda_commit=0.05,
                      lambda_entropy=0.01, learning_rate=0.05, epochs=5, seed=3)
+SMALL_BITS = LfqCodebook(SMALL.vocab_size).num_dims
 # the narrowest network: every reshape between layers collapses to width 1
 TINY = dataclasses.replace(SMALL, vocab_size=2, hidden_width=1)
 
@@ -85,12 +86,12 @@ class TestShapes:
     def test_single_segment(self, rng):
         params = init_params(SMALL, ZERO_SEGMENTS)
         z = encode(params, rng.normal(size=(8, FRAME_DIM)))
-        assert z.shape == (1, SMALL.num_dims)
+        assert z.shape == (1, SMALL_BITS)
 
     def test_max_length_pads_to_38_segments(self, rng):
         params = init_params(SMALL, ZERO_SEGMENTS)
         z = encode(params, rng.normal(size=(300, FRAME_DIM)))
-        assert z.shape == (38, SMALL.num_dims)
+        assert z.shape == (38, SMALL_BITS)
 
     def test_zero_params_give_zero_latents(self, rng):
         params = init_params(SMALL, ZERO_SEGMENTS)
@@ -102,7 +103,7 @@ class TestShapes:
 
     def test_decode_one_code_gives_eight_frames(self):
         params = init_params(SMALL, ZERO_SEGMENTS)
-        frames = decode(params, np.ones((1, SMALL.num_dims)))
+        frames = decode(params, np.ones((1, SMALL_BITS)))
         assert frames.shape == (8, FRAME_DIM)
 
     def test_unknown_tensor_rejected(self):
@@ -138,7 +139,7 @@ class TestShapes:
         for name in ("dec_w", "dec_b", "up3_w", "up3_b", "up2_w", "up2_b", "up1_w", "up1_b"):
             tensors[name] = np.zeros_like(tensors[name])
         zeroed = ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
-        np.testing.assert_array_equal(decode(zeroed, np.ones((2, SMALL.num_dims))), 0.0)
+        np.testing.assert_array_equal(decode(zeroed, np.ones((2, SMALL_BITS))), 0.0)
 
     def test_decoded_rotations_make_a_motion_sequence(self):
         # a zero decoder emits in_shift: here a root rotation of magnitude 6.5 > 2*pi
@@ -147,7 +148,7 @@ class TestShapes:
         tensors["in_scale"] = np.ones(FRAME_DIM)
         tensors["in_shift"][3] = 6.5
         shifted = ToyVaeParams(tensors, SMALL.vocab_size, SMALL.hidden_width)
-        frames = decode(shifted, np.ones((1, SMALL.num_dims)))
+        frames = decode(shifted, np.ones((1, SMALL_BITS)))
         MotionSequence(frames)
         np.testing.assert_allclose(frames[:, 3], 6.5 - 2 * np.pi)
 
@@ -502,17 +503,32 @@ class TestFloat32Training:
 
 class TestLossAndGradsDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("segments_dtype", [np.float32, np.float64])
-    def test_gradients_come_back_in_the_params_dtype(self, rng, dtype, segments_dtype):
+    def test_gradients_come_back_in_the_params_dtype(self, rng, dtype):
         params = init_params(SMALL, ZERO_SEGMENTS.astype(dtype))
         assert params.dtype == dtype
-        segments = small_batch(rng).astype(segments_dtype)
+        segments = small_batch(rng).astype(dtype)
         total, parts, grads = loss_and_grads(params, segments, standardize(params, segments),
                                              SMALL, quantize=True)
         assert grads.keys() == set(_PARAM_NAMES)
         assert all(g.dtype == dtype for g in grads.values())
         assert np.isfinite(total) and type(total) is float
         assert all(type(v) is float for v in parts.values())
+
+    @pytest.mark.parametrize("dtype, segments_dtype, standardized_dtype", [
+        (np.float32, np.float64, np.float64),
+        (np.float32, np.float64, np.float32),
+        (np.float32, np.float32, np.float64),
+        (np.float64, np.float32, np.float32),
+        (np.float64, np.float32, np.float64),
+        (np.float64, np.float64, np.float32),
+    ])
+    def test_mixed_dtypes_rejected(self, rng, dtype, segments_dtype, standardized_dtype):
+        params = init_params(SMALL, ZERO_SEGMENTS.astype(dtype))
+        segments = small_batch(rng).astype(segments_dtype)
+        standardized = standardize(params, segments).astype(standardized_dtype)
+        names = (np.dtype(segments_dtype).name, np.dtype(standardized_dtype).name)
+        with pytest.raises(VaeError, match=f"got {names[0]} and {names[1]} of shape"):
+            loss_and_grads(params, segments, standardized, SMALL, quantize=True)
 
     def test_mixed_tensor_dtypes_make_float64_params(self):
         tensors = dict(init_params(SMALL, ZERO_SEGMENTS.astype(np.float32)).tensors)
@@ -569,7 +585,7 @@ class TestNoInPlaceMutation:
 
     def test_decode_leaves_float64_codes_alone(self, params, rng):
         # C-contiguous float64 codes pass through np.asarray uncopied
-        codes = np.ascontiguousarray(rng.choice([-1.0, 1.0], size=(5, params.num_dims)))
+        codes = np.ascontiguousarray(rng.choice([-1.0, 1.0], size=(5, params.codebook.num_dims)))
         assert np.asarray(codes, dtype=np.float64) is codes
         before = self._snapshot(params, codes)
         decode(params, codes)
@@ -577,7 +593,7 @@ class TestNoInPlaceMutation:
 
     @pytest.mark.parametrize("quantize", [True, False])
     def test_loss_and_grads_leaves_segments_and_params_alone(self, params, rng, quantize):
-        segments = small_batch(rng, segments=3)
+        segments = small_batch(rng, segments=3).astype(params.dtype)
         before = self._snapshot(params, segments)
         loss_and_grads(params, segments, standardize(params, segments), self.CONFIG,
                        quantize=quantize)
