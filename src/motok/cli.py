@@ -16,7 +16,7 @@ into the world at ``--root-pose`` (zero when omitted), a global one is
 re-rooted, and ``--root-pose`` given with a global one is a usage error.
 ``populate`` takes a canonical motion (a global one is a usage error, as a
 canonical one is for ``score``), writes the best placement it finds, then
-exits 1 when its collision is above ``--threshold``.
+exits 1 when its collision is above ``populate.FEASIBLE_COLLISION``.
 
 :func:`build_parser` builds the parser once per process, on the first call
 (not at import), and :func:`dispatch` reuses it for every command: parsing
@@ -141,23 +141,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_populate(args) -> int:
-    if args.threshold < 0:
-        raise UsageError(f"--threshold must be >= 0, got {args.threshold}")
     _check_output_dirs(args.out, args.report)
     seq = fileio.read_mseq(args.motion)
     if not seq.is_canonical:
         raise UsageError("populate expects a canonical motion (convert first)")
     grid = fileio.read_vox(args.scene)
-    try:
-        result = populate.optimize_placement(seq, grid, args.yaw_count)
-    except populate.SceneLessError as exc:
-        if args.report:
-            _write_json(args.report, {"feasible": False, "scene_less": True,
-                                      "error": str(exc)})
-        print(f"scene-less: {exc}", file=sys.stderr)
-        return 1
+    result = populate.optimize_placement(seq, grid)
     fileio.write_mseq(args.out, result.placed)
-    feasible = result.collision <= args.threshold
+    feasible = result.collision <= populate.FEASIBLE_COLLISION
     if args.report:
         x, _, z = result.offset.translation
         _write_json(args.report, {
@@ -170,7 +161,7 @@ def _cmd_populate(args) -> int:
         })
     if not feasible:
         print(f"infeasible placement: collision {result.collision:.6f} m "
-              f"exceeds {args.threshold:.6f} m", file=sys.stderr)
+              f"exceeds {populate.FEASIBLE_COLLISION:.6f} m", file=sys.stderr)
         return 1
     return 0
 
@@ -230,7 +221,8 @@ def _cmd_eval(args) -> int:
         "mmd": metrics.multimodal_distance(gen, text),
         "diversity": metrics.diversity(gen, seed=args.seed),
     })
-    top = metrics.r_precision(gen, text, pool_size=args.pool_size, top_k=3, seed=args.seed)
+    top = metrics.r_precision(gen, text, pool_size=metrics.R_PRECISION_POOL, top_k=3,
+                              seed=args.seed)
     for k, acc in enumerate(top, start=1):
         report[f"r{k}"] = acc
     _write_json(args.report, report)
@@ -339,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="placement report JSON path")
-    p.add_argument("--threshold", type=_finite_float, default=1e-3,
-                   help="max mean penetration (m) of a feasible placement; above it the "
-                        "placement is still written and the exit code is 1")
-    p.add_argument("--yaw-count", dest="yaw_count", type=_bounded_int(1), default=16)
     p.set_defaults(func=_cmd_populate)
 
     p = sub.add_parser("score", help="collision/contact scores for one motion")
@@ -357,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--report", required=True)
-    # eval reports R-precision at k = 1..3, so a pool needs at least 3 rows
-    p.add_argument("--pool-size", dest="pool_size", type=_bounded_int(3), default=32)
     p.add_argument("--seed", type=_bounded_int(0), default=0)
     p.add_argument("--motion", help="optional motion for geometry scores "
                                     "(needs --scene and/or --object)")

@@ -118,14 +118,16 @@ def ddim_sample(
     signal, noise = np.sqrt(alpha_bars), np.sqrt(1.0 - alpha_bars)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(shape)
-    for i, t in enumerate(steps):
-        w0_hat = _predict_clean(denoiser, w, int(t), condition, text_free, cfg_scale)
-        if i == len(steps) - 1:
-            return w0_hat
-        eps_hat = (w - signal[i] * w0_hat) / noise[i]
-        w = signal[i + 1] * w0_hat + noise[i + 1] * eps_hat
-        if not np.all(np.isfinite(w)):
-            raise SamplerError(f"non-finite intermediate at step {int(t)}")
+    # a huge condition or scale overflows; the finiteness checks report it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(steps):
+            w0_hat = _predict_clean(denoiser, w, int(t), condition, text_free, cfg_scale)
+            if i == len(steps) - 1:
+                return w0_hat
+            eps_hat = (w - signal[i] * w0_hat) / noise[i]
+            w = signal[i + 1] * w0_hat + noise[i + 1] * eps_hat
+            if not np.all(np.isfinite(w)):
+                raise SamplerError(f"non-finite intermediate at step {int(t)}")
     raise AssertionError("unreachable")
 
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: R-precision pool of ``eval``, as in the HumanML3D evaluator: the true text plus 31
+#: distractors
+R_PRECISION_POOL = 32
 #: disjoint pairs :func:`diversity` averages over, or n // 2 for n rows below twice this
 DIVERSITY_PAIRS = 300
 #: query rows per block of :func:`r_precision`: a block gathers its distractor texts,

@@ -128,13 +128,15 @@ def normalize_rotations(frames: np.ndarray) -> np.ndarray:
     """
     frames = np.asarray(frames, dtype=np.float64).copy()
     num = frames.shape[0]
-    for block in (ROOT_ROT, JOINT_ROT, OBJ_ROT):
-        vecs = frames[:, block].reshape(num, -1, 3)
-        norms = np.linalg.norm(vecs, axis=2, keepdims=True)
-        scale = np.ones_like(norms)
-        over = norms >= TWO_PI
-        np.divide(np.mod(norms, TWO_PI), norms, out=scale, where=over)
-        frames[:, block] = (vecs * scale).reshape(num, -1)
+    # a huge vector overflows to inf or NaN, which MotionSequence reports, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in (ROOT_ROT, JOINT_ROT, OBJ_ROT):
+            vecs = frames[:, block].reshape(num, -1, 3)
+            norms = np.linalg.norm(vecs, axis=2, keepdims=True)
+            scale = np.ones_like(norms)
+            over = norms >= TWO_PI
+            np.divide(np.mod(norms, TWO_PI), norms, out=scale, where=over)
+            frames[:, block] = (vecs * scale).reshape(num, -1)
     return frames
 
 

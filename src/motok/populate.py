@@ -66,6 +66,10 @@ REFINE_ROUNDS = 3
 # Unit (dx, dz, dyaw) steps of one refinement pass, scaled by the round's steps.
 REFINE_MOVES = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                 (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+# Evenly spaced yaws of the coarse scan; their spacing is the refinement's first yaw step.
+YAW_COUNT = 16
+# Largest mean penetration (m) of a feasible placement.
+FEASIBLE_COLLISION = 1e-3
 
 
 class SceneLessError(RuntimeError):
@@ -135,15 +139,6 @@ def _candidate_keypoints(seq: MotionSequence) -> np.ndarray:
     return kp
 
 
-def placement_lattice(grid: SceneVoxelGrid) -> np.ndarray:
-    """Coarse candidate (x, z) positions: centers of cells free at standing height.
-
-    This is the search lattice optimize_placement scans at every yaw, exposed
-    so external checks can enumerate the identical candidate set.
-    """
-    return _standing_layer(grid)[2]
-
-
 def _rotate(kp: np.ndarray, yaw: float) -> np.ndarray:
     """Keypoints (T, J, 3) rotated about +Y by ``yaw``, flattened to (T*J, 3)."""
     cos, sin = np.cos(yaw), np.sin(yaw)
@@ -203,20 +198,16 @@ def _scan_yaw(
     return live, np.concatenate(chunks, axis=1).mean(axis=1)
 
 
-def optimize_placement(
-    seq: MotionSequence,
-    grid: SceneVoxelGrid,
-    yaw_count: int,
-) -> PlacementResult:
+def optimize_placement(seq: MotionSequence, grid: SceneVoxelGrid) -> PlacementResult:
     """Coarse lattice search plus coordinate-descent refinement.
 
-    The lattice is every cell center crossed with ``yaw_count`` evenly spaced
+    The lattice is every cell center crossed with ``YAW_COUNT`` evenly spaced
     yaws.  The seed candidate (seed cell, yaw 0) wins all ties, so an all-free
     scene reports the seed offset with exactly zero collision.  Refinement
     halves its steps each round and only ever accepts strict improvements.
 
     The result is that of an exhaustive scan: the first minimum in the order
-    seed, yaw 0 .. yaw_count-1, lattice index.  Per yaw, ``_scan_yaw`` prunes
+    seed, yaw 0 .. YAW_COUNT-1, lattice index.  Per yaw, ``_scan_yaw`` prunes
     every candidate whose partial penetration already exceeds the best score
     so far, and scores the rest exactly.  Once the best score is 0 the search
     returns at once.  ``candidates_evaluated`` still counts every candidate
@@ -225,14 +216,12 @@ def optimize_placement(
     """
     if not seq.is_canonical:
         raise ValueError("optimize_placement expects a canonical sequence")
-    if yaw_count < 1:
-        raise ValueError(f"yaw_count must be >= 1, got {yaw_count}")
     sdf = build_sdf(grid)
     seed = find_seed_position(grid, sdf)
     kp = _candidate_keypoints(seq)
 
-    lattice_xz = placement_lattice(grid)
-    yaws = [wrap_angle(-np.pi + 2.0 * np.pi * k / yaw_count) for k in range(yaw_count)]
+    lattice_xz = _standing_layer(grid)[2]
+    yaws = [wrap_angle(-np.pi + 2.0 * np.pi * k / YAW_COUNT) for k in range(YAW_COUNT)]
 
     best_xz = np.array([seed[0], seed[2]])
     best_yaw = 0.0
@@ -252,7 +241,7 @@ def optimize_placement(
                 best_xz = lattice_xz[live[idx]].copy()
                 best_yaw = yaw
 
-    step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / yaw_count
+    step_xz, step_yaw = grid.cell_size, 2.0 * np.pi / YAW_COUNT
     if best_score == 0.0:
         # no move can improve on 0, so each round is one pass of all moves
         evaluated += REFINE_ROUNDS * len(REFINE_MOVES)

@@ -120,7 +120,7 @@ def test_private_names_are_read_in_the_package():
 # Settable values: every value a user of motok can set.  One per CLI option
 # of each subcommand (not counting -h), one per defaulted field of a public
 # dataclass, and one per keyword default of a public function or method.
-MAX_SETTABLE = 63
+MAX_SETTABLE = 60
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -13,7 +13,6 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,6 +383,22 @@ class TestSample:
                          "--out", str(out)]) == 0
         assert fileio.read_mseq(out).num_frames == 8
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--heading", "0.6", "--cfg-scale=1e308"], "non-finite values at step 999"),
+        (["--heading", "0.6", "--cfg-scale=1e200"], "non-finite values at step 946"),
+        (["--heading", "0.6", "--cfg-scale=-1e308"], "non-finite values at step 999"),
+        (["--heading=1e308"], "non-finite values at step 999"),
+        (["--heading=-1e300"], "frames contain non-finite values"),
+        (["--heading=1e300", "--two-pass"], "frames contain non-finite values"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_heading_or_scale_exits_1_with_one_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s.mseq"
+        assert dispatch(["sample", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+        assert not out.exists()
+
 
 def make_room(tmp_path, nx=16, nz=16, ny=16, occupied=()):
     occ = np.zeros((nx, nz, ny), dtype=np.uint8)
@@ -425,15 +440,14 @@ class TestPopulate:
         fileio.write_vox(scene, SceneVoxelGrid(occ, np.zeros(3), 0.1))
         motion_path = tmp_path / "walk.mseq"
         fileio.write_mseq(motion_path, synth.make_walk_sequence(num_frames=9))
-        report = tmp_path / "placement.json"
+        out, report = tmp_path / "p.mseq", tmp_path / "placement.json"
         code = dispatch(["populate", "--scene", str(scene), "--motion",
-                         str(motion_path), "--out", str(tmp_path / "p.mseq"),
-                         "--report", str(report)])
+                         str(motion_path), "--out", str(out), "--report", str(report)])
         assert code == 1
-        assert json.loads(report.read_text())["feasible"] is False
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: no free cell at standing height\n"
+        assert not out.exists() and not report.exists()
 
-    def test_threshold_judges_the_collision(self, tmp_path, capsys):
+    def test_threshold_judges_the_collision(self, tmp_path, capsys, monkeypatch):
         scene = tmp_path / "pocket.vox"
         fileio.write_vox(scene, too_small_pocket())
         motion_path = tmp_path / "walk.mseq"
@@ -443,11 +457,12 @@ class TestPopulate:
                 "--out", str(out), "--report", str(report)]
         assert dispatch(argv) == 1
         payload = json.loads(report.read_text())
-        assert payload["feasible"] is False and payload["collision"] > 1e-3
+        assert payload["feasible"] is False and payload["collision"] > populate.FEASIBLE_COLLISION
         assert "infeasible placement" in capsys.readouterr().err
         assert out.exists()
-        # a threshold equal to the collision accepts the same placement
-        assert dispatch([*argv, f"--threshold={payload['collision']!r}"]) == 0
+        # a bound equal to the collision accepts the same placement
+        monkeypatch.setattr(populate, "FEASIBLE_COLLISION", payload["collision"])
+        assert dispatch(argv) == 0
         assert json.loads(report.read_text()) == {**payload, "feasible": True}
 
 
@@ -862,15 +877,6 @@ def cli_inputs(tmp_path_factory):
      "vocab_size must be a power of two >= 2, got 1"),
     (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--hidden-width", "0"],
      "hidden_width must be >= 1, got 0"),
-    (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
-      "--report", "{out}/r.json", "--yaw-count", "0"],
-     "argument --yaw-count: must be >= 1, got 0"),
-    (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
-      "--report", "{out}/r.json", "--threshold", "-1"],
-     "--threshold must be >= 0, got -1.0"),
-    (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out", "{out}/p.mseq",
-      "--report", "{out}/r.json", "--threshold", "nan"],
-     "argument --threshold: must be a finite number, got nan"),
     (["sample", "--cfg-scale", "nan", "--out", "{out}/s.mseq"],
      "argument --cfg-scale: must be a finite number, got nan"),
     (["sample", "--heading", "nan", "--out", "{out}/s.mseq"],
@@ -893,9 +899,6 @@ def cli_inputs(tmp_path_factory):
     (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
       "--report", "{out}/e.json", "--seed", "-1"],
      "argument --seed: must be >= 0, got -1"),
-    (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
-      "--report", "{out}/e.json", "--pool-size", "2"],
-     "argument --pool-size: must be >= 3, got 2"),
     (["sample", "--cfg-scale", "5", "--out", "{out}/s.mseq"],
      "--cfg-scale needs --heading"),
     (["convert", "--in", "{motion}", "--out", "{out}/c.mseq", "--root-pose=0,0,0,0,0,7"],
@@ -994,21 +997,6 @@ class TestParserReuse:
         assert getattr(build_parser().parse_args(given), name) != default
         assert getattr(build_parser().parse_args(omitted), name) == default
 
-    def test_dispatch_does_not_carry_yaw_count(self, monkeypatch):
-        monkeypatch.setattr(fileio, "read_vox", lambda path: None)
-        monkeypatch.setattr(fileio, "read_mseq", lambda path: SimpleNamespace(is_canonical=True))
-        seen = []
-
-        def record(seq, grid, yaw_count):
-            seen.append(yaw_count)
-            raise populate.SceneLessError("recorded")
-
-        monkeypatch.setattr(populate, "optimize_placement", record)
-        argv = ["populate", "--scene", "s.vox", "--motion", "m.mseq", "--out", "o.mseq"]
-        assert dispatch([*argv, "--yaw-count", "4"]) == 1
-        assert dispatch(argv) == 1
-        assert seen == [4, 16]
-
     def test_help_matches_a_fresh_parser(self, tmp_path, capsys):
         # use the shared parser first: errors and help both print through it
         assert dispatch(["sample", "--steps", "0", "--out", str(tmp_path / "t")]) == 2
@@ -1051,11 +1039,11 @@ _READING_COMMANDS = {
     "train-vae": (["train-vae", "--data", "{data}", "--out", "{out}/p.vae", "--vocab-size", "16",
                    "--hidden-width", "2", "--epochs", "2"], ["motion"]),
     "populate": (["populate", "--scene", "{scene}", "--motion", "{motion}", "--out",
-                  "{out}/p.mseq", "--yaw-count", "2"], ["scene", "motion"]),
+                  "{out}/p.mseq"], ["scene", "motion"]),
     "score": (["score", "--motion", "{clip}", "--scene", "{scene}", "--object", "{object}",
                "--report", "{out}/s.json"], ["clip", "scene", "object"]),
-    "eval": (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}", "--pool-size",
-              "3", "--report", "{out}/e.json", "--motion", "{clip}", "--scene", "{scene}",
+    "eval": (["eval", "--real", "{feat}", "--gen", "{feat}", "--text", "{feat}",
+              "--report", "{out}/e.json", "--motion", "{clip}", "--scene", "{scene}",
               "--object", "{object}"], ["feat", "clip", "scene", "object"]),
 }
 _INPUT_FILES = {"motion": "data/m.mseq", "vae": "p.vae", "tokens": "t.mtok", "clip": "clip.mseq",
@@ -1091,7 +1079,8 @@ def valid_input_bytes(tmp_path_factory):
     fileio.write_mseq(paths["clip"], MotionSequence(walk.frames, is_canonical=False))
     rng = np.random.default_rng(0)
     fileio.write_pts(paths["object"], rng.uniform(-0.1, 0.1, (16, 3)))
-    fileio.write_feat(paths["feat"], rng.normal(size=(4, 3)))
+    # eval's R-precision pool needs metrics.R_PRECISION_POOL rows
+    fileio.write_feat(paths["feat"], rng.normal(size=(metrics.R_PRECISION_POOL, 3)))
     files = {name: path.read_bytes() for name, path in paths.items()}
     for command in _READING_COMMANDS:  # so that a corruption is what fails a command
         assert _run_reading_command(command, files, root) == (0, "", []), command

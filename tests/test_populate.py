@@ -3,6 +3,7 @@ import importlib.util
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from motok.populate import (
     STANDING_HEIGHT,
     SceneLessError,
     _candidate_keypoints,
+    _standing_layer,
     find_seed_position,
     optimize_placement,
-    placement_lattice,
     wrap_angle,
 )
 from motok.scene import (
@@ -67,7 +68,7 @@ def demo_room(**size):
     return module.build_room(**size)
 
 
-def _brute_force_placement(seq, grid, yaw_count=16):
+def _brute_force_placement(seq, grid, yaw_count):
     """Reference search: score every lattice candidate at every yaw in full.
 
     This is the exhaustive scan optimize_placement must match bit for bit:
@@ -88,7 +89,7 @@ def _brute_force_placement(seq, grid, yaw_count=16):
         values = sample_sdf(sdf, rotated[None, :, :] + offsets)
         return np.maximum(0.0, -values).mean(axis=1)
 
-    lattice_xz = placement_lattice(grid)
+    lattice_xz = _standing_layer(grid)[2]
     best_xz = np.array([seed[0], seed[2]])
     best_yaw = 0.0
     best_score = float(score_offsets(best_xz[None, :], best_yaw)[0])
@@ -127,8 +128,10 @@ def _brute_force_placement(seq, grid, yaw_count=16):
                            placed=to_global(seq, offset))
 
 
-def assert_matches_brute_force(seq, grid, yaw_count=16):
-    result = optimize_placement(seq, grid, yaw_count)
+def assert_matches_brute_force(seq, grid, yaw_count=populate.YAW_COUNT):
+    # mock.patch.object, not the function-scoped monkeypatch, under Hypothesis
+    with mock.patch.object(populate, "YAW_COUNT", yaw_count):
+        result = optimize_placement(seq, grid)
     expected = _brute_force_placement(seq, grid, yaw_count)
     np.testing.assert_array_equal(result.offset.translation, expected.offset.translation)
     np.testing.assert_array_equal(result.offset.orientation, expected.offset.orientation)
@@ -237,7 +240,7 @@ def standing_grids(draw):
 def test_seed_and_lattice_match_masked_argmax(grid):
     sdf = build_sdf(grid)
     seed, lattice = _masked_argmax_seed(grid, sdf)
-    found = placement_lattice(grid)
+    found = _standing_layer(grid)[2]
     assert (found.shape, found.tobytes()) == (lattice.shape, lattice.tobytes())
     if seed is None:
         with pytest.raises(SceneLessError):
@@ -250,7 +253,7 @@ class TestOptimizePlacement:
     def test_all_free_scene_is_seed_with_zero_collision(self):
         grid = empty_room(nx=9, nz=9, ny=12)
         seq = make_walk_sequence(num_frames=15, speed=0.3)
-        result = optimize_placement(seq, grid, 16)
+        result = optimize_placement(seq, grid)
         seed = find_seed_position(grid, build_sdf(grid))
         assert result.collision == 0.0
         np.testing.assert_allclose(result.offset.translation[[0, 2]], seed[[0, 2]])
@@ -260,13 +263,13 @@ class TestOptimizePlacement:
         seq = make_walk_sequence(num_frames=10)
         global_seq = seq.__class__(seq.frames, fps=seq.fps, is_canonical=False)
         with pytest.raises(ValueError):
-            optimize_placement(global_seq, empty_room(), 16)
+            optimize_placement(global_seq, empty_room())
 
     def test_deterministic(self):
         grid = corridor()
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        a = optimize_placement(seq, grid, 16)
-        b = optimize_placement(seq, grid, 16)
+        a = optimize_placement(seq, grid)
+        b = optimize_placement(seq, grid)
         assert a.collision == b.collision
         np.testing.assert_array_equal(a.offset.orientation, b.offset.orientation)
         np.testing.assert_array_equal(a.offset.translation, b.offset.translation)
@@ -274,8 +277,8 @@ class TestOptimizePlacement:
     def test_corridor_selects_straight_heading(self):
         grid = corridor()
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        yaw_count = 16
-        result = optimize_placement(seq, grid, yaw_count)
+        yaw_count = populate.YAW_COUNT
+        result = optimize_placement(seq, grid)
         step = 2.0 * np.pi / yaw_count
         assert abs(result.offset.orientation[1]) < step
 
@@ -288,7 +291,7 @@ class TestOptimizePlacement:
             cos, sin = np.cos(yaw), np.sin(yaw)
             rot = np.array([[cos, 0.0, sin], [0.0, 1.0, 0.0], [-sin, 0.0, cos]])
             rotated = kp.reshape(-1, 3) @ rot.T
-            for x, z in placement_lattice(grid):
+            for x, z in _standing_layer(grid)[2]:
                 values = sample_sdf(sdf, rotated + [x, 0.0, z])
                 best = min(best, float(np.maximum(0.0, -values).mean()))
         assert result.collision <= best + 1e-12
@@ -297,13 +300,13 @@ class TestOptimizePlacement:
         # the pocket cannot hold the walk in any orientation, so something
         # always sinks into a wall
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        result = optimize_placement(seq, too_small_pocket(), 16)
-        assert result.collision > 1e-3  # above populate's default --threshold
+        result = optimize_placement(seq, too_small_pocket())
+        assert result.collision > populate.FEASIBLE_COLLISION
 
     def test_reapplying_offset_reproduces_collision(self):
         grid = corridor()
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        result = optimize_placement(seq, grid, 16)
+        result = optimize_placement(seq, grid)
         placed_kp = body_keypoints(result.placed)
         pen, _ = collision_score(placed_kp, build_sdf(grid))
         assert pen == pytest.approx(result.collision, abs=1e-9)
@@ -311,7 +314,7 @@ class TestOptimizePlacement:
     def test_scene_less_propagates(self):
         grid = SceneVoxelGrid(np.ones((4, 4, 4), dtype=np.uint8), np.zeros(3), CELL)
         with pytest.raises(SceneLessError):
-            optimize_placement(make_walk_sequence(num_frames=9), grid, 16)
+            optimize_placement(make_walk_sequence(num_frames=9), grid)
 
 
 @st.composite
@@ -370,7 +373,7 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(populate, "sample_sdf_shifted", counting)
         seq = make_walk_sequence(num_frames=11, speed=9.0, arm_swing=0.2, with_object=True)
-        result = optimize_placement(seq, demo_room(), 16)
+        result = optimize_placement(seq, demo_room())
         frames, joints = _candidate_keypoints(seq).shape[:2]
         assert 0 < sum(points) < result.candidates_evaluated * frames * joints
 
@@ -404,7 +407,7 @@ def _reference_scan_yaw(kp, sdf, xz, yaw, bound):
 def _demo_scene():
     """The demo room, its SDF and its placement lattice (567 cells)."""
     grid = demo_room()
-    return grid, build_sdf(grid), placement_lattice(grid)
+    return grid, build_sdf(grid), _standing_layer(grid)[2]
 
 
 def _seed_score(grid, sdf, kp):
@@ -445,9 +448,9 @@ class TestScanYaw:
     def test_counters_match_full_buffer_scan(self, monkeypatch, frames, speed, grid):
         seq = make_walk_sequence(num_frames=frames, speed=speed, arm_swing=0.2,
                                  with_object=True)
-        result = optimize_placement(seq, grid, 16)
+        result = optimize_placement(seq, grid)
         monkeypatch.setattr(populate, "_scan_yaw", _reference_scan_yaw)
-        expected = optimize_placement(seq, grid, 16)
+        expected = optimize_placement(seq, grid)
         assert result.candidates_pruned > 0
         assert (result.candidates_scored, result.candidates_pruned) == \
             (expected.candidates_scored, expected.candidates_pruned)
@@ -481,7 +484,7 @@ class TestPlacementOffset:
     def test_to_six_dof_layout(self):
         # the offset is the planar pose to_global applied: (x, 0, z) and a yaw about +Y
         seq = make_walk_sequence(num_frames=25, arm_swing=0.0)
-        result = optimize_placement(seq, corridor(), 16)
+        result = optimize_placement(seq, corridor())
         assert result.offset.translation[1] == 0.0
         np.testing.assert_array_equal(result.offset.orientation[[0, 2]], [0.0, 0.0])
         np.testing.assert_array_equal(to_global(seq, result.offset).frames, result.placed.frames)
