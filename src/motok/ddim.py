@@ -13,6 +13,7 @@ text-free condition and the step coefficients) is built once per
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
@@ -165,6 +166,15 @@ def gaussian_posterior_denoiser(
     (sqrt(ab)*sigma^2*w_t + (1-ab)*mean) / (ab*sigma^2 + 1-ab).
     """
     mean = np.asarray(mean, dtype=np.float64)
-    ab = ALPHA_BARS[int(t)]
-    denom = ab * sigma * sigma + (1.0 - ab)
-    return (np.sqrt(ab) * sigma * sigma * w_t + (1.0 - ab) * mean) / denom
+    c_w, c_mean, denom = _posterior_coefficients(int(t), sigma)
+    return (c_w * w_t + c_mean * mean) / denom
+
+
+@functools.lru_cache(maxsize=NUM_TRAIN_STEPS)
+def _posterior_coefficients(t: int, sigma: float) -> tuple:
+    """sqrt(ab)*sigma^2, 1-ab and ab*sigma^2 + 1-ab at step ``t``, each in the
+    operand order the posterior mean was always evaluated in, so a cached
+    coefficient gives the same bits as one computed at the call.  They stay
+    float64 scalars: a Python float would leave a float32 ``w_t`` float32."""
+    ab = ALPHA_BARS[t]
+    return np.sqrt(ab) * sigma * sigma, 1.0 - ab, ab * sigma * sigma + (1.0 - ab)

@@ -29,14 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .lfq import TokenStream
-from .motion import FRAME_DIM, JOINT_ROT, MAX_FRAMES, OBJ_ROT, ROOT_ROT, MotionSequence
+from .motion import FRAME_DIM, MAX_FRAMES, ROTATION_COLUMNS, MotionSequence
 from .scene import SceneVoxelGrid, check_grid_shape
 from .vae import SEGMENT_LEN, ToyVaeParams, tensor_shapes
 
 _VERSION = "<I"
 # (magic, version, header): header fields; payload
 _MSEQ = (b"MSEQ", 1, "<IIB")  # T, fps, is_canonical; (T, 75) float32
-_ROTATION_COLUMNS = np.r_[ROOT_ROT, JOINT_ROT, OBJ_ROT]
 # vocab_size, num_tokens (<= _MAX_TOKENS), then the source motion's fps and
 # is_canonical; (num_tokens,) u16 indices, one per vae.SEGMENT_LEN frames
 _MTOK = (b"MTOK", 3, "<IIIB")
@@ -141,7 +140,7 @@ def write_mseq(path, seq: MotionSequence):
     # (6.283185307179585 is stored as 6.2831855), which read_mseq rejects.  A
     # magnitude >= 2*pi needs a component >= 2*pi/sqrt(3) > 3.6; only then is the
     # sequence read_mseq would return built, so that MotionError says so here.
-    if np.abs(frames[:, _ROTATION_COLUMNS]).max() >= 3.6:
+    if np.abs(frames[:, ROTATION_COLUMNS]).max() >= 3.6:
         MotionSequence(frames, fps=seq.fps, is_canonical=seq.is_canonical)
     _write(path, _MSEQ, (seq.num_frames, seq.fps, int(seq.is_canonical)), frames.tobytes())
 
@@ -177,7 +176,7 @@ def read_mtok(path) -> TokenStream:
         # one within them is checked before any index is read
         indices = _array(body, "<u2", (num,), "tokens")
     _token_count(num)
-    return TokenStream(indices=indices.astype(np.int64), vocab_size=vocab, fps=fps,
+    return TokenStream(indices=indices, vocab_size=vocab, fps=fps,
                        is_canonical=_is_canonical(canonical))
 
 
@@ -205,28 +204,36 @@ def write_pts(path, points: np.ndarray):
 
 
 def _float32(values, what: str) -> np.ndarray:
-    """``values`` as little-endian float32, or :class:`FileFormatError` for what
-    the readers reject: a NaN or infinity, or a finite value beyond float32's
-    range, which would be stored as an infinity."""
-    values = _finite(values, what)
-    with np.errstate(over="ignore"):
+    """Float ``values`` as little-endian float32, or :class:`FileFormatError` for
+    what the readers reject: a NaN or infinity, or a finite value beyond
+    float32's range, which would be stored as an infinity.
+
+    ``values`` is cast once and only the cast is checked; the input is looked
+    at again only to name the fault.  The cast's warnings are silenced: an
+    overflow or a signalling NaN is the fault reported here.
+    """
+    values = np.asarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
         cast = values.astype("<f4")
-    if np.any(np.isinf(cast)):
+    if not np.isfinite(cast).all():
+        if not np.isfinite(values).all():
+            raise FileFormatError(f"{what} contain non-finite values")
         raise FileFormatError(f"{what} contain values beyond float32's range")
     return cast
 
 
-def _finite(values, what: str) -> np.ndarray:
-    """``values`` as float64; checked before the cast, which warns on a signalling NaN."""
-    if not np.all(np.isfinite(values)):
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` unchanged once each is finite; checked before any cast, which
+    warns on a signalling NaN."""
+    if not np.isfinite(values).all():
         raise FileFormatError(f"{what} contain non-finite values")
-    return np.asarray(values, dtype=np.float64)
+    return values
 
 
 def read_pts(path) -> np.ndarray:
     with _read(path, _PTS) as (body, (count,)):
         points = _array(body, "<f4", (count, 3), "points")
-    return _finite(points, "points")
+    return _finite(points, "points").astype(np.float64)
 
 
 def write_feat(path, features: np.ndarray):
@@ -239,7 +246,7 @@ def write_feat(path, features: np.ndarray):
 def read_feat(path) -> np.ndarray:
     with _read(path, _FEAT) as (body, shape):
         features = _array(body, "<f4", shape, "features")
-    return _finite(features, "features")
+    return _finite(features, "features").astype(np.float64)
 
 
 def write_csv(path, rows: list[dict]):

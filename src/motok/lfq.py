@@ -56,7 +56,7 @@ class TokenStream:
 
     def __post_init__(self):
         codebook = LfqCodebook(self.vocab_size)
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1).copy()
+        idx = np.array(self.indices, dtype=np.int64).reshape(-1)
         if idx.size < 1:
             raise QuantizerError("token stream is empty")
         if np.any(idx < 0) or np.any(idx >= codebook.vocab_size):

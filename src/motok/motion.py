@@ -25,6 +25,12 @@ OBJ_ROT = slice(72, 75)
 # The frame columns of one 12-value row of a sampled waypoint track (``motok
 # sample``): root pose, then object pose.
 WAYPOINT_COLUMNS = np.r_[ROOT_POS, ROOT_ROT, OBJ_POS, OBJ_ROT]
+# The 69 columns of a frame's 23 rotation vectors, root, joints, then object:
+# frames[:, ROTATION_COLUMNS].reshape(T, 23, 3) holds them in that order.
+ROTATION_COLUMNS = np.r_[ROOT_ROT, JOINT_ROT, OBJ_ROT]
+# Each rotation block's name and its vectors' slice of those 23.
+_ROTATION_BLOCKS = (("root orientation", slice(0, 1)), ("joint rotation", slice(1, 22)),
+                    ("object orientation", slice(22, 23)))
 
 # Dataset cap (300 frames at 30 fps) rounded up to a whole 8-frame segment,
 # so a tokenize/detokenize round trip of a maximum-length sequence stays
@@ -109,34 +115,25 @@ def _matrix_to_rotvec(mats: np.ndarray) -> np.ndarray:
     return scale[:, None] * vec
 
 
-def _check_rotvec(vec: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(vec)):
-        raise MotionError(f"{what} contains non-finite values")
-    # a component above ~1.3e154 squares to inf: its norm reads inf, which the
-    # check below rejects, so numpy's overflow warning would only repeat it
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(np.asarray(vec, dtype=np.float64).reshape(-1, 3), axis=1)
-    if np.any(norms >= TWO_PI):
-        raise MotionError(f"{what} rotation magnitude must be < 2*pi, got max {norms.max():.6f}")
-
-
 def normalize_rotations(frames: np.ndarray) -> np.ndarray:
-    """Wrap every rotation-vector block of a (T, 75) array to magnitude < 2*pi.
+    """Wrap every rotation vector of a (T, 75) array to magnitude < 2*pi.
 
     The axis is preserved; only the angle is reduced modulo a full turn.
-    Needed when raw decoder output is promoted to a MotionSequence.
+    Needed when raw decoder output is promoted to a MotionSequence.  Returns
+    one float64 copy of ``frames``, whose 23 rotation vectors are wrapped in
+    one pass; ``frames`` itself is never written.
     """
-    frames = np.asarray(frames, dtype=np.float64).copy()
+    frames = np.array(frames, dtype=np.float64, order="C")
     num = frames.shape[0]
     # a huge vector overflows to inf or NaN, which MotionSequence reports, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in (ROOT_ROT, JOINT_ROT, OBJ_ROT):
-            vecs = frames[:, block].reshape(num, -1, 3)
-            norms = np.linalg.norm(vecs, axis=2, keepdims=True)
-            scale = np.ones_like(norms)
-            over = norms >= TWO_PI
+        vecs = frames[:, ROTATION_COLUMNS].reshape(num, -1, 3)
+        norms = np.linalg.norm(vecs, axis=2, keepdims=True)
+        scale = np.ones_like(norms)
+        over = norms >= TWO_PI
+        if over.any():  # the modulo is most of the cost, and decoder output rarely needs it
             np.divide(np.mod(norms, TWO_PI), norms, out=scale, where=over)
-            frames[:, block] = (vecs * scale).reshape(num, -1)
+        frames[:, ROTATION_COLUMNS] = (vecs * scale).reshape(num, -1)
     return frames
 
 
@@ -152,7 +149,14 @@ class SixDof:
         r = np.asarray(self.orientation, dtype=np.float64).reshape(3).copy()
         if not np.all(np.isfinite(t)):
             raise MotionError("translation contains non-finite values")
-        _check_rotvec(r, "orientation")
+        if not np.all(np.isfinite(r)):
+            raise MotionError("orientation contains non-finite values")
+        # a component above ~1.3e154 squares to inf: its norm reads inf, which the
+        # check below rejects, so numpy's overflow warning would only repeat it
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(r, axis=-1)
+        if norm >= TWO_PI:
+            raise MotionError(f"orientation rotation magnitude must be < 2*pi, got max {norm:.6f}")
         t.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "translation", t)
@@ -168,6 +172,12 @@ class MotionSequence:
 
     ``is_canonical`` distinguishes the root-relative form (first frame at the
     XZ origin with zero yaw) from the world-frame form used for scene work.
+
+    ``frames`` is stored as one read-only float64 copy of what was given,
+    so the caller's array is never shared.  Every value must be finite and
+    each of the 23 rotation vectors shorter than 2*pi; a longer one is
+    reported for the first block that holds one (root, joints, object),
+    with that block's largest magnitude.
     """
 
     frames: np.ndarray
@@ -175,7 +185,7 @@ class MotionSequence:
     is_canonical: bool = False
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
+        frames = np.array(self.frames, dtype=np.float64, order="C")
         if frames.ndim != 2 or frames.shape[1] != FRAME_DIM:
             raise MotionError(f"frames must be (T, {FRAME_DIM}), got {frames.shape}")
         num = frames.shape[0]
@@ -183,12 +193,18 @@ class MotionSequence:
             raise MotionError(f"frame count must be in [1, {MAX_FRAMES}], got {num}")
         if int(self.fps) < 1:
             raise MotionError(f"fps must be >= 1, got {self.fps}")
-        if not np.all(np.isfinite(frames)):
+        if not np.isfinite(frames).all():
             raise MotionError("frames contain non-finite values")
-        _check_rotvec(frames[:, ROOT_ROT], "root orientation")
-        _check_rotvec(frames[:, JOINT_ROT].reshape(num, 21, 3), "joint rotation")
-        _check_rotvec(frames[:, OBJ_ROT], "object orientation")
-        frames = frames.copy()
+        # a component above ~1.3e154 squares to inf: its norm reads inf, which the
+        # check below rejects, so numpy's overflow warning would only repeat it
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(frames[:, ROTATION_COLUMNS].reshape(num, -1, 3), axis=2)
+        if norms.max() >= TWO_PI:
+            for what, vectors in _ROTATION_BLOCKS:
+                block = norms[:, vectors]
+                if block.max() >= TWO_PI:
+                    raise MotionError(
+                        f"{what} rotation magnitude must be < 2*pi, got max {block.max():.6f}")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "fps", int(self.fps))

@@ -130,10 +130,10 @@ class ToyVaeParams:
             t = arrays[name].astype(dtype, copy=False)
             if t.shape != expected[name]:
                 raise VaeError(f"{name} has shape {t.shape}, expected {expected[name]}")
-            if not np.all(np.isfinite(t)):
+            if not np.isfinite(t).all():
                 raise VaeError(f"{name} contains non-finite values")
             clean[name] = t
-        if np.any(clean["in_scale"] <= 0.0):
+        if (clean["in_scale"] <= 0.0).any():
             raise VaeError("in_scale must be strictly positive")
         object.__setattr__(self, "tensors", clean)
 

@@ -284,3 +284,26 @@ class TestWalkTrackMemo:
         assert again is not first  # evicted, so built again
         np.testing.assert_array_equal(again.view(np.int64), first.view(np.int64))
         np.testing.assert_array_equal(again, _fresh_walk_track(6, 0.25))
+
+
+def _unhoisted_posterior(w_t, t, mean, sigma):
+    """A test-only copy of the posterior mean with its scalars computed at the call."""
+    mean = np.asarray(mean, dtype=np.float64)
+    ab = ALPHA_BARS[int(t)]
+    denom = ab * sigma * sigma + (1.0 - ab)
+    return (np.sqrt(ab) * sigma * sigma * w_t + (1.0 - ab) * mean) / denom
+
+
+class TestPosteriorMemo:
+    """The cached per-step scalars give the posterior mean the formula's bits."""
+
+    @pytest.mark.parametrize("sigma", [synth.WALK_SIGMA, 0.3, 0.1 + 0.2, 1.0, 1e-3, 7.25])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_the_unhoisted_formula(self, rng, sigma, dtype):
+        w_t = (3.0 * rng.standard_normal((5, 12))).astype(dtype)
+        mean = rng.standard_normal((5, 12))
+        # the last two repeat a step, so they read the cached coefficients
+        for t in [0, 1, 500, 999, *range(0, NUM_TRAIN_STEPS, 7), 500, np.int64(999)]:
+            got = gaussian_posterior_denoiser(w_t, t, mean, sigma)
+            want = _unhoisted_posterior(w_t, t, mean, sigma)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), t

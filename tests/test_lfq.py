@@ -41,6 +41,14 @@ class TestTokenStream:
             TokenStream(indices=np.array([], dtype=np.int64), vocab_size=64, fps=30,
                         is_canonical=False)
 
+    @pytest.mark.parametrize("dtype", [np.int64, "<u2"])
+    def test_indices_are_a_read_only_int64_copy(self, dtype):
+        source = np.array([[3, 1], [4, 1]], dtype=dtype)
+        stream = TokenStream(indices=source, vocab_size=64, fps=30, is_canonical=False)
+        source[:] = 9
+        np.testing.assert_array_equal(stream.indices, [3, 1, 4, 1])
+        assert stream.indices.dtype == np.int64 and not stream.indices.flags.writeable
+
 
 class TestQuantize:
     def test_mixed_signs(self):

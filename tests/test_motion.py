@@ -10,6 +10,7 @@ from motok.motion import (
     OBJ_ROT,
     ROOT_ROT,
     SMALL_ANGLE,
+    TWO_PI,
     MotionError,
     MotionSequence,
     SixDof,
@@ -255,3 +256,141 @@ class TestToCanonical:
         placed = to_global(neutral, pose)
         again = to_canonical(placed)
         np.testing.assert_allclose(again.frames, neutral.frames, atol=1e-9)
+
+
+# Test-only copies of the three-block code that ROTATION_COLUMNS replaced:
+# the one-pass check and wrap must keep its results bit for bit.
+def reference_check_rotvec(vec, what):
+    if not np.all(np.isfinite(vec)):
+        raise MotionError(f"{what} contains non-finite values")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(np.asarray(vec, dtype=np.float64).reshape(-1, 3), axis=1)
+    if np.any(norms >= TWO_PI):
+        raise MotionError(f"{what} rotation magnitude must be < 2*pi, got max {norms.max():.6f}")
+
+
+def reference_check_frames(frames):
+    frames = np.asarray(frames, dtype=np.float64)
+    num = frames.shape[0]
+    if not np.all(np.isfinite(frames)):
+        raise MotionError("frames contain non-finite values")
+    reference_check_rotvec(frames[:, ROOT_ROT], "root orientation")
+    reference_check_rotvec(frames[:, JOINT_ROT].reshape(num, 21, 3), "joint rotation")
+    reference_check_rotvec(frames[:, OBJ_ROT], "object orientation")
+
+
+def reference_normalize_rotations(frames):
+    frames = np.asarray(frames, dtype=np.float64).copy()
+    num = frames.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in (ROOT_ROT, JOINT_ROT, OBJ_ROT):
+            vecs = frames[:, block].reshape(num, -1, 3)
+            norms = np.linalg.norm(vecs, axis=2, keepdims=True)
+            scale = np.ones_like(norms)
+            over = norms >= TWO_PI
+            np.divide(np.mod(norms, TWO_PI), norms, out=scale, where=over)
+            frames[:, block] = (vecs * scale).reshape(num, -1)
+    return frames
+
+
+def outcome(check, frames):
+    """None when ``check`` accepts ``frames``, else its MotionError's message."""
+    try:
+        check(frames)
+    except MotionError as exc:
+        return str(exc)
+    return None
+
+
+# Components at the edges of the check and the wrap: signed zeros and
+# subnormals, 2*pi*k and its float neighbours, the largest floats, NaN, +-inf.
+EDGE_COMPONENTS = sorted({0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.3e154,
+                          np.nan, np.inf, -np.inf,
+                          *(s * x for s in (1.0, -1.0) for k in (1, 2, 3)
+                            for x in (k * TWO_PI, np.nextafter(k * TWO_PI, 0.0),
+                                      np.nextafter(k * TWO_PI, np.inf)))},
+                         key=repr)
+# Magnitudes a whole vector is scaled to: 2*pi*k and its float neighbours.
+EDGE_MAGNITUDES = [m for k in (1, 2, 5) for m in (k * TWO_PI, np.nextafter(k * TWO_PI, 0.0),
+                                                 np.nextafter(k * TWO_PI, np.inf))]
+
+component = st.one_of(st.sampled_from(EDGE_COMPONENTS),
+                      st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+                      st.floats(-4 * TWO_PI, 4 * TWO_PI))
+vector = st.one_of(
+    st.tuples(component, component, component).map(np.array),
+    # a vector whose magnitude, not a component, sits on a multiple of 2*pi
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0),
+              st.sampled_from(EDGE_MAGNITUDES))
+    .map(lambda v: np.array(v[:3]) / np.linalg.norm(v[:3]) * v[3]))
+
+
+@st.composite
+def edge_frames(draw):
+    """A few frames of small random values, several of whose 25 3-vectors
+    (positions and rotations) are replaced by edge vectors."""
+    num = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.uniform(-1.0, 1.0, size=(num, FRAME_DIM))
+    vectors = frames.reshape(num, FRAME_DIM // 3, 3)
+    for _ in range(draw(st.integers(0, 6))):
+        row, col = draw(st.integers(0, num - 1)), draw(st.integers(0, FRAME_DIM // 3 - 1))
+        vectors[row, col] = draw(vector)
+    return frames
+
+
+class TestOnePassRotations:
+    """MotionSequence's check and normalize_rotations against the block-by-block code."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_frames())
+    def test_matches_the_three_block_reference(self, frames):
+        wrapped = normalize_rotations(frames)
+        assert wrapped.dtype == np.float64
+        assert wrapped.tobytes() == reference_normalize_rotations(frames).tobytes()
+        for given_frames in (frames, wrapped):
+            want = outcome(reference_check_frames, given_frames)
+            assert outcome(make_seq, given_frames) == want
+            if want is None:
+                assert make_seq(given_frames).frames.tobytes() == given_frames.tobytes()
+
+    @pytest.mark.parametrize("column", [ROOT_ROT.start, JOINT_ROT.start, JOINT_ROT.stop - 1,
+                                        OBJ_ROT.stop - 1])
+    def test_two_pi_is_rejected_and_the_float_below_it_kept(self, column):
+        frames = np.zeros((2, FRAME_DIM))
+        frames[1, column] = np.nextafter(TWO_PI, 0.0)
+        make_seq(frames)
+        frames[0, column] = TWO_PI
+        with pytest.raises(MotionError, match="got max 6.283185$"):
+            make_seq(frames)
+
+    def test_the_first_offending_block_is_named_with_its_own_max(self):
+        frames = np.zeros((2, FRAME_DIM))
+        frames[0, OBJ_ROT.start] = 9.0
+        frames[1, JOINT_ROT.start + 4] = 8.0
+        frames[1, JOINT_ROT.stop - 1] = 7.0
+        with pytest.raises(MotionError, match="^joint rotation .* got max 8.000000$"):
+            make_seq(frames)
+        frames[1, ROOT_ROT.start + 2] = 6.5
+        with pytest.raises(MotionError, match="^root orientation .* got max 6.500000$"):
+            make_seq(frames)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frames_are_a_read_only_copy(self, rng, dtype):
+        source = random_frames(rng, 4).astype(dtype)
+        seq = MotionSequence(source)
+        want = seq.frames.copy()
+        assert source.flags.writeable and not seq.frames.flags.writeable
+        source[:] = 0.5
+        np.testing.assert_array_equal(seq.frames, want)
+        assert seq.frames.dtype == np.float64 and seq.frames.flags.c_contiguous
+
+    def test_normalize_rotations_never_writes_its_input(self, rng):
+        frames = random_frames(rng, 4)
+        frames[:, ROOT_ROT] = [0.0, 7.0, 0.0]
+        frames.setflags(write=False)
+        before = frames.tobytes()
+        wrapped = normalize_rotations(frames)
+        assert frames.tobytes() == before
+        assert wrapped.flags.writeable and not np.shares_memory(wrapped, frames)
+        np.testing.assert_allclose(wrapped[:, ROOT_ROT.start + 1], 7.0 - TWO_PI, rtol=1e-14)
